@@ -59,7 +59,6 @@ from fluxshape.robustness import (
     sweep_transient_coefficient,
 )
 from fluxshape.synthesis import (
-    MischarModel,
     asymptotic_transient_coefficient,
     mischaracterized_transient_coefficient,
     solve_biharmonic,
@@ -78,7 +77,6 @@ __all__ = [
     "transient_coefficient",
     "integrate_line_response",
     "square_pulse_flux_transient",
-    "MischarModel",
     "solve_biharmonic",
     "solve_top_harmonic",
     "mischaracterized_transient_coefficient",

@@ -320,6 +320,8 @@ def _cmd_impedance(args) -> int:
     else:
         elements = formats.chain_from_list(formats.load_json(args.chain))
         inputs = [args.chain]
+    if not (math.isfinite(args.f_start_hz) and math.isfinite(args.f_stop_hz)):
+        raise ValueError("--f-start-hz and --f-stop-hz must be finite")
     if not (args.f_start_hz > 0 and args.f_stop_hz > args.f_start_hz):
         raise ValueError("need 0 < --f-start-hz < --f-stop-hz")
     if args.n_points < 2:

@@ -140,7 +140,11 @@ def write_csv(path, header, columns) -> None:
 
 
 def read_csv_columns(path, expected_header) -> list:
-    """Read a CSV written by :func:`write_csv`, checking the header."""
+    """Read a CSV written by :func:`write_csv`, checking the header.
+
+    Every cell must parse to a finite float; ``nan`` or ``inf`` raises a
+    ValueError naming the column and the data row (1-based).
+    """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         expected = ",".join(expected_header)
@@ -152,4 +156,8 @@ def read_csv_columns(path, expected_header) -> list:
     data = np.array([[float(cell) for cell in row.split(",")] for row in rows])
     if data.shape[1] != len(expected_header):
         raise ValueError("CSV row width does not match the header")
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        row, col = bad[0]
+        raise ValueError(f"CSV column {expected_header[col]!r} holds a non-finite value in data row {row + 1}")
     return [data[:, j] for j in range(data.shape[1])]

@@ -115,48 +115,49 @@ class WiringElement:
         return WiringElement("transmission_line", {"z0_ohms": float(z0), "delay_s": float(delay)})
 
 
-def _series(z: complex) -> TwoPort:
-    return TwoPort(1.0 + 0.0j, z, 0.0j, 1.0 + 0.0j)
+def element_abcd(element: WiringElement, f) -> TwoPort:
+    """ABCD matrix of one element at frequency ``f`` in Hz.
 
-
-def element_abcd(element: WiringElement, f: float) -> TwoPort:
-    """ABCD matrix of one element at frequency ``f`` in Hz."""
-    f = float(f)
-    if not (math.isfinite(f) and f > 0.0):
-        raise ValueError(f"frequency must be positive and finite, got {f!r}")
+    ``f`` is a scalar or an array of frequencies; every entry of the
+    returned matrix is then a complex scalar or a complex array of the
+    same shape.
+    """
+    f = np.asarray(f, dtype=float)
+    if not np.all(np.isfinite(f) & (f > 0.0)):
+        raise ValueError("frequency must be positive and finite")
     w = 2.0 * math.pi * f
+    # [()] turns a 0-d array into a scalar and leaves other arrays as they are
+    one = np.ones(f.shape, dtype=complex)[()]
+    zero = np.zeros(f.shape, dtype=complex)[()]
     kind = element.kind
     p = element.params
     if kind == "series_resistor":
-        return _series(complex(p["r_ohms"]))
+        return TwoPort(one, p["r_ohms"] * one, zero, one)
     if kind == "series_capacitor":
-        return _series(1.0 / (1j * w * p["c_farads"]))
+        return TwoPort(one, 1.0 / (1j * w * p["c_farads"]), zero, one)
     if kind == "series_inductor":
-        return _series(1j * w * p["l_henries"])
+        return TwoPort(one, 1j * w * p["l_henries"], zero, one)
     if kind == "attenuator":
         db = p["db"]
         if db == 0.0:
-            return TwoPort.identity()
+            return TwoPort(one, zero, zero, one)
         z0 = p["z0_ohms"]
         k = 10.0 ** (db / 20.0)
         r_series = z0 * (k * k - 1.0) / (2.0 * k)
         y_shunt = (k - 1.0) / (z0 * (k + 1.0))
-        a = 1.0 + r_series * y_shunt
-        return TwoPort(a, complex(r_series), y_shunt * (2.0 + r_series * y_shunt), a)
+        a = (1.0 + r_series * y_shunt) * one
+        return TwoPort(a, r_series * one, y_shunt * (2.0 + r_series * y_shunt) * one, a)
     if kind == "transmission_line":
         theta = w * p["delay_s"]
         z0 = p["z0_ohms"]
-        return TwoPort(
-            complex(math.cos(theta)),
-            1j * z0 * math.sin(theta),
-            1j * math.sin(theta) / z0,
-            complex(math.cos(theta)),
-        )
+        cos = np.cos(theta) * one
+        sin = np.sin(theta)
+        return TwoPort(cos, 1j * z0 * sin, 1j * sin / z0, cos)
     raise ValueError(f"unknown element kind {kind!r}")
 
 
-def cascade(elements, f: float) -> TwoPort:
-    """ABCD matrix of a chain, source side first."""
+def cascade(elements, f) -> TwoPort:
+    """ABCD matrix of a chain, source side first, at a scalar or array ``f``."""
     elements = list(elements)
     if not elements:
         raise ValueError("chain must contain at least one element")
@@ -166,11 +167,15 @@ def cascade(elements, f: float) -> TwoPort:
     return net
 
 
-def input_impedance(network: TwoPort, load: complex) -> complex:
-    """Impedance seen into a two-port terminated by ``load`` ohms."""
+def input_impedance(network: TwoPort, load: complex):
+    """Impedance seen into a two-port terminated by ``load`` ohms.
+
+    The entries of ``network`` may be scalars or arrays over frequency (as
+    :func:`cascade` returns them); the result has the same shape.
+    """
     denom = network.c * load + network.d
-    if abs(denom) < 1e-15:
-        raise ValueError("network is singular into this load at this frequency")
+    if np.any(np.abs(denom) < 1e-15):
+        raise ValueError("network is singular into this load at a swept frequency")
     return (network.a * load + network.b) / denom
 
 
@@ -179,7 +184,7 @@ def sweep_input_impedance(elements, load: complex, f_grid) -> np.ndarray:
     f = np.asarray(f_grid, dtype=float)
     if f.ndim != 1 or f.size == 0 or np.any(~np.isfinite(f)) or np.any(f <= 0.0):
         raise ValueError("f_grid must be 1-D, positive and finite")
-    return np.array([input_impedance(cascade(elements, fi), load) for fi in f])
+    return input_impedance(cascade(elements, f), load)
 
 
 @dataclass(frozen=True, eq=False)

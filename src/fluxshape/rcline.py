@@ -184,9 +184,12 @@ def integrate_line_response(v_in, line: RCLine, t_grid, v_c_initial: float = 0.0
             f"integration step {max_h!r} exceeds tau/50 = {tau / 50.0!r}; refine the grid"
         )
 
-    f0 = _eval_waveform(v_in, t[:-1])
+    # the end of one step is the start of the next, so the grid nodes are
+    # evaluated once and only the midpoints need a second call
+    f = _eval_waveform(v_in, t)
+    f0 = f[:-1]
+    f1 = f[1:]
     fm = _eval_waveform(v_in, t[:-1] + 0.5 * h)
-    f1 = _eval_waveform(v_in, t[1:])
 
     z = h / tau
     decay, b0, bm, b1 = _rk4_affine_coefficients(z)
@@ -203,8 +206,7 @@ def integrate_line_response(v_in, line: RCLine, t_grid, v_c_initial: float = 0.0
         v[start + 1 : stop + 1] = q * (v[start] + s)
         start = stop
 
-    v_in_grid = np.concatenate([f0, f1[-1:]])
-    i = (v_in_grid - v) / line.resistance
+    i = (f - v) / line.resistance
     return v, i
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from fluxshape.pulse import HarmonicPulse
 from fluxshape.rcline import RCLine, transient_coefficient
-from fluxshape.synthesis import mischaracterized_transient_coefficient, solve_biharmonic
+from fluxshape.synthesis import mischaracterized_transient_coefficient
 
 __all__ = [
     "SweepGrid",
@@ -87,10 +87,7 @@ def sweep_transient_coefficient(b1: float, omega_tau_values, m_values) -> SweepG
         raise ValueError("omega_tau_values must be positive and finite")
     if m.ndim != 1 or m.size == 0 or np.any(~np.isfinite(m)) or np.any(m <= 0.0):
         raise ValueError("m_values must be positive and finite")
-    k = np.empty((wt.size, m.size))
-    for i, x in enumerate(wt):
-        for j, mm in enumerate(m):
-            k[i, j] = mischaracterized_transient_coefficient(b1, 1.0, float(x), float(mm))
+    k = mischaracterized_transient_coefficient(b1, 1.0, wt[:, None], m[None, :])
     return SweepGrid(wt, m, k)
 
 

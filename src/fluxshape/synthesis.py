@@ -21,15 +21,12 @@ magnitude at typical ``w*tau``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from fluxshape.pulse import HarmonicPulse
-from fluxshape.rcline import transient_coefficient
 
 __all__ = [
-    "MischarModel",
     "solve_biharmonic",
     "solve_top_harmonic",
     "mischaracterized_transient_coefficient",
@@ -41,37 +38,12 @@ __all__ = [
 _DEGENERACY_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
-class MischarModel:
-    """Line whose true time constant is ``tau_assumed / m``.
-
-    ``m`` is the mischaracterization factor: the design below used
-    ``tau_assumed`` while the line actually has ``tau_true``.
-    """
-
-    tau_true: float
-    m: float
-
-    def __post_init__(self):
-        tau_true = float(self.tau_true)
-        m = float(self.m)
-        if not (math.isfinite(tau_true) and tau_true > 0.0):
-            raise ValueError(f"tau_true must be positive and finite, got {self.tau_true!r}")
-        if not (math.isfinite(m) and m > 0.0):
-            raise ValueError(f"m must be positive and finite, got {self.m!r}")
-        object.__setattr__(self, "tau_true", tau_true)
-        object.__setattr__(self, "m", m)
-
-    @property
-    def tau_assumed(self) -> float:
-        return self.tau_true * self.m
-
-
-def _validate_positive(name: str, value: float) -> float:
-    value = float(value)
-    if not (math.isfinite(value) and value > 0.0):
+def _validate_positive(name: str, value):
+    """``value`` as a float, or a float array for array input; all positive and finite."""
+    arr = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(arr) & (arr > 0.0)):
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
-    return value
+    return float(arr) if arr.ndim == 0 else arr
 
 
 def solve_biharmonic(b1: float, omega: float, tau_assumed: float) -> HarmonicPulse:
@@ -147,13 +119,22 @@ def solve_top_harmonic(a0: float, a, b, omega: float, tau_assumed: float):
     return pulse, pulse.condition_three_residual(tau_assumed)
 
 
-def mischaracterized_transient_coefficient(b1: float, omega: float, tau_true: float, m: float) -> float:
+def mischaracterized_transient_coefficient(b1: float, omega: float, tau_true, m):
     """Residual transient coefficient of the two-harmonic design off-design.
 
-    Builds the pulse designed for ``tau_assumed = m * tau_true`` and
-    evaluates its transient coefficient on the actual line.  Exact in m;
-    vanishes at m = 1 and approaches
+    The pulse of :func:`solve_biharmonic` designed for ``tau_assumed =
+    m * tau_true`` leaves, on the actual line, the explicit two-harmonic
+    residual
+
+        k = -x*b1/(1 + x^2) - 2x*b2/(1 + (2x)^2),    x = w*tau_true,
+
+    with ``b2 = -(b1/2) * (1 + 4y^2) / (1 + y^2)`` and ``y = w*m*tau_true``.
+    Exact in m; vanishes at m = 1 and approaches
     ``3*b1*w*tau / (1 + 5*(w*tau)^2 + 4*(w*tau)^4)`` as m grows.
+
+    ``b1`` and ``omega`` are scalars; ``tau_true`` and ``m`` are scalars or
+    arrays that broadcast against each other.  Returns a float for scalar
+    input and an array of the broadcast shape otherwise.
     """
     b1 = float(b1)
     if not math.isfinite(b1):
@@ -162,9 +143,14 @@ def mischaracterized_transient_coefficient(b1: float, omega: float, tau_true: fl
     tau_true = _validate_positive("tau_true", tau_true)
     m = _validate_positive("m", m)
     if b1 == 0.0:
-        return 0.0
-    pulse = solve_biharmonic(b1, omega, m * tau_true)
-    return transient_coefficient(pulse, tau_true)
+        out = np.zeros(np.broadcast_shapes(np.shape(tau_true), np.shape(m)))
+    else:
+        y = omega * (m * tau_true)
+        b2 = -(b1 / 2.0) * (1.0 + 4.0 * y * y) / (1.0 + y * y)
+        x = omega * tau_true
+        x2 = 2.0 * x
+        out = np.asarray(-(x * b1) / (1.0 + x * x) - (x2 * b2) / (1.0 + x2 * x2))
+    return float(out) if out.ndim == 0 else out
 
 
 def asymptotic_transient_coefficient(family: str, coeffs, omega: float, tau: float) -> float:

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -259,6 +260,33 @@ def test_extract_window_validation(tmp_path, capsys):
     assert "--fit-window-us" in capsys.readouterr().err
 
 
+def test_extract_rejects_non_finite_trace(tmp_path, capsys):
+    device = write_device(tmp_path)
+    sim = tmp_path / "sim"
+    main([
+        "ramsey-sim", "--device", device, "--waveform", "square",
+        "--square-amp-phi0", "5e-4", "--line-tau-us", "13",
+        "--tau-pulse-us", "8", "--delay-max-us", "60", "--delay-step-us", "0.25",
+        "--out-dir", str(sim),
+    ])
+    trace = sim / "trace.csv"
+    lines = trace.read_text().splitlines()
+    cells = lines[100].split(",")
+    cells[1] = "inf"
+    lines[100] = ",".join(cells)
+    trace.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    rc = main([
+        "extract", "--trace", str(trace), "--device", device,
+        "--tau-pulse-us", "8", "--fit-window-us", "60", "--out-dir", str(tmp_path / "ext"),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert "'x_expect'" in err[0] and "data row 100" in err[0]
+    assert not (tmp_path / "ext" / "report.json").exists()
+
+
 def test_ramsey_pulse_waveform_and_period_check(tmp_path, capsys):
     device = write_device(tmp_path)
     design = tmp_path / "design"
@@ -363,6 +391,19 @@ def test_impedance_custom_chain_and_validation(tmp_path, capsys):
     assert main(["impedance", "--chain", "default", "--f-start-hz", "0",
                  "--out-dir", str(tmp_path / "bad")]) == 2
     assert "f-start" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--f-stop-hz", "inf"), ("--f-start-hz", "nan")])
+def test_impedance_rejects_non_finite_range(tmp_path, capsys, flag, value):
+    # a RuntimeWarning from building the grid would be a second stderr line;
+    # as an error it would escape main() instead
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["impedance", "--chain", "default", flag, value, "--out-dir", str(tmp_path / "imp")])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and flag in err[0]
+    assert not (tmp_path / "imp" / "impedance.csv").exists()
 
 
 def test_unknown_arguments_exit_2(tmp_path, capsys):

@@ -105,6 +105,17 @@ def test_csv_header_and_shape_validation(tmp_path):
         read_csv_columns(empty, ["x", "y"])
 
 
+@pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "1e999"])
+def test_csv_rejects_non_finite_cells(tmp_path, cell):
+    path = tmp_path / "trace.csv"
+    write_csv(path, ["t_s", "x_expect"], [np.arange(4.0), np.ones(4)])
+    lines = path.read_text().splitlines()
+    lines[3] = "2," + cell
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"column 'x_expect' .* data row 3$"):
+        read_csv_columns(path, ["t_s", "x_expect"])
+
+
 def test_format_float_is_shortest_exact():
     assert format_float(0.1) == "0.10000000000000001"
     assert float(format_float(1.0 / 3.0)) == 1.0 / 3.0

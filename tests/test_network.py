@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -110,6 +111,83 @@ def test_input_impedance_singular_cases():
     net = cascade([WiringElement.transmission_line(50.0, 15e-9)], f_quarter)
     with pytest.raises(ValueError):
         input_impedance(net, 0.0)
+
+
+def _reference_abcd(element, f):
+    """2x2 ABCD matrix of one element at one frequency, from textbook forms."""
+    w = 2.0 * math.pi * f
+    p = element.params
+
+    def series(z):
+        return np.array([[1.0, z], [0.0, 1.0]], dtype=complex)
+
+    if element.kind == "series_resistor":
+        return series(p["r_ohms"])
+    if element.kind == "series_capacitor":
+        return series(-1j / (w * p["c_farads"]))
+    if element.kind == "series_inductor":
+        return series(1j * w * p["l_henries"])
+    if element.kind == "attenuator":
+        # matched pi: shunt conductance, series resistance, shunt conductance
+        k = 10.0 ** (p["db"] / 20.0)
+        z0 = p["z0_ohms"]
+        shunt = np.array([[1.0, 0.0], [(k - 1.0) / (z0 * (k + 1.0)), 1.0]], dtype=complex)
+        return shunt @ series(z0 * (k * k - 1.0) / (2.0 * k)) @ shunt
+    theta = w * p["delay_s"]
+    z0 = p["z0_ohms"]
+    return np.array(
+        [[math.cos(theta), 1j * z0 * math.sin(theta)], [1j * math.sin(theta) / z0, math.cos(theta)]]
+    )
+
+
+def _reference_impedance(chain, load, f):
+    m = functools.reduce(np.matmul, [_reference_abcd(e, f) for e in chain])
+    return (m[0, 0] * load + m[0, 1]) / (m[1, 0] * load + m[1, 1])
+
+
+def _random_chain(rng):
+    makers = (
+        lambda: WiringElement.series_resistor(rng.uniform(1.0, 100.0)),
+        lambda: WiringElement.series_capacitor(10.0 ** rng.uniform(-9.0, -6.0)),
+        lambda: WiringElement.series_inductor(10.0 ** rng.uniform(-10.0, -8.0)),
+        lambda: WiringElement.attenuator(float(rng.choice([0.0, 3.0, 6.0, 20.0])), rng.uniform(25.0, 75.0)),
+        lambda: WiringElement.transmission_line(rng.uniform(20.0, 80.0), 10.0 ** rng.uniform(-9.0, -8.0)),
+    )
+    return [makers[i]() for i in rng.integers(0, len(makers), int(rng.integers(1, 9)))]
+
+
+def test_array_sweep_matches_per_frequency_reference():
+    rng = np.random.default_rng(47)
+    for _ in range(20):
+        chain = _random_chain(rng)
+        load = complex(rng.uniform(0.0, 100.0), rng.uniform(-10.0, 10.0))
+        f = np.sort(10.0 ** rng.uniform(3.0, 8.0, 64))
+        z = sweep_input_impedance(chain, load, f)
+        assert z.shape == f.shape and z.dtype == complex
+        assert_allclose(z, [_reference_impedance(chain, load, fi) for fi in f], rtol=1e-12)
+        net = cascade(chain, f)
+        assert_allclose(net.determinant(), np.ones(f.shape), rtol=1e-9)
+        # a scalar frequency takes the same path (numpy's scalar and array
+        # arithmetic may round the last bit differently)
+        j = int(rng.integers(f.size))
+        assert_allclose(input_impedance(cascade(chain, f[j]), load), z[j], rtol=1e-14)
+
+
+def test_array_path_keeps_scalar_entries_for_scalar_frequency():
+    net = cascade(default_flux_chain(), 7e6)
+    assert all(np.ndim(entry) == 0 for entry in (net.a, net.b, net.c, net.d))
+    net = cascade(default_flux_chain(), np.array([1e3, 7e6]))
+    assert all(np.shape(entry) == (2,) for entry in (net.a, net.b, net.c, net.d))
+    with pytest.raises(ValueError):
+        element_abcd(WiringElement.series_resistor(47.0), [1e6, 0.0])
+
+
+def test_array_sweep_singular_load_raises():
+    # one quarter-wave point in the grid is enough to reject the sweep
+    f_quarter = 1.0 / (4.0 * 15e-9)
+    chain = [WiringElement.transmission_line(50.0, 15e-9)]
+    with pytest.raises(ValueError, match="singular"):
+        sweep_input_impedance(chain, 0.0, [1e6, f_quarter, 2e7])
 
 
 def test_sweep_input_impedance_validation():

@@ -16,6 +16,8 @@ from fluxshape import (
     transient_coefficient,
 )
 
+from fluxshape import rcline
+
 from conftest import line_with_tau
 
 
@@ -164,6 +166,60 @@ def test_ode_oracle_scalar_only_waveform():
     v_vec, _ = integrate_line_response(lambda s: np.ones_like(s), line, t)
     v_scal, _ = integrate_line_response(lambda s: 1.0, line, t)
     assert np.array_equal(v_vec, v_scal)
+
+
+def _three_call_rk4(v_in, line, t):
+    """RK4 reference that evaluates step starts, midpoints and ends separately."""
+    h = np.diff(t)
+    f0 = np.asarray(v_in(t[:-1]), dtype=float)
+    fm = np.asarray(v_in(t[:-1] + 0.5 * h), dtype=float)
+    f1 = np.asarray(v_in(t[1:]), dtype=float)
+    decay, b0, bm, b1 = rcline._rk4_affine_coefficients(h / line.tau)
+    forced = b0 * f0 + bm * fm + b1 * f1
+    v = np.zeros(t.size)
+    for start in range(0, forced.size, rcline._CHUNK):
+        stop = min(start + rcline._CHUNK, forced.size)
+        q = np.cumprod(decay[start:stop])
+        v[start + 1 : stop + 1] = q * (v[start] + np.cumsum(forced[start:stop] / q))
+    return v, (np.concatenate([f0, f1[-1:]]) - v) / line.resistance
+
+
+def test_ode_oracle_evaluates_each_grid_node_once():
+    calls = []
+
+    def counting(s):
+        calls.append(np.size(s))
+        return np.sin(s * 1e5)
+
+    line = line_with_tau(1e-5)
+    n = 1000
+    integrate_line_response(counting, line, np.linspace(0.0, 1e-4, n + 1))
+    assert calls == [n + 1, n]
+    assert sum(calls) == 2 * n + 1
+
+
+def test_ode_oracle_node_reuse_is_bit_identical():
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        p = _random_pulse(rng, 8e-6)
+        line = line_with_tau(float(rng.uniform(2e-6, 2e-5)))
+        t = np.linspace(0.0, 20.0 * p.tau_pulse, int(rng.integers(5_000, 20_000)) + 1)
+        for got, ref in zip(integrate_line_response(p.evaluate, line, t), _three_call_rk4(p.evaluate, line, t)):
+            assert got.tobytes() == ref.tobytes()
+
+    # a commanded square train as square_train_response builds it
+    tau, tau_pulse, period, train_end = 1e-5, 1e-5, 2e-5, 6e-5
+
+    def commanded(s):
+        s = np.asarray(s, dtype=float)
+        inside = (s >= 0.0) & (s < train_end) & (np.mod(s, period) < tau_pulse)
+        return np.where(inside, 5e-4, 0.0)
+
+    line = RCLine(1.0, tau)
+    dt = tau / 60.0
+    t = np.arange(int(math.ceil((train_end + 3.0 * tau) / dt)) + 1) * dt
+    for got, ref in zip(integrate_line_response(commanded, line, t), _three_call_rk4(commanded, line, t)):
+        assert got.tobytes() == ref.tobytes()
 
 
 def test_square_pulse_droop_and_undershoot():

@@ -15,6 +15,7 @@ from fluxshape import (
     phase_statistics,
     solve_biharmonic,
     sweep_transient_coefficient,
+    transient_coefficient,
 )
 
 from conftest import line_with_tau
@@ -37,12 +38,24 @@ def test_sweep_design_column_vanishes():
 
 
 def test_sweep_matches_pointwise_evaluation():
-    wt = np.array([2.0, 8.79])
-    m = np.array([0.5, 3.0])
-    grid = sweep_transient_coefficient(-0.7, wt, m)
-    for i, x in enumerate(wt):
-        for j, mm in enumerate(m):
-            assert grid.k_exp[i, j] == mischaracterized_transient_coefficient(-0.7, 1.0, x, mm)
+    rng = np.random.default_rng(31)
+    for _ in range(5):
+        b1 = float(rng.uniform(-2.0, 2.0)) or 1.0
+        wt = 10.0 ** rng.uniform(-1.0, 2.0, int(rng.integers(1, 12)))
+        m = 10.0 ** rng.uniform(-2.0, 2.0, int(rng.integers(1, 12)))
+        grid = sweep_transient_coefficient(b1, wt, m)
+        assert grid.k_exp.shape == (wt.size, m.size)
+        for i, x in enumerate(wt):
+            for j, mm in enumerate(m):
+                assert grid.k_exp[i, j] == mischaracterized_transient_coefficient(b1, 1.0, x, mm)
+                # bit-identical to designing the pulse and evaluating it
+                pulse = solve_biharmonic(b1, 1.0, mm * x)
+                assert grid.k_exp[i, j] == transient_coefficient(pulse, x)
+
+
+def test_sweep_zero_amplitude():
+    grid = sweep_transient_coefficient(0.0, [2.0, 8.79], [0.5, 1.0, 3.0])
+    assert np.array_equal(grid.k_exp, np.zeros((2, 3)))
 
 
 def test_sweep_rows_row_major():
@@ -61,6 +74,8 @@ def test_sweep_validation():
         sweep_transient_coefficient(1.0, [2.0], [])
     with pytest.raises(ValueError):
         sweep_transient_coefficient(1.0, [[2.0]], [1.0])
+    with pytest.raises(ValueError, match="b1"):
+        sweep_transient_coefficient(math.nan, [2.0], [1.0])
 
 
 def test_sweep_regimes():

@@ -2,11 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from fluxshape import (
     HarmonicPulse,
-    MischarModel,
     asymptotic_transient_coefficient,
     mischaracterized_transient_coefficient,
     solve_biharmonic,
@@ -132,6 +131,39 @@ def test_mischaracterized_linearity_and_zero():
         mischaracterized_transient_coefficient(math.nan, 1.0, 8.79, 2.0)
 
 
+def test_mischaracterized_broadcast_matches_design_path():
+    # the closed form against the pulse that solve_biharmonic actually
+    # designs, evaluated by transient_coefficient one cell at a time
+    rng = np.random.default_rng(23)
+    for omega in (1.0, OMEGA, float(10.0 ** rng.uniform(4, 8))):
+        b1 = float(rng.uniform(-2.0, 2.0)) or 1.0
+        tau = 10.0 ** rng.uniform(-1.0, 2.0, 17) / omega
+        m = 10.0 ** rng.uniform(-2.0, 2.0, 13)
+        grid = mischaracterized_transient_coefficient(b1, omega, tau[:, None], m[None, :])
+        assert grid.shape == (17, 13)
+        ref = np.array(
+            [[transient_coefficient(solve_biharmonic(b1, omega, mm * tt), tt) for mm in m] for tt in tau]
+        )
+        if omega == 1.0:
+            assert grid.tobytes() == ref.tobytes()
+        else:
+            # the design path rounds omega through the pulse period 2*pi/omega
+            assert_allclose(grid, ref, rtol=1e-14, atol=1e-15 * abs(b1))
+        assert mischaracterized_transient_coefficient(b1, omega, tau[3], m[5]) == grid[3, 5]
+    assert isinstance(mischaracterized_transient_coefficient(1.0, 1.0, 8.79, 2.0), float)
+
+
+def test_mischaracterized_broadcast_validation():
+    zeros = mischaracterized_transient_coefficient(0.0, 1.0, [[2.0], [3.0]], [0.5, 2.0])
+    assert_array_equal(zeros, np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="tau_true"):
+        mischaracterized_transient_coefficient(1.0, 1.0, [2.0, math.inf], 2.0)
+    with pytest.raises(ValueError, match="m must"):
+        mischaracterized_transient_coefficient(1.0, 1.0, 2.0, [0.5, -1.0])
+    with pytest.raises(ValueError):
+        mischaracterized_transient_coefficient(1.0, 1.0, [2.0, 3.0], [0.5, 1.0, 2.0])
+
+
 def test_mischaracterized_approaches_asymptotes():
     k100 = mischaracterized_transient_coefficient(1.0, 1.0, 8.79, 100.0)
     deep = asymptotic_transient_coefficient("biharmonic", [1.0], 1.0, 8.79)
@@ -198,14 +230,3 @@ def test_asymptotic_validation():
         asymptotic_transient_coefficient("sine-only", [], 1.0, 8.79)
     with pytest.raises(ValueError):
         asymptotic_transient_coefficient("sine-only", [math.nan], 1.0, 8.79)
-
-
-def test_mischar_model():
-    model = MischarModel(13e-6, 100.0)
-    assert_allclose(model.tau_assumed, 1.3e-3, rtol=1e-15)
-    with pytest.raises(ValueError):
-        MischarModel(0.0, 1.0)
-    with pytest.raises(ValueError):
-        MischarModel(13e-6, -1.0)
-    with pytest.raises(ValueError):
-        MischarModel(13e-6, math.inf)
