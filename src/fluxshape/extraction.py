@@ -7,11 +7,11 @@ The pipeline mirrors the experimental analysis chain:
    (Savitzky-Golay) filter whose edge windows are truncated one-sided fits.
 3. :func:`frequency_from_phase` differentiates the phase (second-order
    central differences, one-sided at the ends) to get the detuning in Hz.
-4. :func:`frequency_to_flux` inverts the dressed-frequency map on the
-   monotone flux branch containing the idle point (bisection).
+4. :func:`frequency_to_flux` inverts the dressed-frequency map in closed
+   form on the monotone flux branch containing the idle point.
 5. :func:`fit_transient` fits the square-pulse transient template
-   ``A * (-exp(-d/tau) + exp(-(d+tau_pulse)/tau)) + B`` with a damped
-   Gauss-Newton (Levenberg-Marquardt) loop and analytic Jacobian.
+   ``A * (-exp(-d/tau) + exp(-(d+tau_pulse)/tau)) + B`` by variable
+   projection: a 1-D search over log tau, A and B solved in closed form.
 
 :func:`run_pipeline` chains the stages and reports the fitted time constant
 together with the total acquired phase.
@@ -38,6 +38,8 @@ __all__ = [
 ]
 
 _QUADRATURE_FLOOR = 1e-12
+# positions of the 16 points of one log-tau scan across its bracket
+_SCAN = np.linspace(0.0, 1.0, 16)
 
 
 def unwrap_phase(x, y) -> np.ndarray:
@@ -45,13 +47,16 @@ def unwrap_phase(x, y) -> np.ndarray:
 
     Successive differences are folded into (-pi, pi] before accumulating, so
     the result is free of 2*pi jumps as long as the underlying phase moves
-    less than pi per sample.  Raises when a point has magnitude below 1e-6
-    (phase undefined there).
+    less than pi per sample.  Raises when a quadrature is not finite or a
+    point has magnitude below 1e-6 (phase undefined there).
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("x and y must be 1-D arrays of equal length")
+    for name, values in (("x", x), ("y", y)):
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{name} must be finite")
     if np.any(x * x + y * y < _QUADRATURE_FLOOR):
         raise ValueError("quadrature magnitude too small to define a phase")
     raw = np.arctan2(y, x)
@@ -115,21 +120,25 @@ def frequency_from_phase(phase, dt: float) -> np.ndarray:
 
 
 def frequency_to_flux(freq_shift_hz, device: CouplerDevice, phi_idle: float):
-    """Invert the dressed-frequency map around the idle flux.
+    """Invert the dressed-frequency map around the idle flux, in closed form.
 
     ``freq_shift_hz`` is the detuning from the dressed frequency at
-    ``phi_idle``.  The inversion bisects on the half-period flux interval
-    containing the idle point, where the map is monotone, and refines until
-    the bracket is narrower than 1e-10 Phi0.  Raises when a requested
-    frequency leaves the branch's range.
+    ``phi_idle``.  The branch satisfies ``(omega - omega_q) * (omega -
+    omega_c) = g**2``, which gives ``omega_c`` and then ``cos(pi * phi) =
+    (omega_c / omega_max)**2`` on the half-period containing the idle point,
+    where the map is monotone.  Raises when a requested frequency leaves the
+    branch's range, and for ``g = 0`` (the qubit does not follow the flux).
     """
     phi_idle = float(phi_idle)
     shifts = np.atleast_1d(np.asarray(freq_shift_hz, dtype=float))
     if not np.all(np.isfinite(shifts)):
         raise ValueError("freq_shift_hz must be finite")
+    if device.g == 0.0:
+        raise ValueError("g must be positive to invert the flux branch, got 0.0")
     target = dressed_qubit_frequency(phi_idle, device) + 2.0 * np.pi * shifts
 
-    lo_edge = math.floor(phi_idle * 2.0) / 2.0
+    half = math.floor(phi_idle * 2.0)
+    lo_edge = half / 2.0
     hi_edge = lo_edge + 0.5
     f_lo = dressed_qubit_frequency(lo_edge, device)
     f_hi = dressed_qubit_frequency(hi_edge, device)
@@ -139,19 +148,12 @@ def frequency_to_flux(freq_shift_hz, device: CouplerDevice, phi_idle: float):
             "target frequency outside the invertible range of the flux branch "
             f"[{f_min!r}, {f_max!r}] rad/s"
         )
-    increasing = f_hi >= f_lo
 
-    lo = np.full(target.shape, lo_edge)
-    hi = np.full(target.shape, hi_edge)
-    for _ in range(200):
-        if np.max(hi - lo) < 1e-10:
-            break
-        mid = 0.5 * (lo + hi)
-        f_mid = dressed_qubit_frequency(mid, device)
-        go_right = (f_mid < target) if increasing else (f_mid > target)
-        lo = np.where(go_right, mid, lo)
-        hi = np.where(go_right, hi, mid)
-    phi = 0.5 * (lo + hi)
+    omega_c = target - device.g * device.g / (target - device.omega_q)
+    arc = np.arccos(np.clip((omega_c / device.omega_max) ** 2, 0.0, 1.0)) / np.pi
+    # the flux map peaks at integer flux: it rises out of hi_edge on an odd
+    # half-period and out of lo_edge on an even one
+    phi = lo_edge + arc if half % 2 == 0 else hi_edge - arc
     return float(phi[0]) if np.ndim(freq_shift_hz) == 0 else phi
 
 
@@ -166,20 +168,33 @@ class TransientFit:
     converged: bool
 
 
-def _transient_template(delays: np.ndarray, tau_pulse: float, tau: float) -> np.ndarray:
-    return -np.exp(-delays / tau) + np.exp(-(delays + tau_pulse) / tau)
+def _fit_rows(rows: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Weighted least-squares fit of data ``y`` to ``[shape, 1]`` for each row, in place.
+
+    ``rows`` holds ``w * shape`` and ``v`` holds ``w * (y - ybar)``, ``ybar``
+    the ``w**2``-weighted mean.  Returns the slopes and leaves the weighted
+    residuals in ``rows``, formed directly rather than from normal-equation
+    sums so that their norms keep full precision near an exact fit.
+    """
+    rows -= (rows @ w / (w @ w))[:, None] * w
+    slope = rows @ v / np.einsum("ij,ij->i", rows, rows)
+    rows *= slope[:, None]
+    rows -= v
+    return slope
 
 
 def fit_transient(flux, delays, tau_pulse: float, weights=None) -> TransientFit:
     """Fit ``A * (-exp(-d/tau) + exp(-(d+tau_pulse)/tau)) + B`` to a flux record.
 
-    The starting point comes from a log-linear regression of
-    ``|flux - flux[-1]|`` against delay; refinement is damped Gauss-Newton
-    with the analytic Jacobian, stopping when the relative parameter change
-    drops below 1e-8 (at most 200 iterations).  Steps proposing tau <= 0 are
-    rejected by raising the damping.  ``converged`` is never reported True
-    with a non-positive tau.  Default weights are uniform except the two
-    endpoints at half weight.
+    Variable projection (Golub & Pereyra 1973): A and B are linear, so each
+    tau gets them from a closed-form weighted least-squares solve, leaving a
+    search over log tau in ``[span/1000, 1000*span]`` by repeated 16-point
+    scans, each keeping the two cells around its best point, down to a
+    1e-9 bracket.  The cost is ``|w * (model - y)|``; default weights are
+    uniform except the two endpoints at half weight.  ``converged`` needs
+    an interior best point on the first scan, finite A, B and tau, and a
+    standard error ``sqrt(SSR/(n-3) * [(J^T W^2 J)^-1]_tau,tau)``, with
+    ``J = [shape, 1, A * dshape/dtau]``, of at most 10% of tau.
     """
     y = np.asarray(flux, dtype=float)
     d = np.asarray(delays, dtype=float)
@@ -200,80 +215,53 @@ def fit_transient(flux, delays, tau_pulse: float, weights=None) -> TransientFit:
         if w.shape != y.shape or np.any(w < 0.0):
             raise ValueError("weights must be non-negative and match the data length")
 
-    span = d[-1] - d[0]
     offset0 = y[-1]
-    residual_scale = float(np.max(np.abs(y - offset0)))
-    if residual_scale == 0.0:
+    if float(np.max(np.abs(y - offset0))) == 0.0:
         return TransientFit(0.0, offset0, float("nan"), 0.0, False)
 
-    r = np.abs(y - offset0)
-    mask = r > 0.05 * residual_scale
-    tau0 = span / 3.0
-    if np.count_nonzero(mask) >= 2:
-        slope, _ = np.polyfit(d[mask], np.log(r[mask]), 1)
-        if slope < 0.0 and math.isfinite(slope):
-            tau0 = min(max(-1.0 / slope, span * 1e-3), span * 1e3)
-    shape0 = _transient_template(np.array([d[0]]), tau_pulse, tau0)[0]
-    amp0 = (y[0] - offset0) / shape0 if shape0 != 0.0 else 0.0
+    w2 = w * w
 
-    def model_and_jacobian(params):
-        amp, off, tau = params
+    def centred(z):
+        # w * (z - zbar), zbar the w**2-weighted mean of z
+        return w * (z - (z @ w2) / w2.sum())
+
+    span = d[-1] - d[0]
+    # the bracket is on log(tau/span), so it never depends on the data and
+    # the scans always end
+    lo, hi = math.log(1e-3), math.log(1e3)
+    interior = None
+    with np.errstate(all="ignore"):
+        v = centred(y)
+        while True:
+            grid = lo + (hi - lo) * _SCAN
+            # exp(-d/tau) is the template up to a per-row factor, which the
+            # fitted amplitude absorbs
+            rows = np.multiply.outer(-np.exp(-grid) / span, d)
+            np.exp(rows, out=rows)
+            rows *= w
+            _fit_rows(rows, v, w)
+            cost = np.einsum("ij,ij->i", rows, rows)
+            best = int(np.argmin(np.where(np.isfinite(cost), cost, np.inf)))
+            if interior is None:
+                interior = 0 < best < grid.size - 1
+            if hi - lo < 1e-9:
+                break
+            lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, grid.size - 1)]
+
+        tau = float(span * np.exp(grid[best]))
         e1 = np.exp(-d / tau)
         e2 = np.exp(-(d + tau_pulse) / tau)
         shape = -e1 + e2
-        model = amp * shape + off
-        d_tau = amp * (-e1 * d + e2 * (d + tau_pulse)) / (tau * tau)
-        return model, np.column_stack([shape, np.ones(d.size), d_tau])
-
-    params = np.array([amp0, offset0, tau0])
-    # convergence floors so a parameter whose true value is ~0 (offset of a
-    # fully decayed record, say) cannot stall the relative-change test
-    data_scale = max(residual_scale, abs(offset0))
-    param_floor = np.array([data_scale, data_scale, span]) * 1e-6
-    model, jac = model_and_jacobian(params)
-    resid = w * (model - y)
-    cost = float(resid @ resid)
-    lam = 1e-3
-    converged = False
-    for _ in range(200):
-        jw = jac * w[:, None]
-        jtj = jw.T @ jw
-        grad = jw.T @ resid
-        diag = np.diag(jtj).copy()
-        if not np.all(np.isfinite(jtj)) or np.any(diag <= 0.0):
-            break
-        rel_change = math.inf
-        accepted = False
-        for _ in range(30):
-            try:
-                step = np.linalg.solve(jtj + lam * np.diag(diag), -grad)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            trial = params + step
-            if trial[2] <= 0.0 or not np.all(np.isfinite(trial)):
-                lam *= 10.0
-                continue
-            trial_model, trial_jac = model_and_jacobian(trial)
-            trial_resid = w * (trial_model - y)
-            trial_cost = float(trial_resid @ trial_resid)
-            if trial_cost <= cost * (1.0 + 1e-14):
-                rel_change = float(np.max(np.abs(step) / np.maximum(np.abs(trial), param_floor)))
-                params, model, jac, resid, cost = trial, trial_model, trial_jac, trial_resid, trial_cost
-                lam = max(lam * 0.3, 1e-14)
-                accepted = True
-                break
-            lam *= 10.0
-        if not accepted:
-            break
-        if rel_change < 1e-8:
-            converged = True
-            break
-
-    amp, off, tau = (float(v) for v in params)
-    residual_rms = float(np.sqrt(np.mean((model - y) ** 2)))
-    if converged and not (math.isfinite(tau) and tau > 0.0):
-        converged = False
+        resid = (w * shape)[None, :]
+        amp = float(_fit_rows(resid, v, w)[0])
+        off = float((y - amp * shape) @ w2 / w2.sum())
+        # the tau entry of (J^T W^2 J)^-1 is one over the squared weighted
+        # norm of the A*dshape/dtau column once projected off [shape, 1]
+        tau_resid = (w * shape)[None, :]
+        _fit_rows(tau_resid, centred(amp * (-e1 * d + e2 * (d + tau_pulse)) / (tau * tau)), w)
+        tau_se = np.sqrt(resid[0] @ resid[0] / (y.size - 3) / (tau_resid[0] @ tau_resid[0]))
+        residual_rms = float(np.sqrt(np.mean((amp * shape + off - y) ** 2)))
+    converged = bool(interior and np.all(np.isfinite([amp, off, tau])) and tau_se <= 0.1 * tau)
     return TransientFit(amp, off, tau, residual_rms, converged)
 
 

@@ -13,6 +13,7 @@ bit-stable across runs with the same inputs.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -142,8 +143,9 @@ def write_csv(path, header, columns) -> None:
 def read_csv_columns(path, expected_header) -> list:
     """Read a CSV written by :func:`write_csv`, checking the header.
 
-    Every cell must parse to a finite float; ``nan`` or ``inf`` raises a
-    ValueError naming the column and the data row (1-based).
+    Every data row must have one cell per header column and every cell must
+    parse to a finite float; otherwise a ValueError names the data row
+    (1-based) and, for a bad cell, its column.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
@@ -153,11 +155,17 @@ def read_csv_columns(path, expected_header) -> list:
         rows = [line.strip() for line in fh if line.strip()]
     if not rows:
         raise ValueError("CSV contains no data rows")
-    data = np.array([[float(cell) for cell in row.split(",")] for row in rows])
-    if data.shape[1] != len(expected_header):
-        raise ValueError("CSV row width does not match the header")
-    bad = np.argwhere(~np.isfinite(data))
-    if bad.size:
-        row, col = bad[0]
-        raise ValueError(f"CSV column {expected_header[col]!r} holds a non-finite value in data row {row + 1}")
+    data = np.empty((len(rows), len(expected_header)))
+    for i, row in enumerate(rows):
+        cells = row.split(",")
+        if len(cells) != data.shape[1]:
+            raise ValueError(f"CSV data row {i + 1} has {len(cells)} cells, want {data.shape[1]} ({expected})")
+        for j, (name, cell) in enumerate(zip(expected_header, cells)):
+            try:
+                value = float(cell)
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise ValueError(f"CSV column {name!r} holds {cell!r}, not a finite number, in data row {i + 1}")
+            data[i, j] = value
     return [data[:, j] for j in range(data.shape[1])]

@@ -243,6 +243,27 @@ def test_extract_nonconvergence_exit_code(tmp_path, capsys):
     assert not (ext / "manifest.json").exists()
 
 
+def test_extract_noise_only_trace_exit_code(tmp_path, capsys):
+    # a zero-amplitude pulse read out with noise holds no transient: the fit
+    # finds no tau resolved to 10% and extract exits 3
+    device = write_device(tmp_path)
+    sim = tmp_path / "sim"
+    main([
+        "ramsey-sim", "--device", device, "--waveform", "square",
+        "--square-amp-phi0", "0", "--line-tau-us", "13",
+        "--tau-pulse-us", "8", "--delay-max-us", "60", "--delay-step-us", "0.25",
+        "--noise-sigma", "0.05", "--seed", "1", "--out-dir", str(sim),
+    ])
+    ext = tmp_path / "ext"
+    rc = main([
+        "extract", "--trace", str(sim / "trace.csv"), "--device", device,
+        "--tau-pulse-us", "8", "--fit-window-us", "60", "--out-dir", str(ext),
+    ])
+    assert rc == 3
+    assert "converge" in capsys.readouterr().err
+    assert formats.load_json(ext / "report.json")["converged"] is False
+    assert not (ext / "manifest.json").exists()
+
 def test_extract_window_validation(tmp_path, capsys):
     device = write_device(tmp_path)
     sim = tmp_path / "sim"
@@ -286,6 +307,60 @@ def test_extract_rejects_non_finite_trace(tmp_path, capsys):
     assert "'x_expect'" in err[0] and "data row 100" in err[0]
     assert not (tmp_path / "ext" / "report.json").exists()
 
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda cells: cells[:1] + ["abc"] + cells[2:], "'x_expect' holds 'abc', not a finite number, in data row 100"),
+        (lambda cells: cells[:2], "data row 100 has 2 cells, want 3"),
+    ],
+    ids=["non-number", "missing-cell"],
+)
+def test_extract_names_malformed_trace_cell(tmp_path, capsys, edit, message):
+    device = write_device(tmp_path)
+    sim = tmp_path / "sim"
+    main([
+        "ramsey-sim", "--device", device, "--waveform", "square",
+        "--square-amp-phi0", "5e-4", "--line-tau-us", "13",
+        "--tau-pulse-us", "8", "--delay-max-us", "60", "--delay-step-us", "0.25",
+        "--out-dir", str(sim),
+    ])
+    trace = sim / "trace.csv"
+    lines = trace.read_text().splitlines()
+    lines[100] = ",".join(edit(lines[100].split(",")))
+    trace.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    rc = main([
+        "extract", "--trace", str(trace), "--device", device,
+        "--tau-pulse-us", "8", "--fit-window-us", "60", "--out-dir", str(tmp_path / "ext"),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and message in err[0]
+
+
+def test_extract_rejects_zero_coupling(tmp_path, capsys):
+    # with g = 0 the dressed qubit does not move with flux, so the flux
+    # inversion has nothing to invert
+    device = write_device(tmp_path)
+    sim = tmp_path / "sim"
+    main([
+        "ramsey-sim", "--device", device, "--waveform", "square",
+        "--square-amp-phi0", "5e-4", "--line-tau-us", "13",
+        "--tau-pulse-us", "8", "--delay-max-us", "60", "--delay-step-us", "0.25",
+        "--out-dir", str(sim),
+    ])
+    uncoupled = tmp_path / "uncoupled.json"
+    formats.dump_json({**formats.load_json(device), "g_mhz": 0}, uncoupled)
+    capsys.readouterr()
+    rc = main([
+        "extract", "--trace", str(sim / "trace.csv"), "--device", str(uncoupled),
+        "--tau-pulse-us", "8", "--fit-window-us", "60", "--out-dir", str(tmp_path / "ext"),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "g must be positive" in err[0]
+    assert not (tmp_path / "ext" / "report.json").exists()
 
 def test_ramsey_pulse_waveform_and_period_check(tmp_path, capsys):
     device = write_device(tmp_path)

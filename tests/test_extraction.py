@@ -6,6 +6,7 @@ import scipy.signal
 from numpy.testing import assert_allclose
 
 from fluxshape import (
+    CouplerDevice,
     RamseyConfig,
     TransientFit,
     dressed_qubit_frequency,
@@ -20,7 +21,7 @@ from fluxshape import (
     unwrap_phase,
 )
 
-from conftest import reference_device
+from conftest import GHZ, MHZ, reference_device
 
 
 def test_unwrap_linear_ramp():
@@ -125,6 +126,31 @@ def test_frequency_to_flux_scalar_and_errors(device):
         frequency_to_flux(math.nan, device, device.phi_idle)
 
 
+def test_frequency_to_flux_closed_form_round_trip():
+    # random devices with the qubit below and above the coupler maximum,
+    # idling in either half-period; away from the flat top and the bottom of
+    # the flux map the inversion is exact to rounding
+    rng = np.random.default_rng(20)
+    for k in range(40):
+        omega_max = rng.uniform(4.0, 6.0) * GHZ
+        ratio = rng.uniform(1.0, 1.05) if k % 2 else rng.uniform(0.95, 1.0)
+        phi_idle = (-1) ** (k // 2) * rng.uniform(0.1, 0.4)
+        device = CouplerDevice(ratio * omega_max, omega_max, rng.uniform(40.0, 120.0) * MHZ, 7e-5, phi_idle)
+        edge = math.floor(2.0 * phi_idle) / 2.0
+        phi = np.clip(phi_idle + rng.uniform(-0.1, 0.1, 200), edge + 0.02, edge + 0.48)
+        f_idle = dressed_qubit_frequency(phi_idle, device)
+        shift_hz = (dressed_qubit_frequency(phi, device) - f_idle) / (2.0 * np.pi)
+        recovered = frequency_to_flux(shift_hz, device, phi_idle)
+        assert np.max(np.abs(recovered - phi)) <= 1e-12
+
+
+def test_frequency_to_flux_rejects_zero_coupling():
+    # with g = 0 the qubit does not follow the flux, so nothing is invertible
+    device = reference_device()
+    uncoupled = CouplerDevice(device.omega_q, device.omega_max, 0.0, device.flux_per_volt, device.phi_idle)
+    with pytest.raises(ValueError, match="^g must be positive"):
+        frequency_to_flux(np.zeros(5), uncoupled, uncoupled.phi_idle)
+
 def test_fit_transient_exact_template():
     delays = np.arange(241) * 0.25e-6
     for tau in (1e-6, 5e-6, 13e-6, 40e-6, 100e-6):
@@ -183,6 +209,34 @@ def test_fit_transient_noise_monte_carlo():
     assert np.percentile(errors, 95) < 0.05
 
 
+def test_fit_transient_noise_only_not_converged():
+    # a flat baseline plus noise holds no transient: no tau is resolved
+    delays = np.arange(241) * 0.25e-6
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        fit = fit_transient(0.3 + rng.normal(0.0, 1e-4, delays.size), delays, 8e-6)
+        assert not fit.converged
+
+
+@pytest.mark.parametrize("tau_over_span", [1e-4, 3e3])
+def test_fit_transient_tau_outside_bracket_not_converged(tau_over_span):
+    # the search covers tau in [span/1000, 1000*span]; a noiseless record
+    # whose tau lies outside has its minimum at the bracket edge
+    delays = np.arange(241) * 0.25e-6
+    y = square_pulse_flux_transient(0.02, 8e-6, tau_over_span * delays[-1], delays)
+    assert not fit_transient(y, delays, 8e-6).converged
+
+
+def test_fit_transient_non_finite_delays_end_not_converged():
+    # the log-tau bracket is relative to the delay span, so corrupted delays
+    # still end the search, with no tau resolved
+    delays = np.arange(241) * 0.25e-6
+    y = square_pulse_flux_transient(0.02, 8e-6, 13e-6, delays)
+    for bad in (math.inf, math.nan):
+        corrupted = delays.copy()
+        corrupted[-1] = bad
+        assert not fit_transient(y, corrupted, 8e-6).converged
+
 def _square_quadratures(device, amplitude, tau, dt, n, **cfg_kwargs):
     delays = np.arange(n) * dt
     waveform = square_transient_waveform(amplitude, 8e-6, tau, device.phi_idle)
@@ -215,3 +269,11 @@ def test_run_pipeline_stage_error_prefixes(device):
         run_pipeline(x, y, 0.25e-6, device, device.phi_idle, 8e-6, window_points=4)
     with pytest.raises(ValueError, match="unwrap stage"):
         run_pipeline(np.zeros(241), np.zeros(241), 0.25e-6, device, device.phi_idle, 8e-6)
+
+
+@pytest.mark.parametrize("quadrature, bad", [("x", math.nan), ("y", -math.inf)])
+def test_run_pipeline_rejects_non_finite_quadratures(device, quadrature, bad):
+    x, y, _ = _square_quadratures(device, 5e-4, 13e-6, 0.25e-6, 241)
+    (x if quadrature == "x" else y)[100] = bad
+    with pytest.raises(ValueError, match=f"^unwrap stage: {quadrature} must be finite"):
+        run_pipeline(x, y, 0.25e-6, device, device.phi_idle, 8e-6)

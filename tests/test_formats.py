@@ -116,6 +116,20 @@ def test_csv_rejects_non_finite_cells(tmp_path, cell):
         read_csv_columns(path, ["t_s", "x_expect"])
 
 
+def test_csv_names_non_number_cell(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text("t_s,x_expect\n0,1\n1,abc\n")
+    with pytest.raises(ValueError, match=r"^CSV column 'x_expect' holds 'abc', not a finite number, in data row 2$"):
+        read_csv_columns(path, ["t_s", "x_expect"])
+
+
+@pytest.mark.parametrize("row", ["1", "1,2,3"])
+def test_csv_names_ragged_row(tmp_path, row):
+    path = tmp_path / "trace.csv"
+    path.write_text(f"t_s,x_expect\n0,1\n{row}\n")
+    with pytest.raises(ValueError, match=r"^CSV data row 2 has \d cells, want 2 \(t_s,x_expect\)$"):
+        read_csv_columns(path, ["t_s", "x_expect"])
+
 def test_format_float_is_shortest_exact():
     assert format_float(0.1) == "0.10000000000000001"
     assert float(format_float(1.0 / 3.0)) == 1.0 / 3.0
