@@ -22,6 +22,7 @@ import numpy as np
 
 import fluxshape
 from fluxshape import formats
+from fluxshape._checks import finite, positive
 from fluxshape.device import (
     RamseyConfig,
     pulse_flux_waveform,
@@ -88,27 +89,25 @@ def _cmd_design(args) -> int:
     if not isinstance(request, dict):
         raise ValueError("--request file must contain a JSON object")
 
-    family = args.family or request.get("family")
-    family = _require(family, "--family")
-    tau_pulse_s = args.tau_pulse_us * 1e-6 if args.tau_pulse_us is not None else request.get("tau_pulse_s")
-    tau_pulse_s = float(_require(tau_pulse_s, "--tau-pulse-us"))
-    tau_assumed_s = (
-        args.tau_assumed_us * 1e-6 if args.tau_assumed_us is not None else request.get("tau_assumed_s")
-    )
-    tau_assumed_s = float(_require(tau_assumed_s, "--tau-assumed-us"))
+    def field(flag, key, check, scale=1.0, default=None):
+        # an explicit flag wins over the request file; errors name the one used
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None:
+            return check(flag, value) * scale
+        return check(key, request[key] if key in request else _require(default, flag))
+
+    family = _require(args.family or request.get("family"), "--family")
+    tau_pulse_s = field("--tau-pulse-us", "tau_pulse_s", positive, 1e-6)
+    tau_assumed_s = field("--tau-assumed-us", "tau_assumed_s", positive, 1e-6)
     omega = 2.0 * math.pi / tau_pulse_s
 
     if family == "biharmonic":
-        b1 = args.b1 if args.b1 is not None else request.get("b1")
-        b1 = float(_require(b1, "--b1"))
-        pulse = solve_biharmonic(b1, omega, tau_assumed_s)
+        pulse = solve_biharmonic(field("--b1", "b1", finite), omega, tau_assumed_s)
     elif family == "top-harmonic":
-        a0 = args.a0 if args.a0 is not None else request.get("a0", 0.0)
-        a_low = args.a if args.a is not None else request.get("a")
-        b_low = args.b if args.b is not None else request.get("b")
-        a_low = _require(a_low, "--a")
-        b_low = _require(b_low, "--b")
-        pulse, _ = solve_top_harmonic(float(a0), a_low, b_low, omega, tau_assumed_s)
+        a0 = field("--a0", "a0", finite, default=0.0)
+        a_low = _require(args.a if args.a is not None else request.get("a"), "--a")
+        b_low = _require(args.b if args.b is not None else request.get("b"), "--b")
+        pulse, _ = solve_top_harmonic(a0, a_low, b_low, omega, tau_assumed_s)
     else:
         raise ValueError(f"--family must be 'biharmonic' or 'top-harmonic', got {family!r}")
 
@@ -133,7 +132,7 @@ def _cmd_design(args) -> int:
 def _cmd_respond(args) -> int:
     pulse = formats.pulse_from_dict(formats.load_json(args.pulse))
     line = formats.rcline_from_dict(formats.load_json(args.line))
-    dt = args.dt_us * 1e-6
+    dt = positive("--dt-us", args.dt_us) * 1e-6
     t, v_in = pulse.sample(dt, args.n_periods)
     v_c = capacitor_voltage(pulse, line, t)
     i = line_current(pulse, line, t)
@@ -155,7 +154,7 @@ def _cmd_respond(args) -> int:
 
 def _cmd_kexp(args) -> int:
     pulse = formats.pulse_from_dict(formats.load_json(args.pulse))
-    tau = args.tau_us * 1e-6
+    tau = positive("--tau-us", args.tau_us) * 1e-6
     value = transient_coefficient(pulse, tau)
     print(formats.format_float(value))
     if args.out_dir is not None:
@@ -172,7 +171,7 @@ def _cmd_sweep(args) -> int:
     if (args.omega_tau is None) != (args.m is None):
         raise ValueError("--omega-tau and --m must be given together (or use --grid default)")
     if explicit:
-        omega_tau, m = np.asarray(args.omega_tau), np.asarray(args.m)
+        omega_tau, m = positive("--omega-tau", np.asarray(args.omega_tau)), positive("--m", np.asarray(args.m))
     else:
         omega_tau, m = default_sweep_axes()
     grid = sweep_transient_coefficient(args.b1, omega_tau, m)
@@ -195,12 +194,12 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_ramsey_sim(args) -> int:
     device = formats.device_from_dict(formats.load_json(args.device))
-    tau_pulse = args.tau_pulse_us * 1e-6
+    tau_pulse = positive("--tau-pulse-us", args.tau_pulse_us) * 1e-6
     inputs = [args.device]
 
     if args.waveform == "square":
         amp = _require(args.square_amp_phi0, "--square-amp-phi0")
-        line_tau = _require(args.line_tau_us, "--line-tau-us") * 1e-6
+        line_tau = positive("--line-tau-us", _require(args.line_tau_us, "--line-tau-us")) * 1e-6
         waveform = square_transient_waveform(amp, tau_pulse, line_tau, device.phi_idle)
     elif args.waveform == "pulse":
         pulse_path = _require(args.pulse, "--pulse")
@@ -216,15 +215,15 @@ def _cmd_ramsey_sim(args) -> int:
     else:
         raise ValueError(f"--waveform must be 'square' or 'pulse', got {args.waveform!r}")
 
-    if args.delay_step_us <= 0 or args.delay_max_us < args.delay_step_us:
-        raise ValueError("--delay-step-us must be positive and no larger than --delay-max-us")
+    if positive("--delay-max-us", args.delay_max_us) < positive("--delay-step-us", args.delay_step_us):
+        raise ValueError("--delay-step-us must be no larger than --delay-max-us")
     n = int(round(args.delay_max_us / args.delay_step_us)) + 1
     delays = np.arange(n) * (args.delay_step_us * 1e-6)
     seed = _resolve_seed(args.seed)
     config = RamseyConfig(
         tau_pulse=tau_pulse,
         delay_grid=delays,
-        t2=args.t2_us * 1e-6 if args.t2_us is not None else None,
+        t2=positive("--t2-us", args.t2_us) * 1e-6 if args.t2_us is not None else None,
         readout_noise_sigma=args.noise_sigma,
         rng_seed=seed,
     )
@@ -272,7 +271,7 @@ def _cmd_extract(args) -> int:
             f"--fit-window-us keeps only {int(np.count_nonzero(keep))} samples; "
             f"need at least {max(8, args.sg_window)}"
         )
-    tau_pulse = args.tau_pulse_us * 1e-6
+    tau_pulse = positive("--tau-pulse-us", args.tau_pulse_us) * 1e-6
     result = run_pipeline(
         x[keep],
         y[keep],
@@ -320,9 +319,7 @@ def _cmd_impedance(args) -> int:
     else:
         elements = formats.chain_from_list(formats.load_json(args.chain))
         inputs = [args.chain]
-    if not (math.isfinite(args.f_start_hz) and math.isfinite(args.f_stop_hz)):
-        raise ValueError("--f-start-hz and --f-stop-hz must be finite")
-    if not (args.f_start_hz > 0 and args.f_stop_hz > args.f_start_hz):
+    if positive("--f-start-hz", args.f_start_hz) >= args.f_stop_hz:
         raise ValueError("need 0 < --f-start-hz < --f-stop-hz")
     if args.n_points < 2:
         raise ValueError("--n-points must be at least 2")
@@ -332,7 +329,7 @@ def _cmd_impedance(args) -> int:
     out_dir = _out_dir(args)
     outputs = ["impedance.csv"]
     if args.fit:
-        fit = sweep_and_fit_rc(elements, load, f, fit_band_hz=args.fit_band_hz)
+        fit = sweep_and_fit_rc(elements, load, f, fit_band_hz=positive("--fit-band-hz", args.fit_band_hz))
         z = fit.z_in
         formats.dump_json(
             {
@@ -457,6 +454,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_VALIDATION
     try:
+        # every float flag must be finite; handlers check positivity where it is physical
+        for dest, value in vars(args).items():
+            if isinstance(value, (float, list)):
+                finite("--" + dest.replace("_", "-"), np.asarray(value) if isinstance(value, list) else value)
         return args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from fluxshape._checks import finite, positive
 from fluxshape.pulse import HarmonicPulse
 from fluxshape.rcline import (
     RCLine,
@@ -65,22 +66,16 @@ class CouplerDevice:
     phi_idle: float
 
     def __post_init__(self):
-        for name in ("omega_q", "omega_max"):
-            v = float(getattr(self, name))
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValueError(f"{name} must be positive and finite, got {v!r}")
-            object.__setattr__(self, name, v)
-        g = float(self.g)
-        if not (math.isfinite(g) and g >= 0.0):
+        object.__setattr__(self, "omega_q", positive("omega_q", self.omega_q))
+        object.__setattr__(self, "omega_max", positive("omega_max", self.omega_max))
+        g = finite("g", self.g)
+        if g < 0.0:
             raise ValueError(f"g must be non-negative and finite, got {self.g!r}")
         object.__setattr__(self, "g", g)
-        fpv = float(self.flux_per_volt)
-        if not math.isfinite(fpv):
-            raise ValueError(f"flux_per_volt must be finite, got {self.flux_per_volt!r}")
-        object.__setattr__(self, "flux_per_volt", fpv)
-        phi_idle = float(self.phi_idle)
+        object.__setattr__(self, "flux_per_volt", finite("flux_per_volt", self.flux_per_volt))
+        phi_idle = finite("phi_idle", self.phi_idle)
         # the flux map is invertible only within half a period around the bias
-        if not (math.isfinite(phi_idle) and abs(phi_idle) < 0.5):
+        if abs(phi_idle) >= 0.5:
             raise ValueError(f"phi_idle must satisfy |phi_idle| < 0.5, got {self.phi_idle!r}")
         object.__setattr__(self, "phi_idle", phi_idle)
 
@@ -139,25 +134,18 @@ class RamseyConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        tau_pulse = float(self.tau_pulse)
-        if not (math.isfinite(tau_pulse) and tau_pulse > 0.0):
-            raise ValueError(f"tau_pulse must be positive and finite, got {self.tau_pulse!r}")
-        grid = np.array(self.delay_grid, dtype=float)
-        if grid.ndim != 1 or grid.size < 2:
+        grid = finite("delay_grid", np.array(self.delay_grid))
+        if np.ndim(grid) != 1 or grid.size < 2:
             raise ValueError("delay_grid must be 1-D with at least two points")
-        if not np.all(np.isfinite(grid)):
-            raise ValueError("delay_grid must be finite")
         if grid[0] < 0.0 or np.any(np.diff(grid) <= 0.0):
             raise ValueError("delay_grid must be non-negative and strictly increasing")
         grid.flags.writeable = False
-        if self.t2 is not None and not (math.isfinite(float(self.t2)) and float(self.t2) > 0.0):
-            raise ValueError(f"t2 must be positive and finite, got {self.t2!r}")
         sigma = self.readout_noise_sigma
-        if sigma is not None and not (math.isfinite(float(sigma)) and float(sigma) >= 0.0):
+        if sigma is not None and finite("readout_noise_sigma", sigma) < 0.0:
             raise ValueError(f"readout_noise_sigma must be non-negative, got {sigma!r}")
-        object.__setattr__(self, "tau_pulse", tau_pulse)
+        object.__setattr__(self, "tau_pulse", positive("tau_pulse", self.tau_pulse))
         object.__setattr__(self, "delay_grid", grid)
-        object.__setattr__(self, "t2", None if self.t2 is None else float(self.t2))
+        object.__setattr__(self, "t2", None if self.t2 is None else positive("t2", self.t2))
         object.__setattr__(self, "readout_noise_sigma", None if sigma is None else float(sigma))
         object.__setattr__(self, "rng_seed", int(self.rng_seed))
 
@@ -176,8 +164,6 @@ def ramsey_phase(device: CouplerDevice, flux_waveform, config: RamseyConfig) -> 
     else:
         pts = np.concatenate([[0.0], delays])
     flux = _eval_waveform(flux_waveform, config.tau_pulse + pts)
-    if not np.all(np.isfinite(flux)):
-        raise ValueError("flux waveform produced non-finite values")
     detuning = dressed_qubit_frequency(flux, device) - dressed_qubit_frequency(device.phi_idle, device)
     segments = 0.5 * (detuning[1:] + detuning[:-1]) * np.diff(pts)
     cumulative = np.concatenate([[0.0], np.cumsum(segments)])
@@ -241,14 +227,10 @@ def square_transient_waveform(amplitude: float, tau_pulse: float, tau: float, ph
     decays as ``amplitude * exp(-t/tau)`` during the pulse and undershoots by
     the standard square-pulse transient after it.
     """
-    tau_pulse = float(tau_pulse)
-    if not (math.isfinite(tau_pulse) and tau_pulse > 0.0):
-        raise ValueError(f"tau_pulse must be positive and finite, got {tau_pulse!r}")
-    tau = float(tau)
-    if not (math.isfinite(tau) and tau > 0.0):
-        raise ValueError(f"tau must be positive and finite, got {tau!r}")
-    amplitude = float(amplitude)
-    phi_idle = float(phi_idle)
+    tau_pulse = positive("tau_pulse", tau_pulse)
+    tau = positive("tau", tau)
+    amplitude = finite("amplitude", amplitude)
+    phi_idle = finite("phi_idle", phi_idle)
 
     def waveform(t):
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
@@ -289,18 +271,13 @@ def square_train_response(
     different frequency excursions, which is the failure mode the designed
     pulses remove.
     """
-    if not (math.isfinite(tau) and tau > 0.0):
-        raise ValueError(f"tau must be positive and finite, got {tau!r}")
-    tau_pulse = tau if tau_pulse is None else float(tau_pulse)
-    gap = tau_pulse if gap is None else float(gap)
-    if tau_pulse <= 0.0 or gap <= 0.0:
-        raise ValueError("tau_pulse and gap must be positive")
+    tau = positive("tau", tau)
+    tau_pulse = tau if tau_pulse is None else positive("tau_pulse", tau_pulse)
+    gap = tau_pulse if gap is None else positive("gap", gap)
     n_pulses = int(n_pulses)
     if n_pulses < 1:
         raise ValueError("n_pulses must be a positive integer")
-    tail = 3.0 * tau if tail is None else float(tail)
-    if not (math.isfinite(tail) and tail > 0.0):
-        raise ValueError(f"tail must be positive and finite, got {tail!r}")
+    tail = 3.0 * tau if tail is None else positive("tail", tail)
 
     period = tau_pulse + gap
     train_end = n_pulses * period

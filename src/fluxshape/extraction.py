@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from fluxshape._checks import finite, positive
 from fluxshape.device import CouplerDevice, dressed_qubit_frequency
 
 __all__ = [
@@ -50,13 +51,10 @@ def unwrap_phase(x, y) -> np.ndarray:
     less than pi per sample.  Raises when a quadrature is not finite or a
     point has magnitude below 1e-6 (phase undefined there).
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x = finite("x", np.atleast_1d(x))
+    y = finite("y", np.atleast_1d(y))
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("x and y must be 1-D arrays of equal length")
-    for name, values in (("x", x), ("y", y)):
-        if not np.all(np.isfinite(values)):
-            raise ValueError(f"{name} must be finite")
     if np.any(x * x + y * y < _QUADRATURE_FLOOR):
         raise ValueError("quadrature magnitude too small to define a phase")
     raw = np.arctan2(y, x)
@@ -114,8 +112,7 @@ def frequency_from_phase(phase, dt: float) -> np.ndarray:
     phase = np.asarray(phase, dtype=float)
     if phase.ndim != 1 or phase.size < 3:
         raise ValueError("phase must be 1-D with at least three points")
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    dt = positive("dt", dt)
     return np.gradient(phase, dt, edge_order=2) / (2.0 * np.pi)
 
 
@@ -129,10 +126,8 @@ def frequency_to_flux(freq_shift_hz, device: CouplerDevice, phi_idle: float):
     where the map is monotone.  Raises when a requested frequency leaves the
     branch's range, and for ``g = 0`` (the qubit does not follow the flux).
     """
-    phi_idle = float(phi_idle)
-    shifts = np.atleast_1d(np.asarray(freq_shift_hz, dtype=float))
-    if not np.all(np.isfinite(shifts)):
-        raise ValueError("freq_shift_hz must be finite")
+    phi_idle = finite("phi_idle", phi_idle)
+    shifts = finite("freq_shift_hz", np.atleast_1d(freq_shift_hz))
     if device.g == 0.0:
         raise ValueError("g must be positive to invert the flux branch, got 0.0")
     target = dressed_qubit_frequency(phi_idle, device) + 2.0 * np.pi * shifts
@@ -196,22 +191,20 @@ def fit_transient(flux, delays, tau_pulse: float, weights=None) -> TransientFit:
     standard error ``sqrt(SSR/(n-3) * [(J^T W^2 J)^-1]_tau,tau)``, with
     ``J = [shape, 1, A * dshape/dtau]``, of at most 10% of tau.
     """
-    y = np.asarray(flux, dtype=float)
-    d = np.asarray(delays, dtype=float)
+    y = finite("flux", np.atleast_1d(flux))
+    d = finite("delays", np.atleast_1d(delays))
     if y.ndim != 1 or y.shape != d.shape:
         raise ValueError("flux and delays must be 1-D arrays of equal length")
     if y.size < 8:
         raise ValueError(f"need at least 8 samples to fit, got {y.size}")
     if np.any(np.diff(d) <= 0.0):
         raise ValueError("delays must be strictly increasing")
-    tau_pulse = float(tau_pulse)
-    if not (math.isfinite(tau_pulse) and tau_pulse > 0.0):
-        raise ValueError(f"tau_pulse must be positive and finite, got {tau_pulse!r}")
+    tau_pulse = positive("tau_pulse", tau_pulse)
     if weights is None:
         w = np.ones(y.size)
         w[0] = w[-1] = 0.5
     else:
-        w = np.asarray(weights, dtype=float)
+        w = finite("weights", np.atleast_1d(weights))
         if w.shape != y.shape or np.any(w < 0.0):
             raise ValueError("weights must be non-negative and match the data length")
 

@@ -13,10 +13,10 @@ bit-stable across runs with the same inputs.
 from __future__ import annotations
 
 import json
-import math
 
 import numpy as np
 
+from fluxshape._checks import finite, positive
 from fluxshape.device import CouplerDevice
 from fluxshape.network import WiringElement
 from fluxshape.pulse import HarmonicPulse
@@ -58,7 +58,7 @@ def pulse_to_dict(pulse: HarmonicPulse) -> dict:
 def pulse_from_dict(data: dict) -> HarmonicPulse:
     try:
         return HarmonicPulse(
-            tau_pulse=data["tau_pulse_s"],
+            tau_pulse=positive("tau_pulse_s", data["tau_pulse_s"]),
             a0=data.get("a0", 0.0),
             a=tuple(data.get("a", ())),
             b=tuple(data.get("b", ())),
@@ -73,7 +73,7 @@ def rcline_to_dict(line: RCLine) -> dict:
 
 def rcline_from_dict(data: dict) -> RCLine:
     try:
-        return RCLine(resistance=data["r_ohms"], capacitance=data["c_farads"])
+        return RCLine(positive("r_ohms", data["r_ohms"]), positive("c_farads", data["c_farads"]))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed line record: {exc}") from exc
 
@@ -91,11 +91,11 @@ def device_to_dict(device: CouplerDevice) -> dict:
 def device_from_dict(data: dict) -> CouplerDevice:
     try:
         return CouplerDevice(
-            omega_q=float(data["omega_q_ghz"]) * _GHZ,
-            omega_max=float(data["omega_max_ghz"]) * _GHZ,
-            g=float(data["g_mhz"]) * _MHZ,
-            flux_per_volt=float(data["flux_per_volt_phi0"]),
-            phi_idle=float(data["phi_idle_phi0"]),
+            omega_q=positive("omega_q_ghz", data["omega_q_ghz"]) * _GHZ,
+            omega_max=positive("omega_max_ghz", data["omega_max_ghz"]) * _GHZ,
+            g=finite("g_mhz", data["g_mhz"]) * _MHZ,
+            flux_per_volt=finite("flux_per_volt_phi0", data["flux_per_volt_phi0"]),
+            phi_idle=finite("phi_idle_phi0", data["phi_idle_phi0"]),
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed device record: {exc}") from exc
@@ -162,10 +162,7 @@ def read_csv_columns(path, expected_header) -> list:
             raise ValueError(f"CSV data row {i + 1} has {len(cells)} cells, want {data.shape[1]} ({expected})")
         for j, (name, cell) in enumerate(zip(expected_header, cells)):
             try:
-                value = float(cell)
+                data[i, j] = finite(name, cell)
             except ValueError:
-                value = math.nan
-            if not math.isfinite(value):
-                raise ValueError(f"CSV column {name!r} holds {cell!r}, not a finite number, in data row {i + 1}")
-            data[i, j] = value
+                raise ValueError(f"CSV column {name!r} holds {cell!r}, not a finite number, in data row {i + 1}") from None
     return [data[:, j] for j in range(data.shape[1])]

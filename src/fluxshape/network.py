@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from fluxshape._checks import finite, positive
+
 __all__ = [
     "TwoPort",
     "WiringElement",
@@ -85,34 +87,34 @@ class WiringElement:
             raise ValueError(
                 f"element {self.kind!r} needs params {sorted(expected)}, got {sorted(self.params)}"
             )
-        for key, value in self.params.items():
-            v = float(value)
-            if not math.isfinite(v):
-                raise ValueError(f"{self.kind}.{key} must be finite, got {value!r}")
-            if v < 0.0 or (v == 0.0 and not (self.kind == "attenuator" and key == "db")):
-                raise ValueError(f"{self.kind}.{key} must be positive, got {value!r}")
+        params = {key: finite(f"{self.kind}.{key}", value) for key, value in self.params.items()}
+        for key, v in params.items():
+            # only the attenuator's db may be zero: a 0 dB attenuator is the identity
+            if v < 0.0 or (v == 0.0 and key != "db"):
+                raise ValueError(f"{self.kind}.{key} must be positive, got {self.params[key]!r}")
+        object.__setattr__(self, "params", params)
 
     @staticmethod
     def attenuator(db: float, z0: float = 50.0) -> "WiringElement":
         """Matched resistive pi attenuator; db = 0 gives an identity element."""
-        return WiringElement("attenuator", {"db": float(db), "z0_ohms": float(z0)})
+        return WiringElement("attenuator", {"db": db, "z0_ohms": z0})
 
     @staticmethod
     def series_resistor(r: float) -> "WiringElement":
-        return WiringElement("series_resistor", {"r_ohms": float(r)})
+        return WiringElement("series_resistor", {"r_ohms": r})
 
     @staticmethod
     def series_capacitor(c: float) -> "WiringElement":
-        return WiringElement("series_capacitor", {"c_farads": float(c)})
+        return WiringElement("series_capacitor", {"c_farads": c})
 
     @staticmethod
     def series_inductor(l: float) -> "WiringElement":
-        return WiringElement("series_inductor", {"l_henries": float(l)})
+        return WiringElement("series_inductor", {"l_henries": l})
 
     @staticmethod
     def transmission_line(z0: float, delay: float) -> "WiringElement":
         """Lossless line characterized by impedance z0 and one-way delay in seconds."""
-        return WiringElement("transmission_line", {"z0_ohms": float(z0), "delay_s": float(delay)})
+        return WiringElement("transmission_line", {"z0_ohms": z0, "delay_s": delay})
 
 
 def element_abcd(element: WiringElement, f) -> TwoPort:
@@ -123,8 +125,7 @@ def element_abcd(element: WiringElement, f) -> TwoPort:
     same shape.
     """
     f = np.asarray(f, dtype=float)
-    if not np.all(np.isfinite(f) & (f > 0.0)):
-        raise ValueError("frequency must be positive and finite")
+    positive("frequency", f)
     w = 2.0 * math.pi * f
     # [()] turns a 0-d array into a scalar and leaves other arrays as they are
     one = np.ones(f.shape, dtype=complex)[()]
@@ -181,9 +182,9 @@ def input_impedance(network: TwoPort, load: complex):
 
 def sweep_input_impedance(elements, load: complex, f_grid) -> np.ndarray:
     """Input impedance of a terminated chain over a frequency grid (Hz)."""
-    f = np.asarray(f_grid, dtype=float)
-    if f.ndim != 1 or f.size == 0 or np.any(~np.isfinite(f)) or np.any(f <= 0.0):
-        raise ValueError("f_grid must be 1-D, positive and finite")
+    f = positive("f_grid", np.asarray(f_grid))
+    if np.ndim(f) != 1 or f.size == 0:
+        raise ValueError("f_grid must be a non-empty 1-D sequence")
     return input_impedance(cascade(elements, f), load)
 
 
@@ -208,7 +209,7 @@ def sweep_and_fit_rc(elements, load: complex, f_grid, fit_band_hz: float = 1e6) 
     """
     f = np.asarray(f_grid, dtype=float)
     z = sweep_input_impedance(elements, load, f)
-    band = f <= float(fit_band_hz)
+    band = f <= positive("fit_band_hz", fit_band_hz)
     if np.count_nonzero(band) < 3:
         raise ValueError("need at least three sweep points inside the fit band")
     zz = np.abs(z[band]) ** 2

@@ -29,7 +29,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from fluxshape._checks import finite, positive
+
 __all__ = ["HarmonicPulse"]
+
+
+def _fourier_sum(t: np.ndarray, omega: float, c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """``sum_n c_n cos(n w t) + s_n sin(n w t)`` over n = 1..len(c); zeros for an empty sum."""
+    n = np.arange(1, c.size + 1)
+    theta = np.multiply.outer(t, n) * omega
+    return (c * np.cos(theta) + s * np.sin(theta)).sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -47,18 +56,12 @@ class HarmonicPulse:
     b: tuple = ()
 
     def __post_init__(self):
-        tau_pulse = float(self.tau_pulse)
-        if not (math.isfinite(tau_pulse) and tau_pulse > 0.0):
-            raise ValueError(f"tau_pulse must be positive and finite, got {self.tau_pulse!r}")
-        a = tuple(float(x) for x in self.a)
-        b = tuple(float(x) for x in self.b)
+        a = tuple(finite("a", x) for x in self.a)
+        b = tuple(finite("b", x) for x in self.b)
         if len(a) != len(b):
             raise ValueError(f"a and b must have equal length, got {len(a)} and {len(b)}")
-        a0 = float(self.a0)
-        if not all(math.isfinite(x) for x in (a0, *a, *b)):
-            raise ValueError("all coefficients must be finite")
-        object.__setattr__(self, "tau_pulse", tau_pulse)
-        object.__setattr__(self, "a0", a0)
+        object.__setattr__(self, "tau_pulse", positive("tau_pulse", self.tau_pulse))
+        object.__setattr__(self, "a0", finite("a0", self.a0))
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
@@ -74,13 +77,7 @@ class HarmonicPulse:
     def evaluate(self, t):
         """Evaluate the series at time ``t`` (seconds; scalar or ndarray)."""
         t_arr = np.asarray(t, dtype=float)
-        if self.n_harmonics == 0:
-            out = np.full(t_arr.shape, self.a0)
-        else:
-            n = np.arange(1, self.n_harmonics + 1)
-            theta = np.multiply.outer(t_arr, n) * self.omega
-            terms = np.asarray(self.a) * np.cos(theta) + np.asarray(self.b) * np.sin(theta)
-            out = self.a0 + terms.sum(axis=-1)
+        out = self.a0 + _fourier_sum(t_arr, self.omega, np.asarray(self.a), np.asarray(self.b))
         return float(out) if out.ndim == 0 else out
 
     def condition_one_residual(self) -> float:
@@ -98,10 +95,7 @@ class HarmonicPulse:
         which this method returns.  Zero means the delivered current (and
         hence the delivered flux ramp) starts and ends each period at zero.
         """
-        if not (math.isfinite(tau) and tau > 0.0):
-            raise ValueError(f"tau must be positive and finite, got {tau!r}")
-        if self.n_harmonics == 0:
-            return 0.0
+        tau = positive("tau", tau)
         n = np.arange(1, self.n_harmonics + 1)
         x = n * (self.omega * tau)
         a = np.asarray(self.a)
@@ -117,8 +111,7 @@ class HarmonicPulse:
 
         Returns ``(t, v)`` arrays.
         """
-        if not (math.isfinite(dt) and dt > 0.0):
-            raise ValueError(f"dt must be positive and finite, got {dt!r}")
+        dt = positive("dt", dt)
         if dt > self.tau_pulse / 4.0:
             raise ValueError(
                 f"dt={dt!r} undersamples the pulse; need dt <= tau_pulse/4 = {self.tau_pulse / 4.0!r}"

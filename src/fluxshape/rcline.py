@@ -20,12 +20,12 @@ the two is a meaningful check rather than a tautology.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from fluxshape.pulse import HarmonicPulse
+from fluxshape._checks import finite, positive
+from fluxshape.pulse import HarmonicPulse, _fourier_sum
 
 __all__ = [
     "RCLine",
@@ -50,25 +50,12 @@ class RCLine:
     capacitance: float
 
     def __post_init__(self):
-        r = float(self.resistance)
-        c = float(self.capacitance)
-        if not (math.isfinite(r) and r > 0.0):
-            raise ValueError(f"resistance must be positive and finite, got {self.resistance!r}")
-        if not (math.isfinite(c) and c > 0.0):
-            raise ValueError(f"capacitance must be positive and finite, got {self.capacitance!r}")
-        object.__setattr__(self, "resistance", r)
-        object.__setattr__(self, "capacitance", c)
+        object.__setattr__(self, "resistance", positive("resistance", self.resistance))
+        object.__setattr__(self, "capacitance", positive("capacitance", self.capacitance))
 
     @property
     def tau(self) -> float:
         return self.resistance * self.capacitance
-
-
-def _validate_tau(tau: float) -> float:
-    tau = float(tau)
-    if not (math.isfinite(tau) and tau > 0.0):
-        raise ValueError(f"tau must be positive and finite, got {tau!r}")
-    return tau
 
 
 def _filtered_harmonics(pulse: HarmonicPulse, tau: float):
@@ -88,23 +75,16 @@ def transient_coefficient(pulse: HarmonicPulse, tau: float) -> float:
     means the pulse excites no slow settling on a line with time constant
     ``tau``; the residual flux error after the pulse is proportional to it.
     """
-    tau = _validate_tau(tau)
-    if pulse.n_harmonics == 0:
-        return pulse.a0
+    tau = positive("tau", tau)
     _, c, _ = _filtered_harmonics(pulse, tau)
     return pulse.a0 + float(np.sum(c))
 
 
 def capacitor_voltage_steady_state(pulse: HarmonicPulse, tau: float, t):
     """Periodic part of the capacitor voltage (the t >> tau limit)."""
-    tau = _validate_tau(tau)
-    t_arr = np.asarray(t, dtype=float)
-    if pulse.n_harmonics == 0:
-        out = np.full(t_arr.shape, pulse.a0)
-    else:
-        n, c, s = _filtered_harmonics(pulse, tau)
-        theta = np.multiply.outer(t_arr, n) * pulse.omega
-        out = pulse.a0 + (c * np.cos(theta) + s * np.sin(theta)).sum(axis=-1)
+    tau = positive("tau", tau)
+    _, c, s = _filtered_harmonics(pulse, tau)
+    out = pulse.a0 + _fourier_sum(np.asarray(t, dtype=float), pulse.omega, c, s)
     return float(out) if out.ndim == 0 else out
 
 
@@ -122,25 +102,24 @@ def line_current(pulse: HarmonicPulse, line: RCLine, t):
     tau = line.tau
     k = transient_coefficient(pulse, tau)
     t_arr = np.asarray(t, dtype=float)
-    out = (k / line.resistance) * np.exp(-t_arr / tau)
-    if pulse.n_harmonics > 0:
-        n, c, s = _filtered_harmonics(pulse, tau)
-        theta = np.multiply.outer(t_arr, n) * pulse.omega
-        cw = line.capacitance * pulse.omega
-        out = out + cw * ((n * s) * np.cos(theta) - (n * c) * np.sin(theta)).sum(axis=-1)
+    n, c, s = _filtered_harmonics(pulse, tau)
+    cw = line.capacitance * pulse.omega
+    # derivative of the steady state: w * sum_n n*(s_n cos - c_n sin), w in cw
+    periodic = _fourier_sum(t_arr, pulse.omega, n * s, -(n * c))
+    out = (k / line.resistance) * np.exp(-t_arr / tau) + cw * periodic
     out = np.asarray(out)
     return float(out) if out.ndim == 0 else out
 
 
 def _eval_waveform(fn, t: np.ndarray) -> np.ndarray:
-    """Evaluate a time->volts callable, tolerating scalar-only implementations."""
+    """Evaluate a callable on a 1-D grid, tolerating scalar-only implementations; values must be finite."""
     try:
         out = np.asarray(fn(t), dtype=float)
-        if out.shape == t.shape:
-            return out
     except (TypeError, ValueError):
-        pass
-    return np.array([float(fn(x)) for x in t])
+        out = None
+    if out is None or out.shape != t.shape:
+        out = np.array([float(fn(x)) for x in t])
+    return finite("waveform", out)
 
 
 def _rk4_affine_coefficients(z: np.ndarray):
@@ -196,7 +175,7 @@ def integrate_line_response(v_in, line: RCLine, t_grid, v_c_initial: float = 0.0
     forced = b0 * f0 + bm * fm + b1 * f1
 
     v = np.empty(t.size)
-    v[0] = float(v_c_initial)
+    v[0] = finite("v_c_initial", v_c_initial)
     start = 0
     n_steps = forced.size
     while start < n_steps:
@@ -220,10 +199,8 @@ def square_pulse_flux_transient(amplitude, tau_pulse: float, tau: float, t_delay
 
     which is the template fitted by the transient-extraction pipeline.
     """
-    tau_pulse = float(tau_pulse)
-    if not (math.isfinite(tau_pulse) and tau_pulse > 0.0):
-        raise ValueError(f"tau_pulse must be positive and finite, got {tau_pulse!r}")
-    tau = _validate_tau(tau)
+    tau_pulse = positive("tau_pulse", tau_pulse)
+    tau = positive("tau", tau)
     td = np.asarray(t_delay, dtype=float)
     if np.any(td < 0.0):
         raise ValueError("t_delay must be non-negative")

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from fluxshape._checks import finite, positive
 from fluxshape.pulse import HarmonicPulse
 from fluxshape.rcline import RCLine, transient_coefficient
 from fluxshape.synthesis import mischaracterized_transient_coefficient
@@ -81,12 +82,10 @@ def sweep_transient_coefficient(b1: float, omega_tau_values, m_values) -> SweepG
     the grid is parameterized by ``omega*tau_true`` directly.  The m = 1
     column is exactly the design condition and vanishes identically.
     """
-    wt = np.asarray(omega_tau_values, dtype=float)
-    m = np.asarray(m_values, dtype=float)
-    if wt.ndim != 1 or wt.size == 0 or np.any(~np.isfinite(wt)) or np.any(wt <= 0.0):
-        raise ValueError("omega_tau_values must be positive and finite")
-    if m.ndim != 1 or m.size == 0 or np.any(~np.isfinite(m)) or np.any(m <= 0.0):
-        raise ValueError("m_values must be positive and finite")
+    wt = positive("omega_tau_values", np.asarray(omega_tau_values))
+    m = positive("m_values", np.asarray(m_values))
+    if np.ndim(wt) != 1 or np.ndim(m) != 1 or wt.size == 0 or m.size == 0:
+        raise ValueError("omega_tau_values and m_values must be non-empty 1-D sequences")
     k = mischaracterized_transient_coefficient(b1, 1.0, wt[:, None], m[None, :])
     return SweepGrid(wt, m, k)
 
@@ -99,7 +98,7 @@ def compare_single_vs_biharmonic(b1: float, omega: float, tau: float):
     limiting design falls off as (w*tau)^-3, so the designed pulse wins for
     w*tau > 1/sqrt(2) and the orderings swap below the crossover.
     """
-    tau_pulse = 2.0 * math.pi / float(omega)
+    tau_pulse = 2.0 * math.pi / positive("omega", omega)
     single = HarmonicPulse(tau_pulse=tau_pulse, b=(b1,), a=(0.0,))
     limiting = HarmonicPulse(tau_pulse=tau_pulse, b=(b1, -2.0 * b1), a=(0.0, 0.0))
     return transient_coefficient(single, tau), transient_coefficient(limiting, tau)
@@ -153,11 +152,9 @@ def phase_statistics(samples) -> PhaseStatistics:
     are the Gaussian large-sample forms s/sqrt(n) for the mean and
     s/sqrt(2*(n-1)) for the standard deviation.
     """
-    x = np.asarray(samples, dtype=float)
-    if x.ndim != 1 or x.size < 2:
+    x = finite("samples", np.asarray(samples))
+    if np.ndim(x) != 1 or x.size < 2:
         raise ValueError("need at least two samples")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("samples must be finite")
     n = x.size
     mean = float(np.mean(x))
     std = float(np.std(x, ddof=1))

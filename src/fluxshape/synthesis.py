@@ -24,6 +24,7 @@ import math
 
 import numpy as np
 
+from fluxshape._checks import finite, positive
 from fluxshape.pulse import HarmonicPulse
 
 __all__ = [
@@ -38,14 +39,6 @@ __all__ = [
 _DEGENERACY_FLOOR = 1e-12
 
 
-def _validate_positive(name: str, value):
-    """``value`` as a float, or a float array for array input; all positive and finite."""
-    arr = np.asarray(value, dtype=float)
-    if not np.all(np.isfinite(arr) & (arr > 0.0)):
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
-    return float(arr) if arr.ndim == 0 else arr
-
-
 def solve_biharmonic(b1: float, omega: float, tau_assumed: float) -> HarmonicPulse:
     """Two-harmonic sine pulse with zero transient coefficient at ``tau_assumed``.
 
@@ -55,11 +48,11 @@ def solve_biharmonic(b1: float, omega: float, tau_assumed: float) -> HarmonicPul
 
     which tends to ``-2*b1`` for w*tau >> 1 and ``-b1/2`` for w*tau << 1.
     """
-    b1 = float(b1)
-    if not (math.isfinite(b1) and b1 != 0.0):
+    b1 = finite("b1", b1)
+    if b1 == 0.0:
         raise ValueError(f"b1 must be finite and non-zero, got {b1!r}")
-    omega = _validate_positive("omega", omega)
-    tau_assumed = _validate_positive("tau_assumed", tau_assumed)
+    omega = positive("omega", omega)
+    tau_assumed = positive("tau_assumed", tau_assumed)
     x = omega * tau_assumed
     b2 = -(b1 / 2.0) * (1.0 + 4.0 * x * x) / (1.0 + x * x)
     return HarmonicPulse(tau_pulse=2.0 * math.pi / omega, a0=0.0, a=(0.0, 0.0), b=(b1, b2))
@@ -83,17 +76,16 @@ def solve_top_harmonic(a0: float, a, b, omega: float, tau_assumed: float):
     Raises ValueError when ``N*w*tau`` makes the top-harmonic sine term
     numerically unable to influence the transient (degenerate design).
     """
-    omega = _validate_positive("omega", omega)
-    tau_assumed = _validate_positive("tau_assumed", tau_assumed)
-    a0 = float(a0)
-    a_low = np.asarray(a, dtype=float)
-    b_low = np.asarray(b, dtype=float)
-    if a_low.ndim != 1 or a_low.shape != b_low.shape:
+    omega = positive("omega", omega)
+    tau_assumed = positive("tau_assumed", tau_assumed)
+    a0 = finite("a0", a0)
+    # object dtype leaves the conversion to the check, which names a bad entry's field
+    a_low = finite("a", np.asarray(a, dtype=object))
+    b_low = finite("b", np.asarray(b, dtype=object))
+    if np.ndim(a_low) != 1 or np.shape(a_low) != np.shape(b_low):
         raise ValueError("a and b must be 1-D sequences of equal length")
     if a_low.size < 1:
         raise ValueError("need at least one lower harmonic (N >= 2)")
-    if not np.all(np.isfinite(a_low)) or not np.all(np.isfinite(b_low)) or not math.isfinite(a0):
-        raise ValueError("all coefficients must be finite")
 
     n_top = a_low.size + 1
     x_top = n_top * omega * tau_assumed
@@ -136,12 +128,10 @@ def mischaracterized_transient_coefficient(b1: float, omega: float, tau_true, m)
     arrays that broadcast against each other.  Returns a float for scalar
     input and an array of the broadcast shape otherwise.
     """
-    b1 = float(b1)
-    if not math.isfinite(b1):
-        raise ValueError(f"b1 must be finite, got {b1!r}")
-    omega = _validate_positive("omega", omega)
-    tau_true = _validate_positive("tau_true", tau_true)
-    m = _validate_positive("m", m)
+    b1 = finite("b1", b1)
+    omega = positive("omega", omega)
+    tau_true = positive("tau_true", np.asarray(tau_true))
+    m = positive("m", np.asarray(m))
     if b1 == 0.0:
         out = np.zeros(np.broadcast_shapes(np.shape(tau_true), np.shape(m)))
     else:
@@ -175,17 +165,15 @@ def asymptotic_transient_coefficient(family: str, coeffs, omega: float, tau: flo
     ``3*b1*w*tau/(1+5(w tau)^2+4(w tau)^4)``, of which the biharmonic form
     is the leading large-``w*tau`` term.
     """
-    omega = _validate_positive("omega", omega)
-    tau = _validate_positive("tau", tau)
+    omega = positive("omega", omega)
+    tau = positive("tau", tau)
     if omega * tau <= 1.0:
         raise ValueError(
             f"asymptotic forms require omega*tau > 1, got {omega * tau!r}"
         )
-    c = np.asarray(coeffs, dtype=float)
-    if c.ndim != 1 or c.size < 1:
+    c = finite("coeffs", np.asarray(coeffs))
+    if np.ndim(c) != 1 or c.size < 1:
         raise ValueError("coeffs must be a non-empty 1-D sequence")
-    if not np.all(np.isfinite(c)):
-        raise ValueError("all coefficients must be finite")
     if family == "biharmonic":
         if c.size != 1:
             raise ValueError("biharmonic family takes a single coefficient [b1]")

@@ -484,3 +484,129 @@ def test_impedance_rejects_non_finite_range(tmp_path, capsys, flag, value):
 def test_unknown_arguments_exit_2(tmp_path, capsys):
     assert main(["sweep", "--definitely-not-a-flag", "1", "--out-dir", str(tmp_path)]) == 2
     capsys.readouterr()
+
+
+def _write_json(tmp_path, name, data):
+    path = tmp_path / name
+    formats.dump_json(data, path)
+    return str(path)
+
+
+def _assert_named_rejection(capsys, rc, out, name):
+    # exit 2, one stderr line that starts with the field's name, nothing written
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {name} must be"), err
+    assert not out.exists()
+
+
+_DEVICE_SQUARE_ARGS = [
+    "--waveform", "square", "--square-amp-phi0", "5e-4", "--line-tau-us", "13",
+    "--tau-pulse-us", "8", "--delay-max-us", "10", "--delay-step-us", "0.5",
+]
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "request-tau-list", "request-b1-dict", "chain-r-list", "delay-max-inf",
+        "load-nan", "device-string", "pulse-coefficient-string",
+    ],
+)
+def test_cli_names_the_bad_field(tmp_path, capsys, case):
+    out = tmp_path / "out"
+    device = write_device(tmp_path)
+    request = {"family": "biharmonic", "b1": 1.0, "tau_pulse_s": 8e-6, "tau_assumed_s": 1.12e-5}
+    if case == "request-tau-list":
+        argv, name = ["design", "--request", _write_json(tmp_path, "r.json", {**request, "tau_pulse_s": [1]})], "tau_pulse_s"
+    elif case == "request-b1-dict":
+        argv, name = ["design", "--request", _write_json(tmp_path, "r.json", {**request, "b1": {"a": 1}})], "b1"
+    elif case == "chain-r-list":
+        chain = _write_json(tmp_path, "c.json", [{"kind": "series_resistor", "r_ohms": [1]}])
+        argv, name = ["impedance", "--chain", chain], "series_resistor.r_ohms"
+    elif case == "delay-max-inf":
+        argv = ["ramsey-sim", "--device", device, *_DEVICE_SQUARE_ARGS, "--delay-max-us", "inf"]
+        name = "--delay-max-us"
+    elif case == "load-nan":
+        argv, name = ["impedance", "--chain", "default", "--load-ohms", "nan"], "--load-ohms"
+    elif case == "device-string":
+        bad = _write_json(tmp_path, "d.json", {**formats.load_json(device), "omega_q_ghz": "x"})
+        argv, name = ["ramsey-sim", "--device", bad, *_DEVICE_SQUARE_ARGS], "omega_q_ghz"
+    else:
+        pulse = _write_json(tmp_path, "p.json", {"tau_pulse_s": 8e-6, "a": ["x"], "b": [1.0]})
+        argv, name = ["kexp", "--pulse", pulse, "--tau-us", "11.2"], "a"
+    _assert_named_rejection(capsys, main([*argv, "--out-dir", str(out)]), out, name)
+
+
+def _numeric_fields(data, label=lambda key: key):
+    """(name in the error, path to the value) for every number in a JSON record."""
+    for key, value in data.items():
+        if isinstance(value, list):
+            for i in range(len(value)):
+                yield label(key), (key, i)
+        elif isinstance(value, (int, float)):
+            yield label(key), (key,)
+
+
+def test_cli_rejects_every_malformed_json_number(tmp_path, capsys):
+    # every number of every JSON input, replaced by something that is not a
+    # finite number, gives exit 2 and one stderr line naming the field; then
+    # seeded draws corrupt two fields of one input at once
+    device = formats.load_json(write_device(tmp_path))
+    pulse = {"tau_pulse_s": 8e-6, "a0": 0.1, "a": [0.0, 0.2], "b": [1.0, -0.5]}
+    line = {"r_ohms": 50.0, "c_farads": 2.2e-7}
+    chain = [
+        {"kind": "series_capacitor", "c_farads": 2.2e-7},
+        {"kind": "attenuator", "db": 20.0, "z0_ohms": 50.0},
+        {"kind": "transmission_line", "z0_ohms": 50.0, "delay_s": 1e-9},
+    ]
+    biharmonic = {"family": "biharmonic", "b1": 1.0, "tau_pulse_s": 8e-6, "tau_assumed_s": 1.12e-5}
+    top = {"family": "top-harmonic", "a0": 0.0, "a": [0.3, 0.1], "b": [1.0, 0.2],
+           "tau_pulse_s": 8e-6, "tau_assumed_s": 1.12e-5}
+    pulse_ok = _write_json(tmp_path, "pulse_ok.json", pulse)
+    commands = {
+        "device": ["ramsey-sim", "--device", None, *_DEVICE_SQUARE_ARGS],
+        "pulse": ["kexp", "--pulse", None, "--tau-us", "11.2"],
+        "line": ["respond", "--pulse", pulse_ok, "--line", None, "--dt-us", "1"],
+        "chain": ["impedance", "--chain", None, "--n-points", "10"],
+        "request": ["design", "--request", None],
+    }
+    # (input kind, record, element index in a chain, name in the error, path to the value)
+    fields = [("device", device, None, *f) for f in _numeric_fields(device)]
+    fields += [("pulse", pulse, None, *f) for f in _numeric_fields(pulse)]
+    fields += [("line", line, None, *f) for f in _numeric_fields(line)]
+    fields += [("request", req, None, *f) for req in (biharmonic, top) for f in _numeric_fields(req)]
+    for j, element in enumerate(chain):
+        fields += [("chain", chain, j, *f) for f in _numeric_fields(element, lambda k: f"{element['kind']}.{k}")]
+    assert len(fields) == 28
+    bad_values = (math.nan, math.inf, "x", [1], None, {})
+
+    def run(kind, record, edits):
+        data = json.loads(json.dumps(record))
+        for element, path, bad in edits:
+            target = data if element is None else data[element]
+            for step in path[:-1]:
+                target = target[step]
+            target[path[-1]] = bad
+        argv = [str(tmp_path / f"{kind}.json") if a is None else a for a in commands[kind]]
+        formats.dump_json(data, tmp_path / f"{kind}.json")
+        out = tmp_path / "out"
+        rc = main([*argv, "--out-dir", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1, err
+        assert not out.exists()
+        return err[0]
+
+    for kind, record, element, name, path in fields:
+        for bad in bad_values:
+            assert run(kind, record, [(element, path, bad)]).startswith(f"error: {name} must be")
+
+    rng = np.random.default_rng(20261018)
+    for _ in range(60):
+        first = fields[rng.integers(len(fields))]
+        partners = [f for f in fields if f[1] is first[1] and f[4:] != first[4:]]
+        second = partners[rng.integers(len(partners))]
+        edits = [(f[2], f[4], bad_values[rng.integers(len(bad_values))]) for f in (first, second)]
+        message = run(first[0], first[1], edits)
+        assert any(message.startswith(f"error: {f[3]} must be") for f in (first, second)), message

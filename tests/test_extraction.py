@@ -227,15 +227,18 @@ def test_fit_transient_tau_outside_bracket_not_converged(tau_over_span):
     assert not fit_transient(y, delays, 8e-6).converged
 
 
-def test_fit_transient_non_finite_delays_end_not_converged():
-    # the log-tau bracket is relative to the delay span, so corrupted delays
-    # still end the search, with no tau resolved
+def test_fit_transient_rejects_non_finite_input():
+    # a nan or inf in any input array is an error naming the field, never a
+    # fit that merely reports converged=False
     delays = np.arange(241) * 0.25e-6
     y = square_pulse_flux_transient(0.02, 8e-6, 13e-6, delays)
-    for bad in (math.inf, math.nan):
-        corrupted = delays.copy()
-        corrupted[-1] = bad
-        assert not fit_transient(y, corrupted, 8e-6).converged
+    weights = np.ones(delays.size)
+    for field in ("flux", "delays", "weights"):
+        for bad in (math.inf, math.nan):
+            args = {"flux": y.copy(), "delays": delays.copy(), "weights": weights.copy()}
+            args[field][-1] = bad
+            with pytest.raises(ValueError, match=f"^{field} must be finite, got {bad!r} at index 240$"):
+                fit_transient(args["flux"], args["delays"], 8e-6, weights=args["weights"])
 
 def _square_quadratures(device, amplitude, tau, dt, n, **cfg_kwargs):
     delays = np.arange(n) * dt
