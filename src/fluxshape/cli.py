@@ -40,6 +40,9 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NONCONVERGENCE = 3
 
+# the longest delay grid ramsey-sim simulates; the trace is written in full
+MAX_DELAYS = 100_000
+
 
 def _float_list(text: str):
     try:
@@ -175,12 +178,12 @@ def _cmd_sweep(args) -> int:
     else:
         omega_tau, m = default_sweep_axes()
     grid = sweep_transient_coefficient(args.b1, omega_tau, m)
-    rows = list(grid.rows())
     out_dir = _out_dir(args)
+    # row-major: omega_tau is the slow axis
     formats.write_csv(
         os.path.join(out_dir, "sweep.csv"),
         ["omega_tau", "m", "k_exp"],
-        [np.array([r[j] for r in rows]) for j in range(3)],
+        [np.repeat(grid.omega_tau, grid.m.size), np.tile(grid.m, grid.omega_tau.size), grid.k_exp.ravel()],
     )
     _write_manifest(
         out_dir,
@@ -190,6 +193,20 @@ def _cmd_sweep(args) -> int:
         {"b1": args.b1, "n_omega_tau": int(grid.omega_tau.size), "n_m": int(grid.m.size)},
     )
     return EXIT_OK
+
+
+def _delay_count(delay_max_us: float, delay_step_us: float) -> int:
+    """Number of delays 0, step, ..., max on the ramsey-sim grid, at most MAX_DELAYS."""
+    if positive("--delay-max-us", delay_max_us) < positive("--delay-step-us", delay_step_us):
+        raise ValueError("--delay-step-us must be no larger than --delay-max-us")
+    # an overflowing ratio is inf here, so it never reaches int()
+    ratio = delay_max_us / delay_step_us
+    if ratio >= MAX_DELAYS - 0.5:
+        raise ValueError(
+            f"--delay-max-us / --delay-step-us must give at most {MAX_DELAYS} delays, "
+            f"got {delay_max_us!r} / {delay_step_us!r}"
+        )
+    return int(round(ratio)) + 1
 
 
 def _cmd_ramsey_sim(args) -> int:
@@ -215,10 +232,9 @@ def _cmd_ramsey_sim(args) -> int:
     else:
         raise ValueError(f"--waveform must be 'square' or 'pulse', got {args.waveform!r}")
 
-    if positive("--delay-max-us", args.delay_max_us) < positive("--delay-step-us", args.delay_step_us):
-        raise ValueError("--delay-step-us must be no larger than --delay-max-us")
-    n = int(round(args.delay_max_us / args.delay_step_us)) + 1
-    delays = np.arange(n) * (args.delay_step_us * 1e-6)
+    delays = np.arange(_delay_count(args.delay_max_us, args.delay_step_us)) * (args.delay_step_us * 1e-6)
+    if args.noise_sigma is not None and args.noise_sigma < 0.0:
+        raise ValueError(f"--noise-sigma must be non-negative, got {args.noise_sigma!r}")
     seed = _resolve_seed(args.seed)
     config = RamseyConfig(
         tau_pulse=tau_pulse,

@@ -35,10 +35,29 @@ __all__ = ["HarmonicPulse"]
 
 
 def _fourier_sum(t: np.ndarray, omega: float, c: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """``sum_n c_n cos(n w t) + s_n sin(n w t)`` over n = 1..len(c); zeros for an empty sum."""
-    n = np.arange(1, c.size + 1)
-    theta = np.multiply.outer(t, n) * omega
-    return (c * np.cos(theta) + s * np.sin(theta)).sum(axis=-1)
+    """``sum_n c_n cos(n w t) + s_n sin(n w t)`` over n = 1..len(c); zeros for an empty sum.
+
+    The sum is ``Re sum_n (c_n - i s_n) z^n`` with ``z = exp(i w t)``,
+    evaluated by Horner's rule from the top harmonic down (Clenshaw 1955),
+    so each point costs one cosine and one sine whatever N is.
+    """
+    theta = np.multiply(t, omega)
+    if c.size == 0:
+        return np.zeros(theta.shape)
+    z = np.empty(theta.shape, dtype=complex)
+    np.cos(theta, out=z.real)
+    np.sin(theta, out=z.imag)
+    d = c - 1j * s
+    acc = np.full(theta.shape, d[-1])
+    # products go to a second buffer: numpy's in-place complex multiply rounds
+    # a one-element array differently, and a point's value must not depend on
+    # the array it is evaluated in
+    out = np.empty_like(acc)
+    for dn in d[-2::-1]:
+        np.multiply(acc, z, out=out)
+        np.add(out, dn, out=acc)
+    np.multiply(acc, z, out=out)
+    return out.real
 
 
 @dataclass(frozen=True)

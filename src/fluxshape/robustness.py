@@ -60,12 +60,6 @@ class SweepGrid:
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "k_exp", k)
 
-    def rows(self):
-        """Yield (omega_tau, m, k_exp) triples in row-major order."""
-        for i, wt in enumerate(self.omega_tau):
-            for j, mm in enumerate(self.m):
-                yield float(wt), float(mm), float(self.k_exp[i, j])
-
 
 def default_sweep_axes(n_omega_tau: int = 50, n_m: int = 50):
     """Logarithmic axes covering omega*tau in [1, 30] and m in [0.01, 100]."""

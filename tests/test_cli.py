@@ -13,8 +13,9 @@ from fluxshape import (
     line_current,
     mischaracterized_transient_coefficient,
     solve_biharmonic,
+    sweep_transient_coefficient,
 )
-from fluxshape import formats
+from fluxshape import cli, formats
 from fluxshape.cli import main
 
 from conftest import reference_device
@@ -179,6 +180,17 @@ def test_sweep_explicit_axes(tmp_path):
         assert kk == mischaracterized_transient_coefficient(1.0, 1.0, 8.79, mm)
     assert abs(k[1]) < 1e-14
     assert abs(k[0]) > 10.0 * abs(k[2])
+
+
+def test_sweep_csv_row_major(tmp_path):
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--b1", "1", "--omega-tau", "2,8.79", "--m", "0.5,1,2", "--out-dir", str(out)]) == 0
+    omega_tau, m, k = formats.read_csv_columns(out / "sweep.csv", ["omega_tau", "m", "k_exp"])
+    grid = sweep_transient_coefficient(1.0, [2.0, 8.79], [0.5, 1.0, 2.0])
+    assert omega_tau.tolist() == [2.0, 2.0, 2.0, 8.79, 8.79, 8.79]
+    assert m.tolist() == [0.5, 1.0, 2.0] * 2
+    assert np.array_equal(k, grid.k_exp.ravel())
+    assert (omega_tau[3], m[3], k[3]) == (8.79, 0.5, grid.k_exp[1, 0])
 
 
 def test_sweep_flag_conflicts(tmp_path, capsys):
@@ -510,7 +522,7 @@ _DEVICE_SQUARE_ARGS = [
     "case",
     [
         "request-tau-list", "request-b1-dict", "chain-r-list", "delay-max-inf",
-        "load-nan", "device-string", "pulse-coefficient-string",
+        "load-nan", "device-string", "pulse-coefficient-string", "noise-sigma-negative",
     ],
 )
 def test_cli_names_the_bad_field(tmp_path, capsys, case):
@@ -532,10 +544,39 @@ def test_cli_names_the_bad_field(tmp_path, capsys, case):
     elif case == "device-string":
         bad = _write_json(tmp_path, "d.json", {**formats.load_json(device), "omega_q_ghz": "x"})
         argv, name = ["ramsey-sim", "--device", bad, *_DEVICE_SQUARE_ARGS], "omega_q_ghz"
+    elif case == "noise-sigma-negative":
+        argv = ["ramsey-sim", "--device", device, *_DEVICE_SQUARE_ARGS, "--noise-sigma", "-1"]
+        name = "--noise-sigma"
     else:
         pulse = _write_json(tmp_path, "p.json", {"tau_pulse_s": 8e-6, "a": ["x"], "b": [1.0]})
         argv, name = ["kexp", "--pulse", pulse, "--tau-us", "11.2"], "a"
     _assert_named_rejection(capsys, main([*argv, "--out-dir", str(out)]), out, name)
+
+
+@pytest.mark.parametrize(
+    "delay_max_us, delay_step_us",
+    [("1e300", "1e-300"), ("1e6", "1e-6"), (str(cli.MAX_DELAYS), "1")],
+    ids=["overflowing-ratio", "terabyte-grid", "one-past-the-cap"],
+)
+def test_ramsey_sim_caps_the_delay_count(tmp_path, capsys, delay_max_us, delay_step_us):
+    # rejected before the grid is built: 1e12 delays would not fit in memory
+    out = tmp_path / "out"
+    argv = ["ramsey-sim", "--device", write_device(tmp_path), *_DEVICE_SQUARE_ARGS]
+    rc = main([*argv, "--delay-max-us", delay_max_us, "--delay-step-us", delay_step_us, "--out-dir", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: --delay-max-us / --delay-step-us must give at most"), err
+    assert f"{cli.MAX_DELAYS} delays" in err[0]
+    assert not out.exists()
+
+
+def test_delay_count_at_the_cap():
+    assert cli._delay_count(60.0, 0.25) == 241
+    assert cli._delay_count(cli.MAX_DELAYS - 1.0, 1.0) == cli.MAX_DELAYS
+    assert cli._delay_count(cli.MAX_DELAYS - 0.6, 1.0) == cli.MAX_DELAYS
+    # 99999.5 rounds to 100000, one delay past the cap
+    with pytest.raises(ValueError, match="must give at most"):
+        cli._delay_count(cli.MAX_DELAYS - 0.5, 1.0)
 
 
 def _numeric_fields(data, label=lambda key: key):

@@ -58,15 +58,6 @@ def test_sweep_zero_amplitude():
     assert np.array_equal(grid.k_exp, np.zeros((2, 3)))
 
 
-def test_sweep_rows_row_major():
-    grid = sweep_transient_coefficient(1.0, [2.0, 8.79], [0.5, 1.0, 2.0])
-    triples = list(grid.rows())
-    assert len(triples) == 6
-    assert triples[0] == (2.0, 0.5, grid.k_exp[0, 0])
-    assert triples[1][1] == 1.0
-    assert triples[3] == (8.79, 0.5, grid.k_exp[1, 0])
-
-
 def test_sweep_validation():
     with pytest.raises(ValueError):
         sweep_transient_coefficient(1.0, [-1.0], [1.0])
