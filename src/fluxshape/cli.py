@@ -1,11 +1,13 @@
 """Command-line interface.
 
-Every subcommand validates its inputs, writes its outputs into ``--out-dir``
-and finishes by writing ``manifest.json`` listing inputs, outputs and
-parameters; the manifest is written last, so its presence marks a completed
-run.  Exit codes: 0 success, 2 validation or I/O failure (nothing written
-beyond what the message names), 3 numerical non-convergence (diagnostics
-written, no manifest).
+Every subcommand validates its inputs and computes its outputs before
+anything touches the disk.  A handler returns what it produced; ``main``
+alone then creates ``--out-dir``, writes the files in order and writes
+``manifest.json`` last.  The manifest lists the inputs, exactly the files
+written, in write order, and the parameters, so its presence marks a
+completed run.  Exit codes: 0 success, 2 validation or I/O failure (a
+validation error writes nothing, not even the out-dir), 3 numerical
+non-convergence (diagnostics written, no manifest).
 
 The environment variable ``FLUXSHAPE_SEED`` overrides ``--seed`` wherever a
 seed is consumed, for deterministic pipelines driven from the outside.
@@ -17,6 +19,7 @@ import argparse
 import math
 import os
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,8 +34,7 @@ from fluxshape.device import (
 )
 from fluxshape.extraction import run_pipeline
 from fluxshape.network import default_flux_chain, sweep_and_fit_rc, sweep_input_impedance
-from fluxshape.pulse import HarmonicPulse
-from fluxshape.rcline import RCLine, capacitor_voltage, line_current, transient_coefficient
+from fluxshape.rcline import capacitor_voltage, line_current, transient_coefficient
 from fluxshape.robustness import default_sweep_axes, sweep_transient_coefficient
 from fluxshape.synthesis import solve_biharmonic, solve_top_harmonic
 
@@ -40,8 +42,22 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NONCONVERGENCE = 3
 
-# the longest delay grid ramsey-sim simulates; the trace is written in full
+# the largest grids the CLI builds, each written out in full: the ramsey-sim
+# delays, the respond rows and the impedance frequencies
 MAX_DELAYS = 100_000
+MAX_RESPONSE_ROWS = 10_000_000
+MAX_FREQUENCIES = 1_000_000
+
+
+class _Run(NamedTuple):
+    """What a subcommand produced; ``main`` writes it."""
+
+    inputs: list
+    # file name -> JSON-ready object, or (header, columns) for a .csv; written in this order
+    outputs: dict
+    parameters: dict
+    rng_seed: int | None = None
+    code: int = EXIT_OK
 
 
 def _float_list(text: str):
@@ -70,24 +86,18 @@ def _require(value, flag: str):
     return value
 
 
-def _out_dir(args) -> str:
-    os.makedirs(args.out_dir, exist_ok=True)
-    return args.out_dir
+def _at_most(cap: int, size, flags: str, unit: str) -> None:
+    """Refuse a grid of ``size`` points above ``cap`` before it is built.
+
+    ``size`` may be a ratio: as in ``HarmonicPulse.sample``, one within 1e-9
+    above a whole number counts as that number.  An overflowing ratio is inf.
+    """
+    if not size - 1e-9 <= cap:
+        got = math.ceil(size - 1e-9) if math.isfinite(size) else size
+        raise ValueError(f"{flags} must give at most {cap} {unit}, got {got}")
 
 
-def _write_manifest(out_dir, command, inputs, outputs, parameters, rng_seed=None) -> None:
-    manifest = {
-        "command": command,
-        "tool_version": fluxshape.__version__,
-        "inputs": list(inputs),
-        "outputs": list(outputs),
-        "parameters": parameters,
-        "rng_seed": rng_seed,
-    }
-    formats.dump_json(manifest, os.path.join(out_dir, "manifest.json"))
-
-
-def _cmd_design(args) -> int:
+def _cmd_design(args) -> _Run:
     request = formats.load_json(args.request) if args.request else {}
     if not isinstance(request, dict):
         raise ValueError("--request file must contain a JSON object")
@@ -114,60 +124,41 @@ def _cmd_design(args) -> int:
     else:
         raise ValueError(f"--family must be 'biharmonic' or 'top-harmonic', got {family!r}")
 
-    out_dir = _out_dir(args)
-    formats.dump_json(formats.pulse_to_dict(pulse), os.path.join(out_dir, "pulse.json"))
     diagnostics = {
         "k_exp_at_assumed": transient_coefficient(pulse, tau_assumed_s),
         "cond1": pulse.condition_one_residual(),
         "cond3": pulse.condition_three_residual(tau_assumed_s),
     }
-    formats.dump_json(diagnostics, os.path.join(out_dir, "diagnostics.json"))
-    _write_manifest(
-        out_dir,
-        "design",
+    return _Run(
         [args.request] if args.request else [],
-        ["pulse.json", "diagnostics.json"],
+        {"pulse.json": formats.pulse_to_dict(pulse), "diagnostics.json": diagnostics},
         {"family": family, "tau_pulse_s": tau_pulse_s, "tau_assumed_s": tau_assumed_s},
     )
-    return EXIT_OK
 
 
-def _cmd_respond(args) -> int:
+def _cmd_respond(args) -> _Run:
     pulse = formats.pulse_from_dict(formats.load_json(args.pulse))
     line = formats.rcline_from_dict(formats.load_json(args.line))
     dt = positive("--dt-us", args.dt_us) * 1e-6
+    _at_most(MAX_RESPONSE_ROWS, args.n_periods * pulse.tau_pulse / dt, "--n-periods / --dt-us", "rows")
     t, v_in = pulse.sample(dt, args.n_periods)
-    v_c = capacitor_voltage(pulse, line, t)
-    i = line_current(pulse, line, t)
-    out_dir = _out_dir(args)
-    formats.write_csv(
-        os.path.join(out_dir, "response.csv"),
-        ["t_s", "v_in_volts", "v_c_volts", "i_amps"],
-        [t, v_in, v_c, i],
-    )
-    _write_manifest(
-        out_dir,
-        "respond",
+    columns = [t, v_in, capacitor_voltage(pulse, line, t), line_current(pulse, line, t)]
+    return _Run(
         [args.pulse, args.line],
-        ["response.csv"],
+        {"response.csv": (["t_s", "v_in_volts", "v_c_volts", "i_amps"], columns)},
         {"dt_s": dt, "n_periods": args.n_periods},
     )
-    return EXIT_OK
 
 
-def _cmd_kexp(args) -> int:
+def _cmd_kexp(args) -> _Run:
     pulse = formats.pulse_from_dict(formats.load_json(args.pulse))
     tau = positive("--tau-us", args.tau_us) * 1e-6
     value = transient_coefficient(pulse, tau)
     print(formats.format_float(value))
-    if args.out_dir is not None:
-        out_dir = _out_dir(args)
-        formats.dump_json({"k_exp": value, "tau_s": tau}, os.path.join(out_dir, "kexp.json"))
-        _write_manifest(out_dir, "kexp", [args.pulse], ["kexp.json"], {"tau_s": tau})
-    return EXIT_OK
+    return _Run([args.pulse], {"kexp.json": {"k_exp": value, "tau_s": tau}}, {"tau_s": tau})
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> _Run:
     explicit = args.omega_tau is not None or args.m is not None
     if args.grid is not None and explicit:
         raise ValueError("--grid cannot be combined with --omega-tau/--m")
@@ -178,38 +169,33 @@ def _cmd_sweep(args) -> int:
     else:
         omega_tau, m = default_sweep_axes()
     grid = sweep_transient_coefficient(args.b1, omega_tau, m)
-    out_dir = _out_dir(args)
     # row-major: omega_tau is the slow axis
-    formats.write_csv(
-        os.path.join(out_dir, "sweep.csv"),
-        ["omega_tau", "m", "k_exp"],
-        [np.repeat(grid.omega_tau, grid.m.size), np.tile(grid.m, grid.omega_tau.size), grid.k_exp.ravel()],
-    )
-    _write_manifest(
-        out_dir,
-        "sweep",
+    columns = [np.repeat(grid.omega_tau, grid.m.size), np.tile(grid.m, grid.omega_tau.size), grid.k_exp.ravel()]
+    return _Run(
         [],
-        ["sweep.csv"],
+        {"sweep.csv": (["omega_tau", "m", "k_exp"], columns)},
         {"b1": args.b1, "n_omega_tau": int(grid.omega_tau.size), "n_m": int(grid.m.size)},
     )
-    return EXIT_OK
 
 
 def _delay_count(delay_max_us: float, delay_step_us: float) -> int:
-    """Number of delays 0, step, ..., max on the ramsey-sim grid, at most MAX_DELAYS."""
+    """Number of delays 0, step, 2 step, ... up to max on the ramsey-sim grid, at most MAX_DELAYS."""
     if positive("--delay-max-us", delay_max_us) < positive("--delay-step-us", delay_step_us):
         raise ValueError("--delay-step-us must be no larger than --delay-max-us")
     # an overflowing ratio is inf here, so it never reaches int()
     ratio = delay_max_us / delay_step_us
+    # refused from half a step below the cap on, so no accepted grid passes it
     if ratio >= MAX_DELAYS - 0.5:
         raise ValueError(
             f"--delay-max-us / --delay-step-us must give at most {MAX_DELAYS} delays, "
             f"got {delay_max_us!r} / {delay_step_us!r}"
         )
-    return int(round(ratio)) + 1
+    # floored, so no delay passes the maximum; a ratio short of a whole number
+    # by a relative 1e-9 or less counts as that number (0.3 / 0.1 gives four delays)
+    return int(ratio * (1.0 + 1e-9)) + 1
 
 
-def _cmd_ramsey_sim(args) -> int:
+def _cmd_ramsey_sim(args) -> _Run:
     device = formats.device_from_dict(formats.load_json(args.device))
     tau_pulse = positive("--tau-pulse-us", args.tau_pulse_us) * 1e-6
     inputs = [args.device]
@@ -244,17 +230,9 @@ def _cmd_ramsey_sim(args) -> int:
         rng_seed=seed,
     )
     x, y = simulate_ramsey(device, waveform, config)
-    out_dir = _out_dir(args)
-    formats.write_csv(
-        os.path.join(out_dir, "trace.csv"),
-        ["tau_delay_s", "x_expect", "y_expect"],
-        [delays, x, y],
-    )
-    _write_manifest(
-        out_dir,
-        "ramsey-sim",
+    return _Run(
         inputs,
-        ["trace.csv"],
+        {"trace.csv": (["tau_delay_s", "x_expect", "y_expect"], [delays, x, y])},
         {
             "waveform": args.waveform,
             "tau_pulse_s": tau_pulse,
@@ -265,10 +243,9 @@ def _cmd_ramsey_sim(args) -> int:
         },
         rng_seed=seed,
     )
-    return EXIT_OK
 
 
-def _cmd_extract(args) -> int:
+def _cmd_extract(args) -> _Run:
     device = formats.device_from_dict(formats.load_json(args.device))
     delays, x, y = formats.read_csv_columns(args.trace, ["tau_delay_s", "x_expect", "y_expect"])
     steps = np.diff(delays)
@@ -307,28 +284,24 @@ def _cmd_extract(args) -> int:
         "residual_rms": fit.residual_rms,
         "converged": fit.converged,
     }
-    out_dir = _out_dir(args)
-    formats.dump_json(report, os.path.join(out_dir, "report.json"))
-    if not fit.converged:
+    if fit.converged:
+        print(f"tau_us={formats.format_float(fit.tau * 1e6)}")
+    else:
         print("error: transient fit did not converge; report.json holds diagnostics", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
-    _write_manifest(
-        out_dir,
-        "extract",
+    return _Run(
         [args.trace, args.device],
-        ["report.json"],
+        {"report.json": report},
         {
             "tau_pulse_s": tau_pulse,
             "fit_window_s": window_s,
             "sg_window": args.sg_window,
             "sg_order": args.sg_order,
         },
+        code=EXIT_OK if fit.converged else EXIT_NONCONVERGENCE,
     )
-    print(f"tau_us={formats.format_float(fit.tau * 1e6)}")
-    return EXIT_OK
 
 
-def _cmd_impedance(args) -> int:
+def _cmd_impedance(args) -> _Run:
     if args.chain == "default":
         elements = default_flux_chain()
         inputs = []
@@ -339,34 +312,24 @@ def _cmd_impedance(args) -> int:
         raise ValueError("need 0 < --f-start-hz < --f-stop-hz")
     if args.n_points < 2:
         raise ValueError("--n-points must be at least 2")
+    _at_most(MAX_FREQUENCIES, args.n_points, "--n-points", "frequencies")
     f = np.geomspace(args.f_start_hz, args.f_stop_hz, args.n_points)
     load = complex(args.load_ohms)
 
-    out_dir = _out_dir(args)
-    outputs = ["impedance.csv"]
     if args.fit:
         fit = sweep_and_fit_rc(elements, load, f, fit_band_hz=positive("--fit-band-hz", args.fit_band_hz))
         z = fit.z_in
-        formats.dump_json(
-            {
-                "effective_r_ohms": fit.effective_r,
-                "effective_c_farads": fit.effective_c,
-                "fit_rms_ohms": fit.fit_rms,
-                "fit_band_hz": args.fit_band_hz,
-            },
-            os.path.join(out_dir, "rc_fit.json"),
-        )
-        outputs.append("rc_fit.json")
     else:
         z = sweep_input_impedance(elements, load, f)
-    formats.write_csv(
-        os.path.join(out_dir, "impedance.csv"),
-        ["f_hz", "z_abs_ohms", "z_re", "z_im"],
-        [f, np.abs(z), z.real, z.imag],
-    )
-    _write_manifest(
-        out_dir,
-        "impedance",
+    outputs = {"impedance.csv": (["f_hz", "z_abs_ohms", "z_re", "z_im"], [f, np.abs(z), z.real, z.imag])}
+    if args.fit:
+        outputs["rc_fit.json"] = {
+            "effective_r_ohms": fit.effective_r,
+            "effective_c_farads": fit.effective_c,
+            "fit_rms_ohms": fit.fit_rms,
+            "fit_band_hz": args.fit_band_hz,
+        }
+    return _Run(
         inputs,
         outputs,
         {
@@ -377,7 +340,6 @@ def _cmd_impedance(args) -> int:
             "fit": bool(args.fit),
         },
     )
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -474,7 +436,27 @@ def main(argv=None) -> int:
         for dest, value in vars(args).items():
             if isinstance(value, (float, list)):
                 finite("--" + dest.replace("_", "-"), np.asarray(value) if isinstance(value, list) else value)
-        return args.handler(args)
+        run = args.handler(args)
+        if args.out_dir is None:  # kexp without --out-dir only prints
+            return run.code
+        outputs = dict(run.outputs)
+        if run.code == EXIT_OK:
+            outputs["manifest.json"] = {
+                "command": args.command,
+                "tool_version": fluxshape.__version__,
+                "inputs": run.inputs,
+                "outputs": list(run.outputs),
+                "parameters": run.parameters,
+                "rng_seed": run.rng_seed,
+            }
+        os.makedirs(args.out_dir, exist_ok=True)
+        for name, payload in outputs.items():
+            path = os.path.join(args.out_dir, name)
+            if name.endswith(".csv"):
+                formats.write_csv(path, *payload)
+            else:
+                formats.dump_json(payload, path)
+        return run.code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -91,11 +91,15 @@ def _folded_flux(phi) -> np.ndarray:
     return np.where(r > 0.5, 1.0 - r, r)
 
 
+def _flux_map(phi, omega_max: float) -> np.ndarray:
+    """omega_max * sqrt(|cos(pi*phi)|) as an array, exactly zero at half a flux quantum."""
+    r = _folded_flux(phi)
+    return omega_max * np.sqrt(np.where(r == 0.5, 0.0, np.maximum(np.cos(np.pi * r), 0.0)))
+
+
 def coupler_frequency(phi, device: CouplerDevice):
     """Coupler frequency omega_max * sqrt(|cos(pi*phi)|) in rad/s."""
-    r = _folded_flux(phi)
-    mag = np.where(r == 0.5, 0.0, np.maximum(np.cos(np.pi * r), 0.0))
-    out = device.omega_max * np.sqrt(mag)
+    out = _flux_map(phi, device.omega_max)
     return float(out) if out.ndim == 0 else out
 
 
@@ -295,6 +299,4 @@ def square_train_response(
     v_c, _ = integrate_line_response(commanded, line, t)
     delivered = commanded(t) - v_c
     flux = phi_idle + delivered
-    folded = _folded_flux(flux)
-    frequency = omega_max * np.sqrt(np.where(folded == 0.5, 0.0, np.maximum(np.cos(np.pi * folded), 0.0)))
-    return {"t": t, "commanded": commanded(t), "flux": flux, "frequency": frequency}
+    return {"t": t, "commanded": commanded(t), "flux": flux, "frequency": _flux_map(flux, omega_max)}

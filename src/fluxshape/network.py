@@ -80,8 +80,8 @@ class WiringElement:
     params: dict
 
     def __post_init__(self):
-        if self.kind not in _ELEMENT_KINDS:
-            raise ValueError(f"unknown element kind {self.kind!r}")
+        if not isinstance(self.kind, str) or self.kind not in _ELEMENT_KINDS:
+            raise ValueError(f"kind must be one of {', '.join(_ELEMENT_KINDS)}, got {self.kind!r}")
         expected = set(_ELEMENT_KINDS[self.kind])
         if set(self.params) != expected:
             raise ValueError(

@@ -522,7 +522,7 @@ _DEVICE_SQUARE_ARGS = [
     "case",
     [
         "request-tau-list", "request-b1-dict", "chain-r-list", "delay-max-inf",
-        "load-nan", "device-string", "pulse-coefficient-string", "noise-sigma-negative",
+        "load-nan", "device-string", "pulse-coefficient-string", "noise-sigma-negative", "chain-kind-list",
     ],
 )
 def test_cli_names_the_bad_field(tmp_path, capsys, case):
@@ -539,6 +539,8 @@ def test_cli_names_the_bad_field(tmp_path, capsys, case):
     elif case == "delay-max-inf":
         argv = ["ramsey-sim", "--device", device, *_DEVICE_SQUARE_ARGS, "--delay-max-us", "inf"]
         name = "--delay-max-us"
+    elif case == "chain-kind-list":
+        argv, name = ["impedance", "--chain", _write_json(tmp_path, "c.json", [{"kind": ["x"]}])], "kind"
     elif case == "load-nan":
         argv, name = ["impedance", "--chain", "default", "--load-ohms", "nan"], "--load-ohms"
     elif case == "device-string":
@@ -651,3 +653,140 @@ def test_cli_rejects_every_malformed_json_number(tmp_path, capsys):
         edits = [(f[2], f[4], bad_values[rng.integers(len(bad_values))]) for f in (first, second)]
         message = run(first[0], first[1], edits)
         assert any(message.startswith(f"error: {f[3]} must be") for f in (first, second)), message
+
+
+def test_ramsey_sim_delays_stay_within_the_maximum(tmp_path):
+    # 1 / 0.6 is floored: the grid stops at 0.6 us instead of running to 1.2 us
+    out = tmp_path / "sim"
+    argv = ["ramsey-sim", "--device", write_device(tmp_path), *_DEVICE_SQUARE_ARGS]
+    assert main([*argv, "--delay-max-us", "1", "--delay-step-us", "0.6", "--out-dir", str(out)]) == 0
+    delays, _, _ = formats.read_csv_columns(out / "trace.csv", ["tau_delay_s", "x_expect", "y_expect"])
+    assert delays.tolist() == [0.0, 0.6e-6]
+    assert cli._delay_count(1.0, 0.6) == 2
+    # 0.3 / 0.1 is 2.9999999999999996 in floats and still counts as three steps
+    assert 0.3 / 0.1 < 3.0 and cli._delay_count(0.3, 0.1) == 4
+    # every grid the README, the tests and the benchmark use divides exactly
+    grids = [(60, 0.25, 241), (60, 0.0625, 961), (30, 0.5, 61), (40, 0.5, 81), (10, 0.5, 21)]
+    assert [cli._delay_count(m, s) for m, s, _ in grids] == [count for _, _, count in grids]
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["respond-petabyte", "respond-one-past-the-cap", "impedance-terabyte", "impedance-one-past-the-cap"],
+)
+def test_respond_and_impedance_cap_their_grids(tmp_path, capsys, case):
+    # rejected before any array is built
+    out = tmp_path / "out"
+    pulse = _write_json(tmp_path, "p.json", {"tau_pulse_s": 8e-6, "a": [0.0], "b": [1.0]})
+    line = write_line(tmp_path, 11.2e-6)
+    respond = ["respond", "--pulse", pulse, "--line", line]
+    argv, flags = {
+        "respond-petabyte": ([*respond, "--dt-us", "1e-9", "--n-periods", "100000"], "--n-periods / --dt-us"),
+        # 8 us / 0.8 ns is 10 000 rows a period
+        "respond-one-past-the-cap": (
+            [*respond, "--dt-us", "0.0008", "--n-periods", str(cli.MAX_RESPONSE_ROWS // 10_000 + 1)],
+            "--n-periods / --dt-us",
+        ),
+        "impedance-terabyte": (["impedance", "--chain", "default", "--n-points", "100000000000"], "--n-points"),
+        "impedance-one-past-the-cap": (
+            ["impedance", "--chain", "default", "--n-points", str(cli.MAX_FREQUENCIES + 1)],
+            "--n-points",
+        ),
+    }[case]
+    assert main([*argv, "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {flags} must give at most"), err
+    assert not out.exists()
+
+
+def test_grid_caps_at_the_boundary(tmp_path, monkeypatch, capsys):
+    # the caps lowered to small grids, so the run at the cap stays cheap
+    pulse = _write_json(tmp_path, "p.json", {"tau_pulse_s": 8e-6, "a": [0.0], "b": [1.0]})
+    respond = ["respond", "--pulse", pulse, "--line", write_line(tmp_path, 11.2e-6), "--dt-us", "0.05"]
+    monkeypatch.setattr(cli, "MAX_RESPONSE_ROWS", 160)
+    assert main([*respond, "--out-dir", str(tmp_path / "at")]) == 0
+    t, *_ = formats.read_csv_columns(tmp_path / "at" / "response.csv", ["t_s", "v_in_volts", "v_c_volts", "i_amps"])
+    assert t.size == 160
+    monkeypatch.setattr(cli, "MAX_RESPONSE_ROWS", 159)
+    assert main([*respond, "--out-dir", str(tmp_path / "past")]) == 2
+    assert capsys.readouterr().err.strip() == "error: --n-periods / --dt-us must give at most 159 rows, got 160"
+
+    impedance = ["impedance", "--chain", "default"]
+    monkeypatch.setattr(cli, "MAX_FREQUENCIES", 50)
+    assert main([*impedance, "--n-points", "50", "--out-dir", str(tmp_path / "z-at")]) == 0
+    assert main([*impedance, "--n-points", "51", "--out-dir", str(tmp_path / "z-past")]) == 2
+    assert capsys.readouterr().err.strip() == "error: --n-points must give at most 50 frequencies, got 51"
+    assert not (tmp_path / "past").exists() and not (tmp_path / "z-past").exists()
+
+
+def test_out_dir_holds_exactly_the_manifest_outputs(tmp_path):
+    # every subcommand, both design families, both waveforms, impedance with and without --fit
+    device = write_device(tmp_path)
+    line = write_line(tmp_path, TAU_ASSUMED_US * 1e-6)
+    pulse, trace = str(tmp_path / "biharmonic" / "pulse.json"), str(tmp_path / "square" / "trace.csv")
+    chain = _write_json(tmp_path, "chain.json", [{"kind": "series_resistor", "r_ohms": 47.0}])
+    design = ["--tau-pulse-us", "8", "--tau-assumed-us", "11.2"]
+    sim = ["ramsey-sim", "--device", device, "--tau-pulse-us", "8"]
+    designed = ["pulse.json", "diagnostics.json"]
+    runs = [
+        ("biharmonic", ["design", "--family", "biharmonic", "--b1", "1", *design], designed),
+        ("top", ["design", "--family", "top-harmonic", "--a", "0.3", "--b", "1", *design], designed),
+        ("kexp", ["kexp", "--pulse", pulse, "--tau-us", "11.2"], ["kexp.json"]),
+        ("respond", ["respond", "--pulse", pulse, "--line", line, "--dt-us", "0.1"], ["response.csv"]),
+        ("sweep", ["sweep", "--omega-tau", "8.79", "--m", "0.5,1"], ["sweep.csv"]),
+        ("square", [*sim, "--waveform", "square", "--square-amp-phi0", "5e-4", "--line-tau-us", "13",
+                    "--delay-max-us", "60", "--delay-step-us", "0.25"], ["trace.csv"]),
+        ("pulse", [*sim, "--waveform", "pulse", "--pulse", pulse, "--line", line,
+                   "--delay-max-us", "10", "--delay-step-us", "0.5"], ["trace.csv"]),
+        ("extract", ["extract", "--trace", trace, "--device", device, "--tau-pulse-us", "8", "--fit-window-us", "60"],
+         ["report.json"]),
+        ("impedance", ["impedance", "--chain", chain, "--n-points", "31"], ["impedance.csv"]),
+        ("impedance-fit", ["impedance", "--chain", "default", "--fit"], ["impedance.csv", "rc_fit.json"]),
+    ]
+    for name, argv, outputs in runs:
+        out = tmp_path / name
+        assert main([*argv, "--out-dir", str(out)]) == 0, name
+        manifest = formats.load_json(out / "manifest.json")
+        assert (manifest["command"], manifest["outputs"]) == (argv[0], outputs), name
+        assert sorted(os.listdir(out)) == sorted(["manifest.json", *outputs]), name
+    commands = {argv[0] for _, argv, _ in runs}
+    assert commands == {"design", "kexp", "respond", "sweep", "ramsey-sim", "extract", "impedance"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["design", "--family", "biharmonic", "--b1", "1", "--tau-pulse-us", "8", "--tau-assumed-us", "-1"],
+        ["respond", "--pulse", "PULSE", "--line", "LINE", "--dt-us", "3"],
+        ["kexp", "--pulse", "PULSE", "--tau-us", "0"],
+        ["sweep", "--omega-tau", "8.79", "--m", "-1"],
+        ["ramsey-sim", "--device", "DEVICE", *_DEVICE_SQUARE_ARGS, "--t2-us", "0"],
+        ["extract", "--trace", "MISSING.csv", "--device", "DEVICE", "--tau-pulse-us", "8", "--fit-window-us", "60"],
+        # fails late, inside the fit, after the impedance sweep has run
+        ["impedance", "--chain", "default", "--fit", "--fit-band-hz", "1e3"],
+    ],
+    ids=["design", "respond", "kexp", "sweep", "ramsey-sim", "extract", "impedance-fit"],
+)
+def test_validation_error_creates_no_out_dir(tmp_path, capsys, argv):
+    pulse = _write_json(tmp_path, "p.json", {"tau_pulse_s": 8e-6, "a": [0.0], "b": [1.0]})
+    names = {"PULSE": pulse, "LINE": write_line(tmp_path, 11.2e-6), "DEVICE": write_device(tmp_path),
+             "MISSING.csv": str(tmp_path / "missing.csv")}
+    out = tmp_path / "out"
+    assert main([*(names.get(a, a) for a in argv), "--out-dir", str(out)]) == 2
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+def test_nonconvergence_writes_only_the_report(tmp_path, capsys):
+    device = write_device(tmp_path)
+    sim, ext = tmp_path / "sim", tmp_path / "ext"
+    # the later --square-amp-phi0 wins: a flat trace, so the fit cannot converge
+    argv = ["ramsey-sim", "--device", device, *_DEVICE_SQUARE_ARGS, "--square-amp-phi0", "0", "--out-dir", str(sim)]
+    assert main(argv) == 0
+    rc = main([
+        "extract", "--trace", str(sim / "trace.csv"), "--device", device,
+        "--tau-pulse-us", "8", "--fit-window-us", "10", "--out-dir", str(ext),
+    ])
+    assert rc == 3
+    assert capsys.readouterr().err == "error: transient fit did not converge; report.json holds diagnostics\n"
+    assert os.listdir(ext) == ["report.json"]
