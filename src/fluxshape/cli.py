@@ -72,12 +72,26 @@ def _float_list(text: str):
 
 def _resolve_seed(args_seed: int) -> int:
     env = os.environ.get("FLUXSHAPE_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ValueError(f"FLUXSHAPE_SEED must be an integer, got {env!r}") from exc
-    return int(args_seed)
+    if env is None:
+        return _integer("--seed", args_seed, 0, math.inf)
+    try:
+        seed = int(env)
+    except ValueError as exc:
+        raise ValueError(f"FLUXSHAPE_SEED must be an integer, got {env!r}") from exc
+    return _integer("FLUXSHAPE_SEED", seed, 0, math.inf)
+
+
+def _integer(flag: str, value: int, low: int, high: float = sys.float_info.max) -> int:
+    """``value`` of an integer flag, or a one-line error naming the flag outside ``low..high``.
+
+    The default ``high`` is the largest float, so that the value converts to
+    a float without overflow; Python compares an int with a float exactly.
+    """
+    if value < low:
+        raise ValueError(f"{flag} must be at least {low}, got {value}")
+    if value > high:
+        raise ValueError(f"{flag} must be at most {high!r}, got {value}")
+    return value
 
 
 def _require(value, flag: str):
@@ -140,13 +154,14 @@ def _cmd_respond(args) -> _Run:
     pulse = formats.pulse_from_dict(formats.load_json(args.pulse))
     line = formats.rcline_from_dict(formats.load_json(args.line))
     dt = positive("--dt-us", args.dt_us) * 1e-6
-    _at_most(MAX_RESPONSE_ROWS, args.n_periods * pulse.tau_pulse / dt, "--n-periods / --dt-us", "rows")
-    t, v_in = pulse.sample(dt, args.n_periods)
+    n_periods = _integer("--n-periods", args.n_periods, 1)
+    _at_most(MAX_RESPONSE_ROWS, n_periods * pulse.tau_pulse / dt, "--n-periods / --dt-us", "rows")
+    t, v_in = pulse.sample(dt, n_periods)
     columns = [t, v_in, capacitor_voltage(pulse, line, t), line_current(pulse, line, t)]
     return _Run(
         [args.pulse, args.line],
         {"response.csv": (["t_s", "v_in_volts", "v_c_volts", "i_amps"], columns)},
-        {"dt_s": dt, "n_periods": args.n_periods},
+        {"dt_s": dt, "n_periods": n_periods},
     )
 
 
@@ -182,17 +197,17 @@ def _delay_count(delay_max_us: float, delay_step_us: float) -> int:
     """Number of delays 0, step, 2 step, ... up to max on the ramsey-sim grid, at most MAX_DELAYS."""
     if positive("--delay-max-us", delay_max_us) < positive("--delay-step-us", delay_step_us):
         raise ValueError("--delay-step-us must be no larger than --delay-max-us")
-    # an overflowing ratio is inf here, so it never reaches int()
-    ratio = delay_max_us / delay_step_us
-    # refused from half a step below the cap on, so no accepted grid passes it
-    if ratio >= MAX_DELAYS - 0.5:
+    # floored, so no delay passes the maximum; a ratio short of a whole number
+    # by a relative 1e-9 or less counts as that number (0.3 / 0.1 gives four delays)
+    steps = delay_max_us / delay_step_us * (1.0 + 1e-9)
+    # refused exactly when the floored count passes the cap; an overflowing
+    # ratio is inf here, so it never reaches int()
+    if steps >= MAX_DELAYS:
         raise ValueError(
             f"--delay-max-us / --delay-step-us must give at most {MAX_DELAYS} delays, "
             f"got {delay_max_us!r} / {delay_step_us!r}"
         )
-    # floored, so no delay passes the maximum; a ratio short of a whole number
-    # by a relative 1e-9 or less counts as that number (0.3 / 0.1 gives four delays)
-    return int(ratio * (1.0 + 1e-9)) + 1
+    return int(steps) + 1
 
 
 def _cmd_ramsey_sim(args) -> _Run:
@@ -246,6 +261,10 @@ def _cmd_ramsey_sim(args) -> _Run:
 
 
 def _cmd_extract(args) -> _Run:
+    sg_window = _integer("--sg-window", args.sg_window, 3)
+    if sg_window % 2 == 0:
+        raise ValueError(f"--sg-window must be odd, got {sg_window}")
+    sg_order = _integer("--sg-order", args.sg_order, 1, sg_window - 1)
     device = formats.device_from_dict(formats.load_json(args.device))
     delays, x, y = formats.read_csv_columns(args.trace, ["tau_delay_s", "x_expect", "y_expect"])
     steps = np.diff(delays)
@@ -259,10 +278,10 @@ def _cmd_extract(args) -> _Run:
 
     window_s = args.fit_window_us * 1e-6
     keep = delays <= window_s * (1.0 + 1e-12)
-    if np.count_nonzero(keep) < max(8, args.sg_window):
+    if np.count_nonzero(keep) < max(8, sg_window):
         raise ValueError(
             f"--fit-window-us keeps only {int(np.count_nonzero(keep))} samples; "
-            f"need at least {max(8, args.sg_window)}"
+            f"need at least {max(8, sg_window)}"
         )
     tau_pulse = positive("--tau-pulse-us", args.tau_pulse_us) * 1e-6
     result = run_pipeline(
@@ -272,8 +291,8 @@ def _cmd_extract(args) -> _Run:
         device,
         device.phi_idle,
         tau_pulse,
-        window_points=args.sg_window,
-        poly_order=args.sg_order,
+        window_points=sg_window,
+        poly_order=sg_order,
     )
     fit = result.fit
     report = {
@@ -294,8 +313,8 @@ def _cmd_extract(args) -> _Run:
         {
             "tau_pulse_s": tau_pulse,
             "fit_window_s": window_s,
-            "sg_window": args.sg_window,
-            "sg_order": args.sg_order,
+            "sg_window": sg_window,
+            "sg_order": sg_order,
         },
         code=EXIT_OK if fit.converged else EXIT_NONCONVERGENCE,
     )
@@ -310,10 +329,9 @@ def _cmd_impedance(args) -> _Run:
         inputs = [args.chain]
     if positive("--f-start-hz", args.f_start_hz) >= args.f_stop_hz:
         raise ValueError("need 0 < --f-start-hz < --f-stop-hz")
-    if args.n_points < 2:
-        raise ValueError("--n-points must be at least 2")
-    _at_most(MAX_FREQUENCIES, args.n_points, "--n-points", "frequencies")
-    f = np.geomspace(args.f_start_hz, args.f_stop_hz, args.n_points)
+    n_points = _integer("--n-points", args.n_points, 2)
+    _at_most(MAX_FREQUENCIES, n_points, "--n-points", "frequencies")
+    f = np.geomspace(args.f_start_hz, args.f_stop_hz, n_points)
     load = complex(args.load_ohms)
 
     if args.fit:
@@ -335,7 +353,7 @@ def _cmd_impedance(args) -> _Run:
         {
             "f_start_hz": args.f_start_hz,
             "f_stop_hz": args.f_stop_hz,
-            "n_points": args.n_points,
+            "n_points": n_points,
             "load_ohms": args.load_ohms,
             "fit": bool(args.fit),
         },

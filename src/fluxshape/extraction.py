@@ -41,6 +41,9 @@ __all__ = [
 _QUADRATURE_FLOOR = 1e-12
 # positions of the 16 points of one log-tau scan across its bracket
 _SCAN = np.linspace(0.0, 1.0, 16)
+# floats in one block of stacked Savitzky-Golay edge designs, so that a wide
+# window's edge fits take a few MB, not one (half x window x order) stack
+_SG_BLOCK = 2**16
 
 
 def unwrap_phase(x, y) -> np.ndarray:
@@ -63,21 +66,25 @@ def unwrap_phase(x, y) -> np.ndarray:
     return np.concatenate([[raw[0]], raw[0] + np.cumsum(d)])
 
 
-def _one_sided_weights(offsets: np.ndarray, poly_order: int) -> np.ndarray:
-    """Least-squares weights evaluating the local polynomial fit at offset 0."""
-    design = np.vander(offsets.astype(float), poly_order + 1, increasing=True)
-    return np.linalg.pinv(design)[0]
-
-
 def savgol_smooth(series, window_points: int, poly_order: int) -> np.ndarray:
     """Savitzky-Golay smoothing with truncated one-sided edge windows.
 
     Interior points use the standard symmetric least-squares polynomial
-    window; within half a window of either end the window is clipped at the
-    boundary and the polynomial is refit one-sided, so no points are
-    discarded and no data is mirrored or extrapolated in.
+    window (Savitzky & Golay 1964); within half a window of either end the
+    window is clipped at the boundary and the polynomial is refit one-sided,
+    so no points are discarded and no data is mirrored or extrapolated in.
+
+    Point ``i <= half`` from the left fits offsets ``-i..half``, scaled by
+    ``1/half``.  Its Vandermonde design, zero-padded to ``window_points``
+    rows, has as pseudo-inverse that of the clipped design followed by zero
+    columns, so the first row of that pseudo-inverse is the point's weight
+    vector on the first ``window_points`` samples.  The padded designs are
+    stacked and inverted by one ``np.linalg.pinv`` call per block of about
+    2**16 floats (one block at the default window); row ``half`` is the
+    symmetric window convolved over the interior, and the right edge is the
+    left edge of the reversed series.
     """
-    y = np.asarray(series, dtype=float)
+    y = finite("series", np.atleast_1d(series))
     if y.ndim != 1:
         raise ValueError("series must be 1-D")
     n = y.size
@@ -91,15 +98,21 @@ def savgol_smooth(series, window_points: int, poly_order: int) -> np.ndarray:
         raise ValueError(f"poly_order must satisfy 1 <= poly_order < window_points, got {poly_order}")
 
     half = window_points // 2
+    head, tail = y[:window_points], y[::-1][:window_points]
+    powers = np.arange(poly_order + 1)
+    rows_per_block = max(1, _SG_BLOCK // (window_points * powers.size))
     out = np.empty(n)
-    center = _one_sided_weights(np.arange(-half, half + 1), poly_order)
-    out[half : n - half] = np.convolve(y, center[::-1], mode="valid")
-    for i in range(half):
-        w = _one_sided_weights(np.arange(-i, half + 1), poly_order)
-        out[i] = w @ y[: i + half + 1]
-    for i in range(n - half, n):
-        w = _one_sided_weights(np.arange(-half, n - i), poly_order)
-        out[i] = w @ y[i - half :]
+    for start in range(0, half + 1, rows_per_block):
+        stop = min(start + rows_per_block, half + 1)
+        offsets = np.arange(window_points) - np.arange(start, stop)[:, None]
+        # abscissae scaled to [-1, 1] keep wide windows well conditioned
+        design = np.where((offsets <= half)[..., None], (offsets[..., None] / half) ** powers, 0.0)
+        weights = np.linalg.pinv(design)[:, 0]
+        # row half lands on the first and last interior points, which the
+        # convolution below overwrites
+        out[start:stop] = weights @ head
+        out[n - stop : n - start] = (weights @ tail)[::-1]
+    out[half : n - half] = np.convolve(y, weights[-1][::-1], mode="valid")
     return out
 
 
@@ -109,7 +122,7 @@ def frequency_from_phase(phase, dt: float) -> np.ndarray:
     Uses second-order central differences with second-order one-sided
     stencils at both ends (the behavior of ``np.gradient``).
     """
-    phase = np.asarray(phase, dtype=float)
+    phase = finite("phase", np.atleast_1d(phase))
     if phase.ndim != 1 or phase.size < 3:
         raise ValueError("phase must be 1-D with at least three points")
     dt = positive("dt", dt)

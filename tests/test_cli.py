@@ -523,9 +523,11 @@ _DEVICE_SQUARE_ARGS = [
     [
         "request-tau-list", "request-b1-dict", "chain-r-list", "delay-max-inf",
         "load-nan", "device-string", "pulse-coefficient-string", "noise-sigma-negative", "chain-kind-list",
+        "n-points-past-float", "n-periods-past-float", "n-periods-zero", "seed-negative", "seed-env-negative",
+        "sg-window-even", "sg-window-two", "sg-order-zero", "sg-order-at-window",
     ],
 )
-def test_cli_names_the_bad_field(tmp_path, capsys, case):
+def test_cli_names_the_bad_field(tmp_path, capsys, monkeypatch, case):
     out = tmp_path / "out"
     device = write_device(tmp_path)
     request = {"family": "biharmonic", "b1": 1.0, "tau_pulse_s": 8e-6, "tau_assumed_s": 1.12e-5}
@@ -549,6 +551,31 @@ def test_cli_names_the_bad_field(tmp_path, capsys, case):
     elif case == "noise-sigma-negative":
         argv = ["ramsey-sim", "--device", device, *_DEVICE_SQUARE_ARGS, "--noise-sigma", "-1"]
         name = "--noise-sigma"
+    elif case == "seed-negative":
+        argv, name = ["ramsey-sim", "--device", device, *_DEVICE_SQUARE_ARGS, "--seed", "-1"], "--seed"
+    elif case == "seed-env-negative":
+        monkeypatch.setenv("FLUXSHAPE_SEED", "-1")
+        argv, name = ["ramsey-sim", "--device", device, *_DEVICE_SQUARE_ARGS], "FLUXSHAPE_SEED"
+    elif case == "n-points-past-float":
+        # an integer no float can hold: argparse takes it, float() would overflow
+        argv, name = ["impedance", "--chain", "default", "--n-points", "9" * 401], "--n-points"
+    elif case.startswith("n-periods"):
+        pulse = _write_json(tmp_path, "p.json", {"tau_pulse_s": 8e-6, "a": [0.0], "b": [1.0]})
+        periods = "9" * 401 if case == "n-periods-past-float" else "0"
+        argv = ["respond", "--pulse", pulse, "--line", write_line(tmp_path, 11.2e-6), "--dt-us", "1",
+                "--n-periods", periods]
+        name = "--n-periods"
+    elif case.startswith("sg-"):
+        # the smoothing flags are checked before the trace is read
+        flags = {
+            "sg-window-even": ["--sg-window", "4"],
+            "sg-window-two": ["--sg-window", "2"],
+            "sg-order-zero": ["--sg-order", "0"],
+            "sg-order-at-window": ["--sg-window", "5", "--sg-order", "5"],
+        }[case]
+        argv = ["extract", "--trace", str(tmp_path / "trace.csv"), "--device", device,
+                "--tau-pulse-us", "8", "--fit-window-us", "60", *flags]
+        name = flags[-2]
     else:
         pulse = _write_json(tmp_path, "p.json", {"tau_pulse_s": 8e-6, "a": ["x"], "b": [1.0]})
         argv, name = ["kexp", "--pulse", pulse, "--tau-us", "11.2"], "a"
@@ -574,11 +601,12 @@ def test_ramsey_sim_caps_the_delay_count(tmp_path, capsys, delay_max_us, delay_s
 
 def test_delay_count_at_the_cap():
     assert cli._delay_count(60.0, 0.25) == 241
-    assert cli._delay_count(cli.MAX_DELAYS - 1.0, 1.0) == cli.MAX_DELAYS
-    assert cli._delay_count(cli.MAX_DELAYS - 0.6, 1.0) == cli.MAX_DELAYS
-    # 99999.5 rounds to 100000, one delay past the cap
+    # the floored grid 0, 1, ..., 99999 holds exactly MAX_DELAYS delays
+    for ratio in (cli.MAX_DELAYS - 1.0, cli.MAX_DELAYS - 0.6, cli.MAX_DELAYS - 0.5, cli.MAX_DELAYS - 0.3):
+        assert cli._delay_count(ratio, 1.0) == cli.MAX_DELAYS
+    # 100000 adds the delay at 100000 us, one past the cap
     with pytest.raises(ValueError, match="must give at most"):
-        cli._delay_count(cli.MAX_DELAYS - 0.5, 1.0)
+        cli._delay_count(float(cli.MAX_DELAYS), 1.0)
 
 
 def _numeric_fields(data, label=lambda key: key):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -61,6 +62,69 @@ def test_savgol_reproduces_cubic_exactly():
     assert_allclose(savgol_smooth(y, 11, 3), y, atol=1e-9)
 
 
+def _per_point_savgol(y, window_points, poly_order):
+    """Savitzky-Golay by one pinv per window: the centre one and one for each edge point."""
+    half = window_points // 2
+    n = y.size
+
+    def weights(offsets):
+        # the abscissae scaled by half, as in savgol_smooth
+        return np.linalg.pinv(np.vander(offsets / half, poly_order + 1, increasing=True))[0]
+
+    out = np.empty(n)
+    out[half : n - half] = np.convolve(y, weights(np.arange(-half, half + 1))[::-1], mode="valid")
+    for i in range(half):
+        out[i] = weights(np.arange(-i, half + 1)) @ y[: i + half + 1]
+    for i in range(n - half, n):
+        out[i] = weights(np.arange(-half, n - i)) @ y[i - half :]
+    return out
+
+
+def test_savgol_matches_the_per_point_loop():
+    rng = np.random.default_rng(4)
+    for window in range(3, 52, 2):
+        for order in range(1, min(window - 1, 5) + 1):
+            for n in (window, window + 1, 241):
+                y = rng.normal(0.0, 3.0, n)
+                err = np.max(np.abs(savgol_smooth(y, window, order) - _per_point_savgol(y, window, order)))
+                assert err <= 1e-12 * np.max(np.abs(y)), (window, order, n, err)
+
+
+def test_savgol_wide_window_reproduces_its_polynomial():
+    # on raw integer offsets the edge fits of this window lose ~1e-8 of the
+    # signal to the Vandermonde conditioning
+    t = np.linspace(-1.0, 1.0, 241)
+    y = np.polynomial.polynomial.polyval(t, [0.3, -1.0, 0.5, 2.0, -0.7, 0.1, 0.4])
+    assert np.max(np.abs(savgol_smooth(y, 101, 6) - y)) <= 1e-12 * np.max(np.abs(y))
+
+
+def test_savgol_default_window_makes_one_pinv_call(monkeypatch):
+    shapes = []
+    pinv = np.linalg.pinv
+
+    def counting_pinv(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return pinv(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "pinv", counting_pinv)
+    savgol_smooth(np.random.default_rng(5).normal(size=241), 11, 3)
+    # the six stacked left windows, the last one the symmetric window
+    assert shapes == [(6, 11, 4)]
+
+
+def test_savgol_wide_window_memory_is_bounded():
+    # the edge designs are inverted in blocks; one (501, 1001, 4) stack of
+    # float64 alone would take 16 MB
+    y = np.random.default_rng(6).normal(size=1001)
+    tracemalloc.start()
+    try:
+        savgol_smooth(y, 1001, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
 def test_savgol_reduces_noise():
     rng = np.random.default_rng(3)
     y = rng.normal(0.0, 1.0, 500)
@@ -82,6 +146,10 @@ def test_savgol_validation():
         savgol_smooth(y, 11, 0)
     with pytest.raises(ValueError):
         savgol_smooth(np.zeros((4, 5)), 3, 1)
+    for bad in (np.nan, np.inf, -np.inf):
+        y[3] = bad
+        with pytest.raises(ValueError, match=r"^series must be finite, got .* at index 3$"):
+            savgol_smooth(y, 5, 2)
 
 
 def test_frequency_from_phase_quadratic():
@@ -104,6 +172,11 @@ def test_frequency_from_phase_validation():
         frequency_from_phase([0.0, 1.0], 1e-6)
     with pytest.raises(ValueError):
         frequency_from_phase([0.0, 1.0, 2.0], 0.0)
+    phase = np.linspace(0.0, 1.0, 10)
+    for bad in (np.nan, np.inf, -np.inf):
+        phase[3] = bad
+        with pytest.raises(ValueError, match=r"^phase must be finite, got .* at index 3$"):
+            frequency_from_phase(phase, 1e-6)
 
 
 def test_frequency_to_flux_round_trip(device):
