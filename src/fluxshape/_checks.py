@@ -5,11 +5,14 @@ ndarray of one or more dimensions, and raise a one-line ValueError naming
 the field when the conversion fails or a value is out of range.  Anything
 else goes through ``float``, so a list never passes for a scalar and a
 scalar never builds an array; callers convert sequences with ``np.asarray``.
+:func:`integer` is the same check for sizes and counts.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import sys
 
 import numpy as np
 
@@ -22,6 +25,27 @@ def finite(name: str, value):
 def positive(name: str, value):
     """``value`` as a float or float array, every entry positive and finite."""
     return _check(name, value, "positive and finite", True)
+
+
+def integer(name: str, value, low: int, high: float = sys.float_info.max) -> int:
+    """``value`` as an int in ``low..high``, or a one-line ValueError naming the field.
+
+    Only values with ``__index__`` (Python and numpy integers) pass, so a
+    float such as 11.9 is refused rather than truncated, and so is a bool.
+    The default ``high`` is the largest float, so that the value converts to
+    a float without overflow; Python compares an int with a float exactly.
+    """
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {getattr(value, 'tolist', lambda: value)()!r}") from None
+    if value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value}")
+    if value > high:
+        raise ValueError(f"{name} must be at most {high!r}, got {value}")
+    return value
 
 
 def _check(name: str, value, rule: str, strict: bool):

@@ -25,7 +25,7 @@ import numpy as np
 
 import fluxshape
 from fluxshape import formats
-from fluxshape._checks import finite, positive
+from fluxshape._checks import finite, integer, positive
 from fluxshape.device import (
     RamseyConfig,
     pulse_flux_waveform,
@@ -73,25 +73,12 @@ def _float_list(text: str):
 def _resolve_seed(args_seed: int) -> int:
     env = os.environ.get("FLUXSHAPE_SEED")
     if env is None:
-        return _integer("--seed", args_seed, 0, math.inf)
+        return integer("--seed", args_seed, 0, math.inf)
     try:
         seed = int(env)
     except ValueError as exc:
         raise ValueError(f"FLUXSHAPE_SEED must be an integer, got {env!r}") from exc
-    return _integer("FLUXSHAPE_SEED", seed, 0, math.inf)
-
-
-def _integer(flag: str, value: int, low: int, high: float = sys.float_info.max) -> int:
-    """``value`` of an integer flag, or a one-line error naming the flag outside ``low..high``.
-
-    The default ``high`` is the largest float, so that the value converts to
-    a float without overflow; Python compares an int with a float exactly.
-    """
-    if value < low:
-        raise ValueError(f"{flag} must be at least {low}, got {value}")
-    if value > high:
-        raise ValueError(f"{flag} must be at most {high!r}, got {value}")
-    return value
+    return integer("FLUXSHAPE_SEED", seed, 0, math.inf)
 
 
 def _require(value, flag: str):
@@ -154,7 +141,7 @@ def _cmd_respond(args) -> _Run:
     pulse = formats.pulse_from_dict(formats.load_json(args.pulse))
     line = formats.rcline_from_dict(formats.load_json(args.line))
     dt = positive("--dt-us", args.dt_us) * 1e-6
-    n_periods = _integer("--n-periods", args.n_periods, 1)
+    n_periods = integer("--n-periods", args.n_periods, 1)
     _at_most(MAX_RESPONSE_ROWS, n_periods * pulse.tau_pulse / dt, "--n-periods / --dt-us", "rows")
     t, v_in = pulse.sample(dt, n_periods)
     columns = [t, v_in, capacitor_voltage(pulse, line, t), line_current(pulse, line, t)]
@@ -261,10 +248,10 @@ def _cmd_ramsey_sim(args) -> _Run:
 
 
 def _cmd_extract(args) -> _Run:
-    sg_window = _integer("--sg-window", args.sg_window, 3)
+    sg_window = integer("--sg-window", args.sg_window, 3)
     if sg_window % 2 == 0:
         raise ValueError(f"--sg-window must be odd, got {sg_window}")
-    sg_order = _integer("--sg-order", args.sg_order, 1, sg_window - 1)
+    sg_order = integer("--sg-order", args.sg_order, 1, sg_window - 1)
     device = formats.device_from_dict(formats.load_json(args.device))
     delays, x, y = formats.read_csv_columns(args.trace, ["tau_delay_s", "x_expect", "y_expect"])
     steps = np.diff(delays)
@@ -296,11 +283,16 @@ def _cmd_extract(args) -> _Run:
     )
     fit = result.fit
     report = {
+        # JSON has no nan: an undefined tau or standard error is null
         "tau_s": fit.tau if math.isfinite(fit.tau) else None,
+        "tau_stderr_s": fit.tau_stderr if math.isfinite(fit.tau_stderr) else None,
         "A": fit.amplitude,
         "B": fit.offset,
         "acquired_phase_rad": result.acquired_phase,
         "residual_rms": fit.residual_rms,
+        "cost": fit.cost,
+        "interior": fit.interior,
+        "iterations": fit.iterations,
         "converged": fit.converged,
     }
     if fit.converged:
@@ -329,7 +321,7 @@ def _cmd_impedance(args) -> _Run:
         inputs = [args.chain]
     if positive("--f-start-hz", args.f_start_hz) >= args.f_stop_hz:
         raise ValueError("need 0 < --f-start-hz < --f-stop-hz")
-    n_points = _integer("--n-points", args.n_points, 2)
+    n_points = integer("--n-points", args.n_points, 2)
     _at_most(MAX_FREQUENCIES, n_points, "--n-points", "frequencies")
     f = np.geomspace(args.f_start_hz, args.f_stop_hz, n_points)
     load = complex(args.load_ohms)

@@ -11,7 +11,8 @@ The pipeline mirrors the experimental analysis chain:
    form on the monotone flux branch containing the idle point.
 5. :func:`fit_transient` fits the square-pulse transient template
    ``A * (-exp(-d/tau) + exp(-(d+tau_pulse)/tau)) + B`` by variable
-   projection: a 1-D search over log tau, A and B solved in closed form.
+   projection: A and B solved in closed form, log tau bracketed by two
+   scans of the cost and then found as a root of the cost's derivative.
 
 :func:`run_pipeline` chains the stages and reports the fitted time constant
 together with the total acquired phase.
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fluxshape._checks import finite, positive
+from fluxshape._checks import finite, integer, positive
 from fluxshape.device import CouplerDevice, dressed_qubit_frequency
 
 __all__ = [
@@ -41,6 +42,9 @@ __all__ = [
 _QUADRATURE_FLOOR = 1e-12
 # positions of the 16 points of one log-tau scan across its bracket
 _SCAN = np.linspace(0.0, 1.0, 16)
+# bound on the evaluations of the root search in fit_transient; from the
+# second scan's bracket, bisection alone reaches the 1e-9 stop in 28
+_ROOT_STEPS = 64
 # floats in one block of stacked Savitzky-Golay edge designs, so that a wide
 # window's edge fits take a few MB, not one (half x window x order) stack
 _SG_BLOCK = 2**16
@@ -88,14 +92,12 @@ def savgol_smooth(series, window_points: int, poly_order: int) -> np.ndarray:
     if y.ndim != 1:
         raise ValueError("series must be 1-D")
     n = y.size
-    window_points = int(window_points)
-    poly_order = int(poly_order)
-    if window_points < 3 or window_points % 2 == 0:
-        raise ValueError(f"window_points must be an odd integer >= 3, got {window_points}")
+    window_points = integer("window_points", window_points, 3)
+    if window_points % 2 == 0:
+        raise ValueError(f"window_points must be odd, got {window_points}")
     if window_points > n:
         raise ValueError(f"window_points={window_points} exceeds series length {n}")
-    if not 1 <= poly_order < window_points:
-        raise ValueError(f"poly_order must satisfy 1 <= poly_order < window_points, got {poly_order}")
+    poly_order = integer("poly_order", poly_order, 1, window_points - 1)
 
     half = window_points // 2
     head, tail = y[:window_points], y[::-1][:window_points]
@@ -167,13 +169,21 @@ def frequency_to_flux(freq_shift_hz, device: CouplerDevice, phi_idle: float):
 
 @dataclass(frozen=True)
 class TransientFit:
-    """Result of fitting the square-pulse transient template."""
+    """Result of fitting the square-pulse transient template.
+
+    The last four fields are the fit's diagnostics (see :func:`fit_transient`);
+    their defaults describe a flat record, which leaves nothing to fit.
+    """
 
     amplitude: float
     offset: float
     tau: float
     residual_rms: float
     converged: bool
+    tau_stderr: float = math.nan
+    cost: float = 0.0
+    interior: bool = False
+    iterations: int = 0
 
 
 def _fit_rows(rows: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -196,13 +206,26 @@ def fit_transient(flux, delays, tau_pulse: float, weights=None) -> TransientFit:
 
     Variable projection (Golub & Pereyra 1973): A and B are linear, so each
     tau gets them from a closed-form weighted least-squares solve, leaving a
-    search over log tau in ``[span/1000, 1000*span]`` by repeated 16-point
-    scans, each keeping the two cells around its best point, down to a
-    1e-9 bracket.  The cost is ``|w * (model - y)|``; default weights are
-    uniform except the two endpoints at half weight.  ``converged`` needs
-    an interior best point on the first scan, finite A, B and tau, and a
-    standard error ``sqrt(SSR/(n-3) * [(J^T W^2 J)^-1]_tau,tau)``, with
-    ``J = [shape, 1, A * dshape/dtau]``, of at most 10% of tau.
+    one-dimensional problem in ``u = log(tau/span)``.  A 16-point scan over
+    ``tau`` in ``[span/1000, 1000*span]`` and a second over the two cells
+    around its best point bracket the minimum.  Inside that bracket a
+    safeguarded root search (Brent 1973) solves ``g(u) = r . P(dmodel/du) =
+    0``, ``r`` the weighted residual at the optimal A and B and ``P`` the
+    projection off ``[w * shape, w]``: by the envelope theorem ``g`` is half
+    the derivative of the cost.  The first step is Gauss-Newton,
+    ``-g/|P J|**2``, later ones are secants on ``g``; a step that leaves the
+    bracket or fails to halve is replaced by bisection, and the sign of
+    ``g`` shrinks the bracket.  The search stops after a step below 1e-10
+    or once the bracket is below 1e-9, and the last point evaluated gives
+    tau, A, B and the diagnostics.
+
+    The cost is ``sum((w * (model - y))**2)``; default weights are uniform
+    except the two endpoints at half weight.  ``interior`` is true when the
+    first scan's best point is not at an end of the range, and
+    ``iterations`` counts the root search's evaluations.  ``tau_stderr`` is
+    ``sqrt(cost/(n-3) * [(J^T W^2 J)^-1]_tau,tau)`` with ``J = [shape, 1,
+    A * dshape/dtau]``.  ``converged`` needs ``interior``, finite A, B and
+    tau, and ``tau_stderr`` at most 10% of tau.
     """
     y = finite("flux", np.atleast_1d(flux))
     d = finite("delays", np.atleast_1d(delays))
@@ -232,13 +255,11 @@ def fit_transient(flux, delays, tau_pulse: float, weights=None) -> TransientFit:
         return w * (z - (z @ w2) / w2.sum())
 
     span = d[-1] - d[0]
-    # the bracket is on log(tau/span), so it never depends on the data and
-    # the scans always end
+    # the range is on log(tau/span), so it never depends on the data
     lo, hi = math.log(1e-3), math.log(1e3)
-    interior = None
     with np.errstate(all="ignore"):
         v = centred(y)
-        while True:
+        for scan in range(2):
             grid = lo + (hi - lo) * _SCAN
             # exp(-d/tau) is the template up to a per-row factor, which the
             # fitted amplitude absorbs
@@ -248,27 +269,47 @@ def fit_transient(flux, delays, tau_pulse: float, weights=None) -> TransientFit:
             _fit_rows(rows, v, w)
             cost = np.einsum("ij,ij->i", rows, rows)
             best = int(np.argmin(np.where(np.isfinite(cost), cost, np.inf)))
-            if interior is None:
+            if scan == 0:
                 interior = 0 < best < grid.size - 1
-            if hi - lo < 1e-9:
-                break
             lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, grid.size - 1)]
 
-        tau = float(span * np.exp(grid[best]))
-        e1 = np.exp(-d / tau)
-        e2 = np.exp(-(d + tau_pulse) / tau)
-        shape = -e1 + e2
-        resid = (w * shape)[None, :]
-        amp = float(_fit_rows(resid, v, w)[0])
+        u = grid[best]
+        step = math.inf  # no step taken yet
+        for iterations in range(1, _ROOT_STEPS + 1):
+            tau = float(span * np.exp(u))
+            e1 = np.exp(-d / tau)
+            e2 = e1 * math.exp(-tau_pulse / tau)
+            shape = e2 - e1
+            resid = (w * shape)[None, :]
+            amp = _fit_rows(resid, v, w)[0]
+            # regressing w * dshape/du on [w * shape, w] leaves -P(J)/A in jac
+            jac = (w * shape)[None, :]
+            _fit_rows(jac, centred((e2 * (d + tau_pulse) - e1 * d) / tau), w)
+            resid, jac = resid[0], -amp * jac[0]
+            g = resid @ jac
+            jj = jac @ jac
+            # g < 0: the cost still falls at u, so the minimum lies above it
+            if g < 0.0:
+                lo = u
+            else:
+                hi = u
+            if abs(step) < 1e-10 or hi - lo < 1e-9:
+                break
+            # Gauss-Newton first, then secants on g
+            new = -g / jj if step == math.inf else -g * (u - u_last) / (g - g_last)
+            if not (lo <= u + new <= hi and abs(new) <= 0.5 * abs(step)):
+                new = 0.5 * (lo + hi) - u
+            u_last, g_last, step = u, g, new
+            u = u + new
+
+        amp = float(amp)
         off = float((y - amp * shape) @ w2 / w2.sum())
-        # the tau entry of (J^T W^2 J)^-1 is one over the squared weighted
-        # norm of the A*dshape/dtau column once projected off [shape, 1]
-        tau_resid = (w * shape)[None, :]
-        _fit_rows(tau_resid, centred(amp * (-e1 * d + e2 * (d + tau_pulse)) / (tau * tau)), w)
-        tau_se = np.sqrt(resid[0] @ resid[0] / (y.size - 3) / (tau_resid[0] @ tau_resid[0]))
+        cost = float(resid @ resid)
+        # the tau entry of (J^T W^2 J)^-1 is tau**2 over |P J|**2, J the u column
+        tau_se = float(tau * np.sqrt(cost / (y.size - 3) / jj))
         residual_rms = float(np.sqrt(np.mean((amp * shape + off - y) ** 2)))
     converged = bool(interior and np.all(np.isfinite([amp, off, tau])) and tau_se <= 0.1 * tau)
-    return TransientFit(amp, off, tau, residual_rms, converged)
+    return TransientFit(amp, off, tau, residual_rms, converged, tau_se, cost, interior, iterations)
 
 
 @dataclass(frozen=True)

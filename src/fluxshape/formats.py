@@ -118,8 +118,14 @@ def chain_from_list(data) -> list:
 
 
 def load_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    """Parse a UTF-8 JSON file; a file that is not one raises a one-line ValueError naming it."""
+    # JSONDecodeError and UnicodeDecodeError are ValueErrors; deep nesting
+    # such as 100 000 '[' exhausts the decoder's recursion
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"{path} is not valid UTF-8 JSON: {exc}") from None
 
 
 def dump_json(data, path) -> None:
@@ -145,14 +151,18 @@ def read_csv_columns(path, expected_header) -> list:
 
     Every data row must have one cell per header column and every cell must
     parse to a finite float; otherwise a ValueError names the data row
-    (1-based) and, for a bad cell, its column.
+    (1-based) and, for a bad cell, its column.  A file that is not UTF-8
+    text raises a ValueError naming the file.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        expected = ",".join(expected_header)
-        if header != expected:
-            raise ValueError(f"unexpected CSV header {header!r}, want {expected!r}")
-        rows = [line.strip() for line in fh if line.strip()]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header = fh.readline().strip()
+            rows = [line.strip() for line in fh if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path} is not valid UTF-8 text: {exc}") from None
+    expected = ",".join(expected_header)
+    if header != expected:
+        raise ValueError(f"unexpected CSV header {header!r}, want {expected!r}")
     if not rows:
         raise ValueError("CSV contains no data rows")
     data = np.empty((len(rows), len(expected_header)))

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fluxshape._checks import finite, positive
+from fluxshape._checks import finite, integer, positive
 
 __all__ = ["HarmonicPulse"]
 
@@ -135,9 +135,7 @@ class HarmonicPulse:
             raise ValueError(
                 f"dt={dt!r} undersamples the pulse; need dt <= tau_pulse/4 = {self.tau_pulse / 4.0!r}"
             )
-        n_periods = int(n_periods)
-        if n_periods < 1:
-            raise ValueError(f"n_periods must be a positive integer, got {n_periods!r}")
+        n_periods = integer("n_periods", n_periods, 1)
         total = n_periods * self.tau_pulse
         count = int(math.ceil(total / dt - 1e-9))
         t = np.arange(count) * dt

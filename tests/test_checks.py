@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from fluxshape._checks import finite, positive
+from fluxshape._checks import finite, integer, positive
 
 
 def test_scalars_come_back_as_floats():
@@ -55,3 +55,29 @@ def test_array_rejections_name_the_first_bad_entry_on_one_line():
         finite("a", np.asarray(["x"]))
     with pytest.raises(ValueError, match=r"^a must be finite, got \[1.0, \[1\]\]$"):
         finite("a", np.asarray([1.0, [1]], dtype=object))
+
+
+def test_integers_come_back_as_ints():
+    for value in (3, np.int64(3), np.uint8(3)):
+        out = integer("n", value, 1)
+        assert type(out) is int and out == 3
+    assert integer("n", 10**400, 0, math.inf) == 10**400
+
+
+@pytest.mark.parametrize(
+    "value, shown",
+    [(11.9, "11.9"), (2.0, "2.0"), (True, "True"), ("3", "'3'"), (None, "None"), (np.float64(3.0), "3.0"),
+     (np.array([3]), "[3]")],
+)
+def test_non_integers_are_refused_not_truncated(value, shown):
+    with pytest.raises(ValueError, match="^" + re.escape(f"window_points must be an integer, got {shown}") + "$"):
+        integer("window_points", value, 3)
+
+
+def test_integer_range_names_the_field():
+    with pytest.raises(ValueError, match="^--n-points must be at least 2, got 1$"):
+        integer("--n-points", 1, 2)
+    with pytest.raises(ValueError, match=r"^--sg-order must be at most 4, got 5$"):
+        integer("--sg-order", 5, 1, 4)
+    with pytest.raises(ValueError, match=r"^n must be at most 1\.7976931348623157e\+308, got 9{400}$"):
+        integer("n", int("9" * 400), 0)

@@ -12,13 +12,14 @@ from fluxshape import (
     capacitor_voltage,
     line_current,
     mischaracterized_transient_coefficient,
+    run_pipeline,
     solve_biharmonic,
     sweep_transient_coefficient,
 )
 from fluxshape import cli, formats
 from fluxshape.cli import main
 
-from conftest import reference_device
+from conftest import IDLE_FLUX, reference_device
 
 TAU_PULSE_US = 8.0
 OMEGA = 2.0 * math.pi / (TAU_PULSE_US * 1e-6)
@@ -818,3 +819,79 @@ def test_nonconvergence_writes_only_the_report(tmp_path, capsys):
     assert rc == 3
     assert capsys.readouterr().err == "error: transient fit did not converge; report.json holds diagnostics\n"
     assert os.listdir(ext) == ["report.json"]
+
+
+@pytest.mark.parametrize(
+    "amp, sigma, code", [("5e-4", "0.05", 0), ("0", "0.05", 3), ("0", "0", 3)], ids=["converged", "noise-only", "flat"]
+)
+def test_extract_report_holds_fit_diagnostics(tmp_path, capsys, amp, sigma, code):
+    device = write_device(tmp_path)
+    sim, ext = tmp_path / "sim", tmp_path / "ext"
+    argv = ["ramsey-sim", "--device", device, *_DEVICE_SQUARE_ARGS, "--square-amp-phi0", amp,
+            "--delay-max-us", "60", "--delay-step-us", "0.25", "--noise-sigma", sigma, "--seed", "1"]
+    assert main([*argv, "--out-dir", str(sim)]) == 0
+    trace = str(sim / "trace.csv")
+    rc = main(["extract", "--trace", trace, "--device", device, "--tau-pulse-us", "8",
+               "--fit-window-us", "60", "--out-dir", str(ext)])
+    assert rc == code
+    report = formats.load_json(ext / "report.json")
+    delays, x, y = formats.read_csv_columns(trace, ["tau_delay_s", "x_expect", "y_expect"])
+    fit = run_pipeline(x, y, delays[1], reference_device(), IDLE_FLUX, 8e-6).fit
+    assert report["converged"] is fit.converged is (code == 0)
+    assert report["interior"] is fit.interior
+    assert type(report["iterations"]) is int and report["iterations"] == fit.iterations
+    assert report["cost"] == fit.cost
+    if amp == "0" and sigma == "0":
+        # nothing to fit: no tau, so no standard error and no search
+        assert report["tau_s"] is report["tau_stderr_s"] is None
+        assert (report["cost"], report["iterations"]) == (0.0, 0)
+    else:
+        assert report["tau_stderr_s"] == fit.tau_stderr > 0.0
+        assert 1 <= report["iterations"] <= 10
+        assert (report["tau_stderr_s"] <= 0.1 * report["tau_s"]) is (code == 0)
+
+
+def test_malformed_input_files_exit_2_naming_the_file(tmp_path, capsys):
+    # seeded fuzz over every file a command reads: a truncated JSON document,
+    # random bytes and a directory each give exit 2 and one stderr line that
+    # names the file, never a traceback
+    rng = np.random.default_rng(17)
+    device, line, pulse = write_device(tmp_path), write_line(tmp_path, 11.2e-6), write_single_sine(tmp_path)
+    sim = tmp_path / "sim"
+    assert main(["ramsey-sim", "--device", device, *_DEVICE_SQUARE_ARGS, "--out-dir", str(sim)]) == 0
+    trace = str(sim / "trace.csv")
+    request = {"family": "biharmonic", "b1": 1.0, "tau_pulse_s": 8e-6, "tau_assumed_s": 1.12e-5}
+    slots = [
+        (["design", "--request", None], request),
+        (["ramsey-sim", "--device", None, *_DEVICE_SQUARE_ARGS], formats.load_json(device)),
+        (["kexp", "--pulse", None, "--tau-us", "11.2"], formats.load_json(pulse)),
+        (["respond", "--pulse", pulse, "--line", None, "--dt-us", "0.1"], formats.load_json(line)),
+        (["impedance", "--chain", None], [{"kind": "series_resistor", "r_ohms": 50.0}]),
+        (["extract", "--trace", trace, "--device", None, "--tau-pulse-us", "8", "--fit-window-us", "10"],
+         formats.load_json(device)),
+        (["extract", "--trace", None, "--device", device, "--tau-pulse-us", "8", "--fit-window-us", "10"], None),
+    ]
+    bad_dir = tmp_path / "a-directory"
+    bad_dir.mkdir()
+    for k, (argv, document) in enumerate(slots):
+        bad_files = [str(bad_dir)]
+        for j in range(3):
+            path = tmp_path / f"bytes-{k}-{j}"
+            path.write_bytes(b"\xff" + rng.bytes(int(rng.integers(1, 200))))
+            bad_files.append(str(path))
+            if document is not None:
+                text = json.dumps(document)
+                path = tmp_path / f"truncated-{k}-{j}.json"
+                path.write_text(text[: int(rng.integers(1, len(text)))], encoding="utf-8")
+                bad_files.append(str(path))
+        if document is not None:
+            # deep enough to exhaust the JSON decoder's recursion
+            path = tmp_path / f"nested-{k}.json"
+            path.write_text("[" * 100_000, encoding="utf-8")
+            bad_files.append(str(path))
+        for bad in bad_files:
+            out = tmp_path / "out"
+            rc = main([bad if a is None else a for a in argv] + ["--out-dir", str(out)])
+            err = capsys.readouterr().err.splitlines()
+            assert rc == 2 and len(err) == 1 and err[0].startswith("error: ") and bad in err[0], (argv, bad, err)
+            assert not out.exists()

@@ -21,6 +21,7 @@ from fluxshape import (
     square_transient_waveform,
     unwrap_phase,
 )
+from fluxshape.extraction import _fit_rows
 
 from conftest import GHZ, MHZ, reference_device
 
@@ -146,6 +147,11 @@ def test_savgol_validation():
         savgol_smooth(y, 11, 0)
     with pytest.raises(ValueError):
         savgol_smooth(np.zeros((4, 5)), 3, 1)
+    # sizes are never truncated: 11.9 is not 11
+    with pytest.raises(ValueError, match="^window_points must be an integer, got 11.9$"):
+        savgol_smooth(y, 11.9, 3)
+    with pytest.raises(ValueError, match="^poly_order must be an integer, got 3.7$"):
+        savgol_smooth(y, 11, 3.7)
     for bad in (np.nan, np.inf, -np.inf):
         y[3] = bad
         with pytest.raises(ValueError, match=r"^series must be finite, got .* at index 3$"):
@@ -353,3 +359,101 @@ def test_run_pipeline_rejects_non_finite_quadratures(device, quadrature, bad):
     (x if quadrature == "x" else y)[100] = bad
     with pytest.raises(ValueError, match=f"^unwrap stage: {quadrature} must be finite"):
         run_pipeline(x, y, 0.25e-6, device, device.phi_idle, 8e-6)
+
+
+def _scan_fit(flux, delays, tau_pulse):
+    """tau and converged by repeated 16-point scans of the cost down to a 1e-9 bracket.
+
+    The search ``fit_transient`` made before its root search: each scan over
+    u = log(tau/span) keeps the two cells around its best point, the first
+    scan alone decides whether the minimum is interior, and the standard
+    error comes from a separate solve at the final tau.
+    """
+    w = np.ones(flux.size)
+    w[0] = w[-1] = 0.5
+    w2 = w * w
+
+    def centred(z):
+        return w * (z - (z @ w2) / w2.sum())
+
+    span = delays[-1] - delays[0]
+    lo, hi = math.log(1e-3), math.log(1e3)
+    interior = None
+    v = centred(flux)
+    while True:
+        grid = lo + (hi - lo) * np.linspace(0.0, 1.0, 16)
+        rows = w * np.exp(-np.multiply.outer(np.exp(-grid) / span, delays))
+        _fit_rows(rows, v, w)
+        cost = np.einsum("ij,ij->i", rows, rows)
+        best = int(np.argmin(np.where(np.isfinite(cost), cost, np.inf)))
+        if interior is None:
+            interior = 0 < best < grid.size - 1
+        if hi - lo < 1e-9:
+            break
+        lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, grid.size - 1)]
+    tau = float(span * np.exp(grid[best]))
+    e1 = np.exp(-delays / tau)
+    e2 = np.exp(-(delays + tau_pulse) / tau)
+    resid = (w * (e2 - e1))[None, :]
+    amp = float(_fit_rows(resid, v, w)[0])
+    tau_resid = (w * (e2 - e1))[None, :]
+    _fit_rows(tau_resid, centred(amp * (-e1 * delays + e2 * (delays + tau_pulse)) / (tau * tau)), w)
+    tau_se = np.sqrt(resid[0] @ resid[0] / (flux.size - 3) / (tau_resid[0] @ tau_resid[0]))
+    return tau, bool(interior and math.isfinite(amp) and tau_se <= 0.1 * tau)
+
+
+def _profile(flux, delays, tau, tau_pulse):
+    """Cost at ``tau`` with A and B at their optimum, and r . P(dmodel/du) with |r| and |P J|.
+
+    Plain projections with the default weights, independent of the fit's code.
+    """
+    w = np.ones(flux.size)
+    w[0] = w[-1] = 0.5
+
+    def off_w(z):
+        wz = w * z
+        return wz - (wz @ w) / (w @ w) * w
+
+    e1 = np.exp(-delays / tau)
+    e2 = np.exp(-(delays + tau_pulse) / tau)
+    p = off_w(e2 - e1)
+    v = off_w(flux)
+    amp = (p @ v) / (p @ p)
+    r = amp * p - v
+    j = off_w(amp * (e2 * (delays + tau_pulse) - e1 * delays) / tau)
+    j -= (j @ p) / (p @ p) * p
+    return r @ r, r @ j, math.sqrt(r @ r), math.sqrt(j @ j), math.sqrt(v @ v)
+
+
+def _workload_traces(device):
+    """Flux records built like the benchmark's ramsey ops: square-pulse tails on
+    both delay grids over 60 us, and zero-pulse records read out with noise."""
+    zero = lambda t: np.full(np.shape(t), device.phi_idle)  # noqa: E731
+    for n, dt in ((241, 0.25e-6), (961, 0.0625e-6)):
+        for tau in np.geomspace(5e-6, 30e-6, 8):
+            for sigma in (0.0, 0.02, 0.05):
+                yield n, dt, square_transient_waveform(5e-4, 8e-6, tau, device.phi_idle), sigma, int(tau * 1e9)
+    for seed in range(4):
+        yield 241, 0.25e-6, zero, 0.05, seed
+
+
+def test_fit_transient_matches_the_scan_search(device):
+    for n, dt, waveform, sigma, seed in _workload_traces(device):
+        delays = np.arange(n) * dt
+        cfg = RamseyConfig(tau_pulse=8e-6, delay_grid=delays, t2=75e-6, readout_noise_sigma=sigma, rng_seed=seed)
+        flux = run_pipeline(*simulate_ramsey(device, waveform, cfg), dt, device, device.phi_idle, 8e-6).flux
+        fit = fit_transient(flux, delays, 8e-6)
+        ref_tau, ref_converged = _scan_fit(flux, delays, 8e-6)
+        case = (n, sigma, seed, fit)
+        assert fit.converged == ref_converged, case
+        assert abs(fit.tau - ref_tau) <= 1e-6 * ref_tau, case
+        assert fit.iterations <= 10, case
+        cost, g, r_norm, j_norm, v_norm = _profile(flux, delays, fit.tau, 8e-6)
+        ref_cost = _profile(flux, delays, ref_tau, 8e-6)[0]
+        # near an exact fit the cost itself carries a rounding error of
+        # about 2 |r| * sqrt(n) * eps * |v|
+        assert cost <= ref_cost * (1.0 + 1e-9) + 2.0 * r_norm * math.sqrt(n) * 2.2e-16 * v_norm, case
+        assert_allclose(fit.cost, cost, rtol=1e-6, err_msg=str(case))
+        span = delays[-1]
+        at_edge = min(abs(fit.tau / span - 1e-3) / 1e-3, abs(fit.tau / span - 1e3) / 1e3) < 1e-12
+        assert abs(g) <= 1e-8 * r_norm * j_norm or at_edge, case

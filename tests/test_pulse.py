@@ -147,6 +147,10 @@ def test_sample_step_bounds():
         p.sample(0.0, 1)
     with pytest.raises(ValueError):
         p.sample(0.1, 0)
+    # a period count is never truncated: 2.5 is not 2, True is not 1
+    for bad in (2.5, True):
+        with pytest.raises(ValueError, match=f"^n_periods must be an integer, got {bad}$"):
+            p.sample(0.1, bad)
     t, _ = p.sample(0.1, 3)
     assert t.size == 30
 
