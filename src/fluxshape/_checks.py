@@ -5,7 +5,8 @@ ndarray of one or more dimensions, and raise a one-line ValueError naming
 the field when the conversion fails or a value is out of range.  Anything
 else goes through ``float``, so a list never passes for a scalar and a
 scalar never builds an array; callers convert sequences with ``np.asarray``.
-:func:`integer` is the same check for sizes and counts.
+:func:`integer` is the same check for sizes and counts, and
+:func:`omega_tau_in_range` bounds the products omega*tau the closed forms square.
 """
 
 from __future__ import annotations
@@ -15,6 +16,11 @@ import operator
 import sys
 
 import numpy as np
+
+# omega*tau (or omega*tau*m) above this is refused: the closed forms square
+# it, and twice it, which overflows near 1e154, while no modelled line comes
+# within decades of it
+_OMEGA_TAU_MAX = 1e100
 
 
 def finite(name: str, value):
@@ -45,6 +51,18 @@ def integer(name: str, value, low: int, high: float = sys.float_info.max) -> int
         raise ValueError(f"{name} must be at least {low}, got {value}")
     if value > high:
         raise ValueError(f"{name} must be at most {high!r}, got {value}")
+    return value
+
+
+def omega_tau_in_range(name: str, value):
+    """``value``, a product omega*tau (float or float array), or a one-line ValueError naming the field.
+
+    The error quotes the first product above ``_OMEGA_TAU_MAX``.
+    """
+    over = np.asarray(value) > _OMEGA_TAU_MAX
+    if np.any(over):
+        worst = np.asarray(value)[over].flat[0].item()
+        raise ValueError(f"{name} makes omega*tau {worst!r}, above the limit {_OMEGA_TAU_MAX:g}")
     return value
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 import fluxshape
 from fluxshape import formats
-from fluxshape._checks import finite, integer, positive
+from fluxshape._checks import finite, integer, omega_tau_in_range, positive
 from fluxshape.device import (
     RamseyConfig,
     pulse_flux_waveform,
@@ -114,6 +114,7 @@ def _cmd_design(args) -> _Run:
     tau_pulse_s = field("--tau-pulse-us", "tau_pulse_s", positive, 1e-6)
     tau_assumed_s = field("--tau-assumed-us", "tau_assumed_s", positive, 1e-6)
     omega = 2.0 * math.pi / tau_pulse_s
+    omega_tau_in_range("tau_assumed_s" if args.tau_assumed_us is None else "--tau-assumed-us", omega * tau_assumed_s)
 
     if family == "biharmonic":
         pulse = solve_biharmonic(field("--b1", "b1", finite), omega, tau_assumed_s)
@@ -140,6 +141,7 @@ def _cmd_design(args) -> _Run:
 def _cmd_respond(args) -> _Run:
     pulse = formats.pulse_from_dict(formats.load_json(args.pulse))
     line = formats.rcline_from_dict(formats.load_json(args.line))
+    omega_tau_in_range("r_ohms * c_farads", pulse.omega * line.tau)
     dt = positive("--dt-us", args.dt_us) * 1e-6
     n_periods = integer("--n-periods", args.n_periods, 1)
     _at_most(MAX_RESPONSE_ROWS, n_periods * pulse.tau_pulse / dt, "--n-periods / --dt-us", "rows")
@@ -155,6 +157,7 @@ def _cmd_respond(args) -> _Run:
 def _cmd_kexp(args) -> _Run:
     pulse = formats.pulse_from_dict(formats.load_json(args.pulse))
     tau = positive("--tau-us", args.tau_us) * 1e-6
+    omega_tau_in_range("--tau-us", pulse.omega * tau)
     value = transient_coefficient(pulse, tau)
     print(formats.format_float(value))
     return _Run([args.pulse], {"kexp.json": {"k_exp": value, "tau_s": tau}}, {"tau_s": tau})
@@ -167,7 +170,10 @@ def _cmd_sweep(args) -> _Run:
     if (args.omega_tau is None) != (args.m is None):
         raise ValueError("--omega-tau and --m must be given together (or use --grid default)")
     if explicit:
-        omega_tau, m = positive("--omega-tau", np.asarray(args.omega_tau)), positive("--m", np.asarray(args.m))
+        omega_tau = omega_tau_in_range("--omega-tau", positive("--omega-tau", np.asarray(args.omega_tau)))
+        m = positive("--m", np.asarray(args.m))
+        # the design's omega*tau is the grid's omega*tau times m
+        omega_tau_in_range("--m", np.max(omega_tau) * m)
     else:
         omega_tau, m = default_sweep_axes()
     grid = sweep_transient_coefficient(args.b1, omega_tau, m)
@@ -215,6 +221,7 @@ def _cmd_ramsey_sim(args) -> _Run:
             raise ValueError(
                 f"--tau-pulse-us disagrees with the pulse file period {pulse.tau_pulse!r} s"
             )
+        omega_tau_in_range("r_ohms * c_farads", pulse.omega * line.tau)
         waveform = pulse_flux_waveform(pulse, line, device)
         inputs.extend([pulse_path, line_path])
     else:

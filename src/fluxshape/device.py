@@ -195,6 +195,23 @@ def simulate_ramsey(device: CouplerDevice, flux_waveform, config: RamseyConfig):
     return x, y
 
 
+def _pulse_then_tail(period: float, phi_idle: float, during, tail):
+    """Flux ``phi_idle``, plus ``during(t)`` on [0, period) and ``tail(t - period)`` after; scalar or array in, same out."""
+
+    def waveform(t):
+        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+        out = np.full(t_arr.shape, phi_idle)
+        inside = (t_arr >= 0.0) & (t_arr < period)
+        if np.any(inside):
+            out[inside] += during(t_arr[inside])
+        after = t_arr >= period
+        if np.any(after):
+            out[after] += tail(t_arr[after] - period)
+        return float(out[0]) if np.ndim(t) == 0 else out
+
+    return waveform
+
+
 def pulse_flux_waveform(pulse: HarmonicPulse, line: RCLine, device: CouplerDevice):
     """Coupler flux versus time for one period of ``pulse`` through ``line``.
 
@@ -205,23 +222,13 @@ def pulse_flux_waveform(pulse: HarmonicPulse, line: RCLine, device: CouplerDevic
     ``-flux_per_volt * V_c(tau_pulse) * exp(-(t - tau_pulse)/tau)``.
     Before t = 0 the device sits at the idle flux.
     """
-    period = pulse.tau_pulse
-    v_c_end = capacitor_voltage(pulse, line, period)
+    v_c_end = capacitor_voltage(pulse, line, pulse.tau_pulse)
     fpv = device.flux_per_volt
-
-    def waveform(t):
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.full(t_arr.shape, device.phi_idle)
-        during = (t_arr >= 0.0) & (t_arr < period)
-        if np.any(during):
-            td = t_arr[during]
-            out[during] += fpv * (pulse.evaluate(td) - capacitor_voltage(pulse, line, td))
-        after = t_arr >= period
-        if np.any(after):
-            out[after] += -fpv * v_c_end * np.exp(-(t_arr[after] - period) / line.tau)
-        return float(out[0]) if np.ndim(t) == 0 else out
-
-    return waveform
+    return _pulse_then_tail(
+        pulse.tau_pulse, device.phi_idle,
+        lambda t: fpv * (pulse.evaluate(t) - capacitor_voltage(pulse, line, t)),
+        lambda s: -fpv * v_c_end * np.exp(-s / line.tau),
+    )
 
 
 def square_transient_waveform(amplitude: float, tau_pulse: float, tau: float, phi_idle: float):
@@ -234,20 +241,11 @@ def square_transient_waveform(amplitude: float, tau_pulse: float, tau: float, ph
     tau_pulse = positive("tau_pulse", tau_pulse)
     tau = positive("tau", tau)
     amplitude = finite("amplitude", amplitude)
-    phi_idle = finite("phi_idle", phi_idle)
-
-    def waveform(t):
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.full(t_arr.shape, phi_idle)
-        during = (t_arr >= 0.0) & (t_arr < tau_pulse)
-        if np.any(during):
-            out[during] += amplitude * np.exp(-t_arr[during] / tau)
-        after = t_arr >= tau_pulse
-        if np.any(after):
-            out[after] += square_pulse_flux_transient(amplitude, tau_pulse, tau, t_arr[after] - tau_pulse)
-        return float(out[0]) if np.ndim(t) == 0 else out
-
-    return waveform
+    return _pulse_then_tail(
+        tau_pulse, finite("phi_idle", phi_idle),
+        lambda t: amplitude * np.exp(-t / tau),
+        lambda s: square_pulse_flux_transient(amplitude, tau_pulse, tau, s),
+    )
 
 
 def square_train_response(

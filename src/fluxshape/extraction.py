@@ -138,14 +138,18 @@ def frequency_to_flux(freq_shift_hz, device: CouplerDevice, phi_idle: float):
     ``phi_idle``.  The branch satisfies ``(omega - omega_q) * (omega -
     omega_c) = g**2``, which gives ``omega_c`` and then ``cos(pi * phi) =
     (omega_c / omega_max)**2`` on the half-period containing the idle point,
-    where the map is monotone.  Raises when a requested frequency leaves the
-    branch's range, and for ``g = 0`` (the qubit does not follow the flux).
+    where the map is monotone.  Raises for ``g = 0`` (the qubit does not
+    follow the flux), and when any requested frequency leaves the branch's
+    range: the whole trace is refused, naming its first such sample by index
+    and detuning, rather than clipped, because a clipped sample would hand a
+    corrupted record to the transient fit.
     """
     phi_idle = finite("phi_idle", phi_idle)
     shifts = finite("freq_shift_hz", np.atleast_1d(freq_shift_hz))
     if device.g == 0.0:
         raise ValueError("g must be positive to invert the flux branch, got 0.0")
-    target = dressed_qubit_frequency(phi_idle, device) + 2.0 * np.pi * shifts
+    idle = dressed_qubit_frequency(phi_idle, device)
+    target = idle + 2.0 * np.pi * shifts
 
     half = math.floor(phi_idle * 2.0)
     lo_edge = half / 2.0
@@ -153,10 +157,12 @@ def frequency_to_flux(freq_shift_hz, device: CouplerDevice, phi_idle: float):
     f_lo = dressed_qubit_frequency(lo_edge, device)
     f_hi = dressed_qubit_frequency(hi_edge, device)
     f_min, f_max = min(f_lo, f_hi), max(f_lo, f_hi)
-    if np.any(target < f_min) or np.any(target > f_max):
+    outside = np.flatnonzero((target < f_min) | (target > f_max))
+    if outside.size:
+        i = int(outside[0])
         raise ValueError(
-            "target frequency outside the invertible range of the flux branch "
-            f"[{f_min!r}, {f_max!r}] rad/s"
+            f"sample {i} detunes {shifts[i].item()!r} Hz, outside the flux branch's range of "
+            f"[{(f_min - idle) / (2.0 * np.pi):.6g}, {(f_max - idle) / (2.0 * np.pi):.6g}] Hz from the idle point"
         )
 
     omega_c = target - device.g * device.g / (target - device.omega_q)

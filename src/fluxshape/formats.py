@@ -152,7 +152,7 @@ def read_csv_columns(path, expected_header) -> list:
     Every data row must have one cell per header column and every cell must
     parse to a finite float; otherwise a ValueError names the data row
     (1-based) and, for a bad cell, its column.  A file that is not UTF-8
-    text raises a ValueError naming the file.
+    text, or whose header differs, raises a ValueError naming the file.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -162,7 +162,11 @@ def read_csv_columns(path, expected_header) -> list:
         raise ValueError(f"{path} is not valid UTF-8 text: {exc}") from None
     expected = ",".join(expected_header)
     if header != expected:
-        raise ValueError(f"unexpected CSV header {header!r}, want {expected!r}")
+        # a header can be a whole file long; quote only its start
+        shown = repr(header[:100])
+        if len(shown) > 80:
+            shown = shown[:77] + "..."
+        raise ValueError(f"{path} has the CSV header {shown}, want {expected!r}")
     if not rows:
         raise ValueError("CSV contains no data rows")
     data = np.empty((len(rows), len(expected_header)))

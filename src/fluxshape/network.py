@@ -139,11 +139,9 @@ def element_abcd(element: WiringElement, f) -> TwoPort:
     if kind == "series_inductor":
         return TwoPort(one, 1j * w * p["l_henries"], zero, one)
     if kind == "attenuator":
-        db = p["db"]
-        if db == 0.0:
-            return TwoPort(one, zero, zero, one)
         z0 = p["z0_ohms"]
-        k = 10.0 ** (db / 20.0)
+        # at 0 dB, k = 1 gives the identity bit for bit
+        k = 10.0 ** (p["db"] / 20.0)
         r_series = z0 * (k * k - 1.0) / (2.0 * k)
         y_shunt = (k - 1.0) / (z0 * (k + 1.0))
         a = (1.0 + r_series * y_shunt) * one

@@ -17,9 +17,10 @@ only on the coefficients (plus, for the second one, a line time constant):
   ``tau``; zero means the delivered current starts and ends each period at
   zero.
 
-The third residual of interest, the coefficient of the decaying-exponential
-term in the line response, lives in :mod:`fluxshape.rcline` because it is a
-property of the pulse-line pair.
+The spectrum a first-order RC line leaves is defined here once, and the
+closed forms of :mod:`fluxshape.rcline` read it: with ``x_n = n*w*tau`` each
+harmonic ``(a_n, b_n)`` becomes ``(c_n, s_n) = (a_n - x_n b_n, x_n a_n +
+b_n) / (1 + x_n^2)``, and the settling tail is ``k = a0 + sum(c_n)``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fluxshape._checks import finite, integer, positive
+from fluxshape._checks import finite, integer, omega_tau_in_range, positive
 
 __all__ = ["HarmonicPulse"]
 
@@ -107,19 +108,26 @@ class HarmonicPulse:
         """Cosine content of the current delivered through an RC line.
 
         For a line with time constant ``tau`` the steady-state delivered
-        current at the period boundaries is proportional to
+        current at the period boundaries is proportional to ``sum_n n*s_n``,
 
             sum_n n * (n*w*tau*a_n + b_n) / (1 + (n*w*tau)^2)
 
         which this method returns.  Zero means the delivered current (and
         hence the delivered flux ramp) starts and ends each period at zero.
         """
+        n, _, s = self._filtered_harmonics(tau)
+        return float(np.sum(n * s))
+
+    def _filtered_harmonics(self, tau: float):
+        """``(n, c_n, s_n)``: the steady-state capacitor voltage's harmonics on a line ``tau`` (checked here)."""
         tau = positive("tau", tau)
+        omega_tau_in_range("tau", self.omega * tau)
         n = np.arange(1, self.n_harmonics + 1)
         x = n * (self.omega * tau)
         a = np.asarray(self.a)
         b = np.asarray(self.b)
-        return float(np.sum(n * (x * a + b) / (1.0 + x * x)))
+        denom = 1.0 + x * x
+        return n, (a - x * b) / denom, (x * a + b) / denom
 
     def sample(self, dt: float, n_periods: int = 1):
         """Sample the pulse on a uniform grid starting at t = 0.

@@ -10,7 +10,8 @@ Fourier-series input (:class:`~fluxshape.pulse.HarmonicPulse`) both have
 closed forms: a periodic steady-state part plus a single decaying
 exponential ``exp(-t/tau)`` whose coefficient is returned by
 :func:`transient_coefficient`.  A pulse is transient-immune on a given line
-exactly when that coefficient vanishes.
+exactly when that coefficient vanishes.  Every closed form here reads the
+pulse's line-filtered spectrum, which :mod:`fluxshape.pulse` defines once.
 
 :func:`integrate_line_response` integrates the same circuit equation with a
 fixed-step fourth-order Runge-Kutta scheme and accepts arbitrary waveform
@@ -58,16 +59,6 @@ class RCLine:
         return self.resistance * self.capacitance
 
 
-def _filtered_harmonics(pulse: HarmonicPulse, tau: float):
-    """Steady-state cosine/sine coefficients (c_n, s_n) of the capacitor voltage."""
-    n = np.arange(1, pulse.n_harmonics + 1)
-    x = n * (pulse.omega * tau)
-    a = np.asarray(pulse.a)
-    b = np.asarray(pulse.b)
-    denom = 1.0 + x * x
-    return n, (a - x * b) / denom, (x * a + b) / denom
-
-
 def transient_coefficient(pulse: HarmonicPulse, tau: float) -> float:
     """Coefficient of the exp(-t/tau) term in the line response.
 
@@ -75,15 +66,13 @@ def transient_coefficient(pulse: HarmonicPulse, tau: float) -> float:
     means the pulse excites no slow settling on a line with time constant
     ``tau``; the residual flux error after the pulse is proportional to it.
     """
-    tau = positive("tau", tau)
-    _, c, _ = _filtered_harmonics(pulse, tau)
+    _, c, _ = pulse._filtered_harmonics(tau)
     return pulse.a0 + float(np.sum(c))
 
 
 def capacitor_voltage_steady_state(pulse: HarmonicPulse, tau: float, t):
     """Periodic part of the capacitor voltage (the t >> tau limit)."""
-    tau = positive("tau", tau)
-    _, c, s = _filtered_harmonics(pulse, tau)
+    _, c, s = pulse._filtered_harmonics(tau)
     out = pulse.a0 + _fourier_sum(np.asarray(t, dtype=float), pulse.omega, c, s)
     return float(out) if out.ndim == 0 else out
 
@@ -102,7 +91,7 @@ def line_current(pulse: HarmonicPulse, line: RCLine, t):
     tau = line.tau
     k = transient_coefficient(pulse, tau)
     t_arr = np.asarray(t, dtype=float)
-    n, c, s = _filtered_harmonics(pulse, tau)
+    n, c, s = pulse._filtered_harmonics(tau)
     cw = line.capacitance * pulse.omega
     # derivative of the steady state: w * sum_n n*(s_n cos - c_n sin), w in cw
     periodic = _fourier_sum(t_arr, pulse.omega, n * s, -(n * c))

@@ -50,16 +50,6 @@ class SweepGrid:
     m: np.ndarray
     k_exp: np.ndarray
 
-    def __post_init__(self):
-        wt = np.asarray(self.omega_tau, dtype=float)
-        m = np.asarray(self.m, dtype=float)
-        k = np.asarray(self.k_exp, dtype=float)
-        if wt.ndim != 1 or m.ndim != 1 or k.shape != (wt.size, m.size):
-            raise ValueError("k_exp must have shape (len(omega_tau), len(m))")
-        object.__setattr__(self, "omega_tau", wt)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "k_exp", k)
-
 
 def default_sweep_axes(n_omega_tau: int = 50, n_m: int = 50):
     """Logarithmic axes covering omega*tau in [1, 30] and m in [0.01, 100]."""

@@ -24,8 +24,9 @@ import math
 
 import numpy as np
 
-from fluxshape._checks import finite, positive
+from fluxshape._checks import finite, omega_tau_in_range, positive
 from fluxshape.pulse import HarmonicPulse
+from fluxshape.rcline import transient_coefficient
 
 __all__ = [
     "solve_biharmonic",
@@ -37,6 +38,12 @@ __all__ = [
 # below this value the top-harmonic coefficient n*w*tau/(1+(n*w*tau)^2)
 # cannot be inverted meaningfully
 _DEGENERACY_FLOOR = 1e-12
+
+
+def _biharmonic_b2(b1: float, omega_tau_assumed, name: str):
+    """``b2 = -(b1/2) * (1 + 4y^2) / (1 + y^2)`` at y = ``omega_tau_assumed`` (float or array; ``name`` in errors)."""
+    y = omega_tau_in_range(name, omega_tau_assumed)
+    return -(b1 / 2.0) * (1.0 + 4.0 * y * y) / (1.0 + y * y)
 
 
 def solve_biharmonic(b1: float, omega: float, tau_assumed: float) -> HarmonicPulse:
@@ -53,8 +60,7 @@ def solve_biharmonic(b1: float, omega: float, tau_assumed: float) -> HarmonicPul
         raise ValueError(f"b1 must be finite and non-zero, got {b1!r}")
     omega = positive("omega", omega)
     tau_assumed = positive("tau_assumed", tau_assumed)
-    x = omega * tau_assumed
-    b2 = -(b1 / 2.0) * (1.0 + 4.0 * x * x) / (1.0 + x * x)
+    b2 = _biharmonic_b2(b1, omega * tau_assumed, "tau_assumed")
     return HarmonicPulse(tau_pulse=2.0 * math.pi / omega, a0=0.0, a=(0.0, 0.0), b=(b1, b2))
 
 
@@ -95,19 +101,11 @@ def solve_top_harmonic(a0: float, a, b, omega: float, tau_assumed: float):
             f"top harmonic is degenerate: N*omega*tau = {x_top!r} leaves no leverage on the transient"
         )
 
-    a_top = -(a0 + float(np.sum(a_low)))
-
-    n = np.arange(1, n_top)
-    x = n * (omega * tau_assumed)
-    partial = a0 + float(np.sum((a_low - x * b_low) / (1.0 + x * x)))
-    b_top = (a_top + partial * denom_top) / x_top
-
-    pulse = HarmonicPulse(
-        tau_pulse=2.0 * math.pi / omega,
-        a0=a0,
-        a=(*a_low, a_top),
-        b=(*b_low, b_top),
-    )
+    # the lower harmonics alone: their endpoint voltage and tail set the top harmonic's
+    lower = HarmonicPulse(tau_pulse=2.0 * math.pi / omega, a0=a0, a=tuple(a_low), b=tuple(b_low))
+    a_top = -lower.condition_one_residual()
+    b_top = (a_top + transient_coefficient(lower, tau_assumed) * denom_top) / x_top
+    pulse = HarmonicPulse(lower.tau_pulse, a0, (*lower.a, a_top), (*lower.b, b_top))
     return pulse, pulse.condition_three_residual(tau_assumed)
 
 
@@ -132,14 +130,10 @@ def mischaracterized_transient_coefficient(b1: float, omega: float, tau_true, m)
     omega = positive("omega", omega)
     tau_true = positive("tau_true", np.asarray(tau_true))
     m = positive("m", np.asarray(m))
-    if b1 == 0.0:
-        out = np.zeros(np.broadcast_shapes(np.shape(tau_true), np.shape(m)))
-    else:
-        y = omega * (m * tau_true)
-        b2 = -(b1 / 2.0) * (1.0 + 4.0 * y * y) / (1.0 + y * y)
-        x = omega * tau_true
-        x2 = 2.0 * x
-        out = np.asarray(-(x * b1) / (1.0 + x * x) - (x2 * b2) / (1.0 + x2 * x2))
+    x = omega_tau_in_range("tau_true", omega * tau_true)
+    b2 = _biharmonic_b2(b1, omega * (m * tau_true), "m")
+    x2 = 2.0 * x
+    out = np.asarray(-(x * b1) / (1.0 + x * x) - (x2 * b2) / (1.0 + x2 * x2))
     return float(out) if out.ndim == 0 else out
 
 
@@ -179,18 +173,15 @@ def asymptotic_transient_coefficient(family: str, coeffs, omega: float, tau: flo
             raise ValueError("biharmonic family takes a single coefficient [b1]")
         wt = omega * tau
         return 3.0 * float(c[0]) / (4.0 * wt * wt * wt)
-    n = np.arange(1, c.size + 1)
     n_top = c.size + 1
-    x = n * (omega * tau)
-    x_top = n_top * omega * tau
+    n = np.arange(1, n_top)
+    zeros = (0.0,) * n_top
     if family == "cosine-only":
-        a_top = -float(n_top * n_top * np.sum(c / (n * n)))
-        return float(np.sum(c / (1.0 + x * x))) + a_top / (1.0 + x_top * x_top)
-    if family == "sine-only":
-        b_top = -float(n_top * np.sum(c / n))
-        return -(omega * tau) * (
-            float(np.sum(n * c / (1.0 + x * x))) + n_top * b_top / (1.0 + x_top * x_top)
+        a, b = (*c, -float(n_top * n_top * np.sum(c / (n * n)))), zeros
+    elif family == "sine-only":
+        a, b = zeros, (*c, -float(n_top * np.sum(c / n)))
+    else:
+        raise ValueError(
+            f"family must be 'cosine-only', 'sine-only' or 'biharmonic', got {family!r}"
         )
-    raise ValueError(
-        f"family must be 'cosine-only', 'sine-only' or 'biharmonic', got {family!r}"
-    )
+    return transient_coefficient(HarmonicPulse(2.0 * math.pi / omega, a=a, b=b), tau)

@@ -895,3 +895,76 @@ def test_malformed_input_files_exit_2_naming_the_file(tmp_path, capsys):
             err = capsys.readouterr().err.splitlines()
             assert rc == 2 and len(err) == 1 and err[0].startswith("error: ") and bad in err[0], (argv, bad, err)
             assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "case, name",
+    [
+        ("sweep", "--omega-tau"),
+        ("sweep-m", "--m"),
+        ("design", "--tau-assumed-us"),
+        ("design-request", "tau_assumed_s"),
+        ("kexp", "--tau-us"),
+        ("respond", "r_ohms * c_farads"),
+        ("ramsey-pulse", "r_ohms * c_farads"),
+    ],
+)
+def test_omega_tau_past_the_bound_exits_2_naming_the_field(tmp_path, capsys, case, name):
+    # omega*tau near 1e154 would overflow the closed forms' squares into nan
+    # cells and warnings; anything above 1e100 is refused at the boundary
+    out = tmp_path / "out"
+    pulse = write_single_sine(tmp_path)
+    huge_line = _write_json(tmp_path, "line.json", {"r_ohms": 1e150, "c_farads": 1e100})
+    argv = {
+        "sweep": ["sweep", "--b1", "1", "--omega-tau", "1e200,8.79", "--m", "1,1e160"],
+        "sweep-m": ["sweep", "--b1", "1", "--omega-tau", "8.79", "--m", "1,1e160"],
+        "design": ["design", "--family", "biharmonic", "--b1", "1", "--tau-pulse-us", "8", "--tau-assumed-us", "1e200"],
+        "design-request": ["design", "--request", _write_json(tmp_path, "r.json", {
+            "family": "biharmonic", "b1": 1.0, "tau_pulse_s": 8e-6, "tau_assumed_s": 1e194})],
+        "kexp": ["kexp", "--pulse", pulse, "--tau-us", "1e200"],
+        "respond": ["respond", "--pulse", pulse, "--line", huge_line, "--dt-us", "1"],
+        "ramsey-pulse": ["ramsey-sim", "--device", write_device(tmp_path), "--waveform", "pulse", "--pulse", pulse,
+                         "--line", huge_line, "--tau-pulse-us", "8", "--delay-max-us", "10", "--delay-step-us", "1"],
+    }[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main([*argv, "--out-dir", str(out)])
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert rc == 2 and captured.out == ""
+    assert len(err) == 1 and err[0].startswith(f"error: {name} makes omega*tau "), err
+    assert err[0].endswith("above the limit 1e+100")
+    assert not out.exists()
+
+
+def test_extract_quotes_only_the_start_of_a_bad_header(tmp_path, capsys):
+    # a 100 000-character header is named by file, not echoed whole
+    trace = tmp_path / "trace.csv"
+    trace.write_text("[" * 100_000 + "\n0,1,0\n", encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["extract", "--trace", str(trace), "--device", write_device(tmp_path),
+            "--tau-pulse-us", "8", "--fit-window-us", "10", "--out-dir", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and len(err[0]) < 300, err
+    assert err[0].startswith(f"error: {trace} has the CSV header '[[[") and "want 'tau_delay_s,x_expect,y_expect'" in err[0]
+    assert not out.exists()
+
+
+def test_extract_refuses_a_trace_past_the_flux_branch(tmp_path, capsys):
+    # idling 0.0005 Phi0 below the top of the flux map, a noiseless +0.5 MHz
+    # detuning leaves the invertible branch; the whole trace is refused and
+    # the message names the first sample past the edge
+    device = _write_json(tmp_path, "device.json", formats.device_to_dict(reference_device(phi_idle=-0.0005)))
+    delays = np.arange(241) * 0.25e-6
+    phase = 2.0 * np.pi * 0.5e6 * delays
+    trace = tmp_path / "trace.csv"
+    formats.write_csv(trace, ["tau_delay_s", "x_expect", "y_expect"], [delays, np.cos(phase), np.sin(phase)])
+    out = tmp_path / "out"
+    argv = ["extract", "--trace", str(trace), "--device", device,
+            "--tau-pulse-us", "8", "--fit-window-us", "60", "--out-dir", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: flux-inversion stage: sample 0 detunes 5000"), err
+    assert "Hz, outside the flux branch's range" in err[0]
+    assert not out.exists()

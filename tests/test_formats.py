@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fluxshape import HarmonicPulse, RCLine, WiringElement
+from fluxshape import CouplerDevice, HarmonicPulse, RCLine, WiringElement
 from fluxshape.formats import (
     chain_from_list,
     chain_to_list,
@@ -134,3 +134,82 @@ def test_format_float_is_shortest_exact():
     assert format_float(0.1) == "0.10000000000000001"
     assert float(format_float(1.0 / 3.0)) == 1.0 / 3.0
     assert format_float(2.0) == "2"
+
+
+def _random_magnitude(rng, low=-300.0, high=300.0):
+    # a signed value whose magnitude is log-uniform, or a signed zero
+    if rng.random() < 0.1:
+        return float(rng.choice([0.0, -0.0]))
+    return float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(low, high))
+
+
+def _positive_magnitude(rng, low=-300.0, high=300.0):
+    return float(10.0 ** rng.uniform(low, high))
+
+
+def _bits(*values):
+    # compared as bytes, -0.0 and 0.0 differ
+    return np.array(values, dtype=float).tobytes()
+
+
+def test_json_round_trips_are_lossless(tmp_path):
+    # seeded pulses, lines and chains survive dump_json/load_json bit for bit
+    rng = np.random.default_rng(31)
+    path = tmp_path / "record.json"
+    factories = {
+        "attenuator": lambda: WiringElement.attenuator(float(rng.choice([0.0, -0.0, 10.0 ** rng.uniform(-3, 2)])),
+                                                       _positive_magnitude(rng)),
+        "series_resistor": lambda: WiringElement.series_resistor(_positive_magnitude(rng)),
+        "series_capacitor": lambda: WiringElement.series_capacitor(_positive_magnitude(rng)),
+        "series_inductor": lambda: WiringElement.series_inductor(_positive_magnitude(rng)),
+        "transmission_line": lambda: WiringElement.transmission_line(_positive_magnitude(rng), _positive_magnitude(rng)),
+    }
+    kinds_seen = set()
+    for _ in range(60):
+        n = int(rng.integers(0, 9))
+        pulse = HarmonicPulse(
+            _positive_magnitude(rng),
+            _random_magnitude(rng),
+            tuple(_random_magnitude(rng) for _ in range(n)),
+            tuple(_random_magnitude(rng) for _ in range(n)),
+        )
+        dump_json(pulse_to_dict(pulse), path)
+        again = pulse_from_dict(load_json(path))
+        assert _bits(again.tau_pulse, again.a0, *again.a, *again.b) == _bits(pulse.tau_pulse, pulse.a0, *pulse.a, *pulse.b)
+        assert again.n_harmonics == n
+
+        line = RCLine(_positive_magnitude(rng), _positive_magnitude(rng))
+        dump_json(rcline_to_dict(line), path)
+        again = rcline_from_dict(load_json(path))
+        assert _bits(again.resistance, again.capacitance) == _bits(line.resistance, line.capacitance)
+
+        chain = [factories[kind]() for kind in rng.choice(list(factories), int(rng.integers(1, 8)))]
+        dump_json(chain_to_list(chain), path)
+        again = chain_from_list(load_json(path))
+        assert [e.kind for e in again] == [e.kind for e in chain]
+        for e, f in zip(again, chain):
+            keys = sorted(f.params)
+            assert sorted(e.params) == keys
+            assert _bits(*(e.params[k] for k in keys)) == _bits(*(f.params[k] for k in keys))
+        kinds_seen.update(e.kind for e in chain)
+    assert kinds_seen == set(factories)
+
+
+def test_device_round_trips_hold_their_fields(tmp_path):
+    # the three fields stored in GHz or MHz come back within 1e-15, the other two exactly
+    rng = np.random.default_rng(37)
+    path = tmp_path / "device.json"
+    for _ in range(60):
+        device = CouplerDevice(
+            omega_q=_positive_magnitude(rng, -100.0, 100.0),
+            omega_max=_positive_magnitude(rng, -100.0, 100.0),
+            g=float(rng.choice([0.0, _positive_magnitude(rng, -100.0, 100.0)])),
+            flux_per_volt=_random_magnitude(rng),
+            phi_idle=float(rng.uniform(-0.4999, 0.4999)) if rng.random() < 0.9 else -0.0,
+        )
+        dump_json(device_to_dict(device), path)
+        again = device_from_dict(load_json(path))
+        assert again.omega_q == pytest.approx(device.omega_q, rel=1e-15)
+        assert again.omega_max == pytest.approx(device.omega_max, rel=1e-15)
+        assert again.g == pytest.approx(device.g, rel=1e-15, abs=0.0)
+        assert _bits(again.flux_per_volt, again.phi_idle) == _bits(device.flux_per_volt, device.phi_idle)

@@ -285,3 +285,14 @@ def test_wiring_element_validation():
         WiringElement.transmission_line(50.0, -1e-9)
     with pytest.raises(ValueError):
         WiringElement.series_inductor(math.inf)
+
+
+def test_zero_db_attenuator_is_the_identity_bit_for_bit():
+    # the pi-network formula at k = 1, for scalar and array frequencies
+    f = np.geomspace(1e3, 1e9, 7)
+    for freq in (20e6, f):
+        for db in (0.0, -0.0):
+            got = element_abcd(WiringElement.attenuator(db), freq)
+            for entry, want in zip((got.a, got.b, got.c, got.d), (1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j)):
+                assert np.shape(entry) == np.shape(freq)
+                assert np.asarray(entry).tobytes() == np.full(np.shape(freq), want).tobytes()

@@ -230,3 +230,50 @@ def test_asymptotic_validation():
         asymptotic_transient_coefficient("sine-only", [], 1.0, 8.79)
     with pytest.raises(ValueError):
         asymptotic_transient_coefficient("sine-only", [math.nan], 1.0, 8.79)
+
+
+def test_solve_top_harmonic_cancels_random_spectra():
+    # seeded spectra: N = 2..9 harmonics, coefficients uniform in [-1, 1],
+    # omega*tau log-uniform over four decades and omega over four more, so
+    # the pulse period 2*pi/omega does not always give omega back exactly
+    rng = np.random.default_rng(2026)
+    eps = np.finfo(float).eps
+    for _ in range(240):
+        n_low = int(rng.integers(1, 9))
+        a0 = float(rng.uniform(-1.0, 1.0))
+        a = rng.uniform(-1.0, 1.0, n_low)
+        b = rng.uniform(-1.0, 1.0, n_low)
+        omega = float(10.0 ** rng.uniform(4.0, 8.0))
+        tau = float(10.0 ** rng.uniform(-2.0, 2.0)) / omega
+        pulse, cond3 = solve_top_harmonic(a0, a, b, omega, tau)
+        assert pulse.n_harmonics == n_low + 1
+        scale = max(abs(pulse.a0), *map(abs, pulse.a), *map(abs, pulse.b))
+        assert abs(transient_coefficient(pulse, tau)) < 1e-12 * scale
+        assert abs(pulse.condition_one_residual()) <= 4.0 * eps * (abs(a0) + sum(map(abs, pulse.a)))
+        assert cond3 == pulse.condition_three_residual(tau)
+
+
+def test_omega_tau_beyond_the_bound_is_refused():
+    # the squares of omega*tau overflow near 1e154; products up to 1e100 are accepted and stay finite
+    pulse = solve_biharmonic(1.0, 1.0, 1e100)
+    assert math.isfinite(transient_coefficient(pulse, 1e100))
+    assert math.isfinite(mischaracterized_transient_coefficient(1.0, 1.0, 1e100, 1.0))
+    with pytest.raises(ValueError, match=r"^tau_assumed makes omega\*tau 2e\+100, above the limit 1e\+100$"):
+        solve_biharmonic(1.0, 2.0, 1e100)
+    with pytest.raises(ValueError, match=r"^tau makes omega\*tau"):
+        transient_coefficient(pulse, 1e200)
+    with pytest.raises(ValueError, match=r"^tau_true makes omega\*tau 1e\+200"):
+        mischaracterized_transient_coefficient(1.0, 1.0, [1.0, 1e200], 1e-160)
+    with pytest.raises(ValueError, match=r"^m makes omega\*tau 1e\+160"):
+        mischaracterized_transient_coefficient(1.0, 1.0, 1.0, [1.0, 1e160])
+    with pytest.raises(ValueError, match=r"^tau makes omega\*tau"):
+        asymptotic_transient_coefficient("sine-only", [1.0], 1.0, 1e200)
+
+
+def test_mischaracterized_zero_b1_gives_positive_zeros():
+    # the general formula gives +0.0 for b1 = 0.0 and for b1 = -0.0 alike
+    for b1 in (0.0, -0.0):
+        grid = mischaracterized_transient_coefficient(b1, 1.0, [[0.5], [2.0], [30.0]], [0.01, 1.0, 100.0])
+        assert grid.shape == (3, 3)
+        assert grid.tobytes() == np.zeros((3, 3)).tobytes()
+        assert math.copysign(1.0, mischaracterized_transient_coefficient(b1, 1.0, 8.79, 2.0)) == 1.0
