@@ -114,7 +114,8 @@ def _cmd_design(args) -> _Run:
     tau_pulse_s = field("--tau-pulse-us", "tau_pulse_s", positive, 1e-6)
     tau_assumed_s = field("--tau-assumed-us", "tau_assumed_s", positive, 1e-6)
     omega = 2.0 * math.pi / tau_pulse_s
-    omega_tau_in_range("tau_assumed_s" if args.tau_assumed_us is None else "--tau-assumed-us", omega * tau_assumed_s)
+    tau_source = "tau_assumed_s" if args.tau_assumed_us is None else "--tau-assumed-us"
+    omega_tau_in_range(tau_source, omega * tau_assumed_s)
 
     if family == "biharmonic":
         pulse = solve_biharmonic(field("--b1", "b1", finite), omega, tau_assumed_s)
@@ -122,7 +123,13 @@ def _cmd_design(args) -> _Run:
         a0 = field("--a0", "a0", finite, default=0.0)
         a_low = _require(args.a if args.a is not None else request.get("a"), "--a")
         b_low = _require(args.b if args.b is not None else request.get("b"), "--b")
-        pulse, _ = solve_top_harmonic(a0, a_low, b_low, omega, tau_assumed_s)
+        try:
+            pulse, _ = solve_top_harmonic(a0, a_low, b_low, omega, tau_assumed_s)
+        except ValueError as exc:
+            # the library names its argument tau_assumed; the line names the flag or key it came from
+            if not str(exc).startswith("tau_assumed "):
+                raise
+            raise ValueError(tau_source + str(exc)[len("tau_assumed") :]) from None
     else:
         raise ValueError(f"--family must be 'biharmonic' or 'top-harmonic', got {family!r}")
 

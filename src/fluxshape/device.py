@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fluxshape._checks import finite, positive
+from fluxshape._checks import finite, integer, positive
 from fluxshape.pulse import HarmonicPulse
 from fluxshape.rcline import (
     RCLine,
@@ -276,9 +276,7 @@ def square_train_response(
     tau = positive("tau", tau)
     tau_pulse = tau if tau_pulse is None else positive("tau_pulse", tau_pulse)
     gap = tau_pulse if gap is None else positive("gap", gap)
-    n_pulses = int(n_pulses)
-    if n_pulses < 1:
-        raise ValueError("n_pulses must be a positive integer")
+    n_pulses = integer("n_pulses", n_pulses, 1)
     tail = 3.0 * tau if tail is None else positive("tail", tail)
 
     period = tau_pulse + gap

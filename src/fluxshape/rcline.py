@@ -38,8 +38,8 @@ __all__ = [
     "square_pulse_flux_transient",
 ]
 
-# cumprod block length for the RK4 recurrence; keeps per-block products
-# of the one-step decay factors well away from underflow
+# row length of the blocked RK4 scan: each row's running product of one-step
+# decay factors, at least (49/50)**256 ~ 0.006, stays well away from underflow
 _CHUNK = 256
 
 
@@ -115,26 +115,26 @@ def _rk4_affine_coefficients(z: np.ndarray):
     """One-step classical RK4 for tau*v' = f - v written as an affine map.
 
     With z = h/tau the update is v_next = A*v + B0*f(t) + Bm*f(t+h/2) + B1*f(t+h),
-    so the coefficients follow from stepping the basis vectors.
+    whose coefficients are the polynomials below, each in Horner form.
     """
-
-    def step(v, f0, fm, f1):
-        k1 = z * (f0 - v)
-        k2 = z * (fm - v - 0.5 * k1)
-        k3 = z * (fm - v - 0.5 * k2)
-        k4 = z * (f1 - v - k3)
-        return v + (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-
-    return step(1.0, 0.0, 0.0, 0.0), step(0.0, 1.0, 0.0, 0.0), step(0.0, 0.0, 1.0, 0.0), step(0.0, 0.0, 0.0, 1.0)
+    a = 1.0 + z * (-1.0 + z * (1.0 / 2.0 + z * (-1.0 / 6.0 + z * (1.0 / 24.0))))
+    b0 = z * (1.0 / 6.0 + z * (-1.0 / 6.0 + z * (1.0 / 12.0 + z * (-1.0 / 24.0))))
+    bm = z * (2.0 / 3.0 + z * (-1.0 / 3.0 + z * (1.0 / 12.0)))
+    return a, b0, bm, z / 6.0
 
 
 def integrate_line_response(v_in, line: RCLine, t_grid, v_c_initial: float = 0.0):
     """Integrate tau*dV_c/dt + V_c = V_in(t) with fixed-step classical RK4.
 
     ``v_in`` is a callable mapping time in seconds to volts (vectorized or
-    scalar).  ``t_grid`` must be strictly increasing with every step at most
-    tau/50; callers resolving an oscillatory input are responsible for also
-    keeping the step well below its period.
+    scalar).  ``t_grid`` must be finite and strictly increasing with every
+    step at most tau/50; callers resolving an oscillatory input are
+    responsible for also keeping the step well below its period.
+
+    Each RK4 step is the affine map v_next = A*v + forcing.  The steps are
+    laid out in rows of ``_CHUNK`` steps; one cumulative product and one
+    cumulative sum along the rows solve every row from a zero start, and a
+    loop over the rows carries the end value of one row into the next.
 
     Returns ``(v_c, i)`` arrays aligned with ``t_grid``, where the delivered
     current is ``(V_in - V_c) / R``.
@@ -142,6 +142,7 @@ def integrate_line_response(v_in, line: RCLine, t_grid, v_c_initial: float = 0.0
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size < 2:
         raise ValueError("t_grid must be a 1-D array with at least two points")
+    t = finite("t_grid", t)
     h = np.diff(t)
     if np.any(h <= 0.0):
         raise ValueError("t_grid must be strictly increasing")
@@ -151,29 +152,38 @@ def integrate_line_response(v_in, line: RCLine, t_grid, v_c_initial: float = 0.0
         raise ValueError(
             f"integration step {max_h!r} exceeds tau/50 = {tau / 50.0!r}; refine the grid"
         )
+    v0 = finite("v_c_initial", v_c_initial)
 
     # the end of one step is the start of the next, so the grid nodes are
     # evaluated once and only the midpoints need a second call
     f = _eval_waveform(v_in, t)
-    f0 = f[:-1]
-    f1 = f[1:]
     fm = _eval_waveform(v_in, t[:-1] + 0.5 * h)
 
-    z = h / tau
-    decay, b0, bm, b1 = _rk4_affine_coefficients(z)
-    forced = b0 * f0 + bm * fm + b1 * f1
+    # padding steps decay by 1 and force 0, so they leave a row's end value alone
+    n = h.size
+    rows = -(-n // _CHUNK)
+    q = np.ones((rows, _CHUNK))
+    s = np.zeros((rows, _CHUNK))
+    forced = s.reshape(-1)[:n]
+    decay, b0, bm, b1 = _rk4_affine_coefficients(h / tau)
+    q.reshape(-1)[:n] = decay
+    np.multiply(b0, f[:-1], out=forced)
+    forced += bm * fm
+    forced += b1 * f[1:]
+    del decay, b0, bm, b1
+
+    np.cumprod(q, axis=1, out=q)
+    s /= q
+    np.cumsum(s, axis=1, out=s)
+    carry = [v0]
+    for q_end, s_end in zip(q[:-1, -1].tolist(), s[:-1, -1].tolist()):
+        carry.append(q_end * (carry[-1] + s_end))
+    s += np.array(carry)[:, None]
+    s *= q
 
     v = np.empty(t.size)
-    v[0] = finite("v_c_initial", v_c_initial)
-    start = 0
-    n_steps = forced.size
-    while start < n_steps:
-        stop = min(start + _CHUNK, n_steps)
-        q = np.cumprod(decay[start:stop])
-        s = np.cumsum(forced[start:stop] / q)
-        v[start + 1 : stop + 1] = q * (v[start] + s)
-        start = stop
-
+    v[0] = v0
+    v[1:] = s.reshape(-1)[:n]
     i = (f - v) / line.resistance
     return v, i
 

@@ -98,7 +98,7 @@ def solve_top_harmonic(a0: float, a, b, omega: float, tau_assumed: float):
     denom_top = 1.0 + x_top * x_top
     if x_top / denom_top < _DEGENERACY_FLOOR:
         raise ValueError(
-            f"top harmonic is degenerate: N*omega*tau = {x_top!r} leaves no leverage on the transient"
+            f"tau_assumed makes the top harmonic degenerate: N*omega*tau = {x_top!r} leaves no leverage on the transient"
         )
 
     # the lower harmonics alone: their endpoint voltage and tail set the top harmonic's

@@ -937,6 +937,26 @@ def test_omega_tau_past_the_bound_exits_2_naming_the_field(tmp_path, capsys, cas
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", ["--tau-assumed-us", "tau_assumed_s"])
+def test_degenerate_top_harmonic_exits_2_naming_the_tau_source(tmp_path, capsys, source):
+    # N*omega*tau = 1.6e-14 leaves the top harmonic no leverage on the tail
+    out = tmp_path / "out"
+    if source == "--tau-assumed-us":
+        argv = ["design", "--family", "top-harmonic", "--a", "0.3", "--b", "1", "--tau-pulse-us", "8",
+                "--tau-assumed-us", "1e-14"]
+    else:
+        argv = ["design", "--request", _write_json(tmp_path, "r.json", {
+            "family": "top-harmonic", "a": [0.3], "b": [1.0], "tau_pulse_s": 8e-6, "tau_assumed_s": 1e-20})]
+    rc = main([*argv, "--out-dir", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2 and len(err) == 1, err
+    assert err[0] == (
+        f"error: {source} makes the top harmonic degenerate: N*omega*tau = 1.5707963267948967e-14 "
+        "leaves no leverage on the transient"
+    )
+    assert not out.exists()
+
+
 def test_extract_quotes_only_the_start_of_a_bad_header(tmp_path, capsys):
     # a 100 000-character header is named by file, not echoed whole
     trace = tmp_path / "trace.csv"

@@ -298,3 +298,10 @@ def test_square_train_response_validation():
         square_train_response(tau=1e-5, omega_max=1.0, phi_idle=0.0, gap=-1e-6)
     with pytest.raises(ValueError):
         square_train_response(tau=1e-5, omega_max=1.0, phi_idle=0.0, tail=0.0)
+
+
+@pytest.mark.parametrize("n_pulses, shown", [(2.9, "2.9"), (True, "True")])
+def test_square_train_response_refuses_a_non_integer_pulse_count(n_pulses, shown):
+    # 2.9 used to run two pulses
+    with pytest.raises(ValueError, match=rf"^n_pulses must be an integer, got {shown}$"):
+        square_train_response(tau=1e-5, omega_max=1.0, phi_idle=0.0, n_pulses=n_pulses)

@@ -169,8 +169,8 @@ def test_ode_oracle_scalar_only_waveform():
     assert np.array_equal(v_vec, v_scal)
 
 
-def _three_call_rk4(v_in, line, t):
-    """RK4 reference that evaluates step starts, midpoints and ends separately."""
+def _three_call_rk4(v_in, line, t, v_c_initial=0.0):
+    """RK4 reference that evaluates step starts, midpoints and ends separately and scans 256 steps per call."""
     h = np.diff(t)
     f0 = np.asarray(v_in(t[:-1]), dtype=float)
     fm = np.asarray(v_in(t[:-1] + 0.5 * h), dtype=float)
@@ -178,6 +178,7 @@ def _three_call_rk4(v_in, line, t):
     decay, b0, bm, b1 = rcline._rk4_affine_coefficients(h / line.tau)
     forced = b0 * f0 + bm * fm + b1 * f1
     v = np.zeros(t.size)
+    v[0] = v_c_initial
     for start in range(0, forced.size, rcline._CHUNK):
         stop = min(start + rcline._CHUNK, forced.size)
         q = np.cumprod(decay[start:stop])
@@ -221,6 +222,71 @@ def test_ode_oracle_node_reuse_is_bit_identical():
     t = np.arange(int(math.ceil((train_end + 3.0 * tau) / dt)) + 1) * dt
     for got, ref in zip(integrate_line_response(commanded, line, t), _three_call_rk4(commanded, line, t)):
         assert got.tobytes() == ref.tobytes()
+
+
+def _basis_step_coefficients(z):
+    """RK4 affine coefficients found by stepping the basis vectors through the four stages."""
+
+    def step(v, f0, fm, f1):
+        k1 = z * (f0 - v)
+        k2 = z * (fm - v - 0.5 * k1)
+        k3 = z * (fm - v - 0.5 * k2)
+        k4 = z * (f1 - v - k3)
+        return v + (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+
+    return step(1.0, 0.0, 0.0, 0.0), step(0.0, 1.0, 0.0, 0.0), step(0.0, 0.0, 1.0, 0.0), step(0.0, 0.0, 0.0, 1.0)
+
+
+def test_rk4_coefficient_polynomials_match_the_basis_step():
+    # the Horner polynomials and the stepped basis vectors round differently,
+    # within 4 ulp (3 measured) over every step size the oracle accepts
+    z = np.logspace(-9, math.log10(1.0 / 50.0), 20_001)
+    for got, ref in zip(rcline._rk4_affine_coefficients(z), _basis_step_coefficients(z)):
+        assert np.all(np.abs(got - ref) <= 4.0 * np.spacing(np.abs(ref)))
+
+
+@pytest.mark.parametrize("n_steps", [1, 255, 256, 257, 513])
+def test_ode_oracle_block_scan_matches_the_chunk_loop(n_steps):
+    # one step, one row short of, at, just past and past two rows of the scan
+    rng = np.random.default_rng(n_steps)
+    p = _random_pulse(rng, 8e-6)
+    line = line_with_tau(1.1e-5)
+    t = np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 1.0, n_steps) * line.tau / 50.0)])
+    for got, ref in zip(
+        integrate_line_response(p.evaluate, line, t, v_c_initial=-0.37),
+        _three_call_rk4(p.evaluate, line, t, v_c_initial=-0.37),
+    ):
+        assert got.tobytes() == ref.tobytes()
+
+
+def test_ode_oracle_matches_a_scalar_rk4_loop():
+    # the textbook stage-by-stage RK4 step on a non-uniform grid, one float at a time
+    rng = np.random.default_rng(31)
+    p = _random_pulse(rng, 8e-6)
+    line = line_with_tau(1.1e-5)
+    h = rng.uniform(0.2, 1.0, 300) * line.tau / 50.0
+    t = np.concatenate([[0.0], np.cumsum(h)])
+    f = lambda s: float(p.evaluate(s))
+    v_ref = [0.8]
+    for t0, dt in zip(t[:-1].tolist(), h.tolist()):
+        v = v_ref[-1]
+        k1 = dt * (f(t0) - v) / line.tau
+        k2 = dt * (f(t0 + 0.5 * dt) - (v + 0.5 * k1)) / line.tau
+        k3 = dt * (f(t0 + 0.5 * dt) - (v + 0.5 * k2)) / line.tau
+        k4 = dt * (f(t0 + dt) - (v + k3)) / line.tau
+        v_ref.append(v + (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0)
+    v, i = integrate_line_response(p.evaluate, line, t, v_c_initial=0.8)
+    v_ref = np.array(v_ref)
+    assert np.max(np.abs(v - v_ref)) <= 1e-14 * np.max(np.abs(v_ref))
+    i_ref = (p.evaluate(t) - v_ref) / line.resistance
+    assert np.max(np.abs(i - i_ref)) <= 1e-14 * np.max(np.abs(i_ref))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_ode_oracle_rejects_a_non_finite_time_grid(bad):
+    line = RCLine(1.0, 1e-5)
+    with pytest.raises(ValueError, match=rf"^t_grid must be finite, got {bad!r} at index 1$"):
+        integrate_line_response(lambda s: np.ones_like(s), line, np.array([0.0, bad, 1e-7]))
 
 
 def test_square_pulse_droop_and_undershoot():

@@ -102,9 +102,9 @@ def test_solve_top_harmonic_validation():
     with pytest.raises(ValueError):
         solve_top_harmonic(math.nan, [1.0], [1.0], OMEGA, 1e-5)
     # top-harmonic leverage vanishes for extreme omega*tau in either direction
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^tau_assumed makes the top harmonic degenerate: N\*omega\*tau = 20000000000000\.0 "):
         solve_top_harmonic(0.0, [1.0], [1.0], 1.0, 1e13)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^tau_assumed makes the top harmonic degenerate: N\*omega\*tau = 2e-13 "):
         solve_top_harmonic(0.0, [1.0], [1.0], 1.0, 1e-13)
 
 
