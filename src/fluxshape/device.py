@@ -159,19 +159,15 @@ def ramsey_phase(device: CouplerDevice, flux_waveform, config: RamseyConfig) -> 
 
     phase(d) = integral over s in [0, d] of
         dressed(flux_waveform(tau_pulse + s)) - dressed(phi_idle),
-    evaluated by the trapezoid rule on the delay grid (with a zero-delay
-    point prepended when the grid does not start at zero).
+    evaluated by the trapezoid rule on the delay grid with a zero-delay
+    point prepended.  A grid that starts at zero then opens with an empty
+    segment, and the ``+ 0.0`` turns the -0.0 that it can sum to into 0.0.
     """
-    delays = config.delay_grid
-    if delays[0] == 0.0:
-        pts = delays
-    else:
-        pts = np.concatenate([[0.0], delays])
+    pts = np.concatenate([[0.0], config.delay_grid])
     flux = _eval_waveform(flux_waveform, config.tau_pulse + pts)
     detuning = dressed_qubit_frequency(flux, device) - dressed_qubit_frequency(device.phi_idle, device)
     segments = 0.5 * (detuning[1:] + detuning[:-1]) * np.diff(pts)
-    cumulative = np.concatenate([[0.0], np.cumsum(segments)])
-    return cumulative if delays[0] == 0.0 else cumulative[1:]
+    return np.cumsum(segments) + 0.0
 
 
 def simulate_ramsey(device: CouplerDevice, flux_waveform, config: RamseyConfig):

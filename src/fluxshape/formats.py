@@ -5,9 +5,10 @@ schemas stay in one auditable place.  JSON keys carry explicit units
 (``tau_pulse_s``, ``omega_q_ghz``); in-memory objects are always SI
 (seconds, ohms, farads, rad/s, Phi0).
 
-CSV files are comma-separated with a single header row; floats are written
-with ``repr``-level precision (17 significant digits) so outputs are
-bit-stable across runs with the same inputs.
+CSV files are comma-separated with a single header row.  Every cell is
+written as ``%.17g``: lossless for a double, though not always its shortest
+spelling, so outputs are bit-stable across runs with the same inputs.  The
+writer formats a block of rows per ``%`` operation and streams the blocks.
 """
 
 from __future__ import annotations
@@ -41,9 +42,14 @@ __all__ = [
 _GHZ = 2.0 * np.pi * 1e9
 _MHZ = 2.0 * np.pi * 1e6
 
+# the one spelling of a float in every CSV cell and printed number
+_FLOAT = "%.17g"
+# rows formatted per % operation by write_csv
+_BLOCK_ROWS = 4096
+
 
 def format_float(value: float) -> str:
-    return format(float(value), ".17g")
+    return _FLOAT % float(value)
 
 
 def pulse_to_dict(pulse: HarmonicPulse) -> dict:
@@ -135,15 +141,30 @@ def dump_json(data, path) -> None:
 
 
 def write_csv(path, header, columns) -> None:
-    """Write equal-length columns under a comma-separated header line."""
+    """Write equal-length real columns under a comma-separated header line.
+
+    The input is checked before the file is opened, so a refusal writes
+    nothing: one 1-D real (bool, integer or float) column per header field,
+    all of one length, or a one-line ValueError.
+    """
+    header = list(header)
     columns = [np.asarray(col) for col in columns]
-    n = columns[0].shape[0]
+    if not columns:
+        raise ValueError("write_csv needs at least one column")
+    if len(header) != len(columns):
+        raise ValueError(f"CSV header has {len(header)} fields for {len(columns)} columns")
+    for name, col in zip(header, columns):
+        if col.dtype.kind not in "biuf":
+            raise ValueError(f"CSV column {name!r} must be real-valued, got dtype {col.dtype}")
+    n = columns[0].size
     if any(col.shape != (n,) for col in columns):
         raise ValueError("all columns must be 1-D with equal length")
+    row = ",".join([_FLOAT] * len(columns)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(n):
-            fh.write(",".join(format_float(col[i]) for col in columns) + "\n")
+        for start in range(0, n, _BLOCK_ROWS):
+            block = np.stack([col[start:start + _BLOCK_ROWS] for col in columns], axis=1, dtype=float)
+            fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
 def read_csv_columns(path, expected_header) -> list:

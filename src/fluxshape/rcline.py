@@ -152,6 +152,8 @@ def integrate_line_response(v_in, line: RCLine, t_grid, v_c_initial: float = 0.0
         raise ValueError(
             f"integration step {max_h!r} exceeds tau/50 = {tau / 50.0!r}; refine the grid"
         )
+    if isinstance(v_c_initial, np.ndarray) and v_c_initial.ndim:
+        raise ValueError(f"v_c_initial must be a scalar, got an array of shape {v_c_initial.shape}")
     v0 = finite("v_c_initial", v_c_initial)
 
     # the end of one step is the start of the next, so the grid nodes are

@@ -168,13 +168,16 @@ def test_ramsey_phase_constant_detuning(device):
 
 
 def test_ramsey_phase_zero_delay_prepended(device):
-    waveform = square_transient_waveform(5e-4, 8e-6, 13e-6, device.phi_idle)
     with_zero = RamseyConfig(tau_pulse=8e-6, delay_grid=[0.0, 1e-6, 3e-6])
     without_zero = RamseyConfig(tau_pulse=8e-6, delay_grid=[1e-6, 3e-6])
-    p_full = ramsey_phase(device, waveform, with_zero)
-    p_trim = ramsey_phase(device, waveform, without_zero)
-    assert p_full[0] == 0.0
-    assert np.array_equal(p_full[1:], p_trim)
+    # one sign detunes the qubit down at zero delay, where the empty first
+    # segment sums to -0.0; the phase there must still be +0.0
+    for amplitude in (5e-4, -5e-4):
+        waveform = square_transient_waveform(amplitude, 8e-6, 13e-6, device.phi_idle)
+        p_full = ramsey_phase(device, waveform, with_zero)
+        p_trim = ramsey_phase(device, waveform, without_zero)
+        assert p_full[0] == 0.0 and not np.signbit(p_full[0])
+        assert np.array_equal(p_full[1:], p_trim)
 
 
 def test_ramsey_phase_rejects_bad_waveform(device):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fluxshape import CouplerDevice, HarmonicPulse, RCLine, WiringElement
+from fluxshape import formats
 from fluxshape.formats import (
     chain_from_list,
     chain_to_list,
@@ -129,6 +130,67 @@ def test_csv_names_ragged_row(tmp_path, row):
     path.write_text(f"t_s,x_expect\n0,1\n{row}\n")
     with pytest.raises(ValueError, match=r"^CSV data row 2 has \d cells, want 2 \(t_s,x_expect\)$"):
         read_csv_columns(path, ["t_s", "x_expect"])
+
+
+@pytest.mark.parametrize(
+    "header, columns, message",
+    [
+        (["a", "b"], [np.arange(3.0)], r"^CSV header has 2 fields for 1 columns$"),
+        (["a"], [np.arange(3.0), np.arange(3.0)], r"^CSV header has 1 fields for 2 columns$"),
+        ([], [], r"^write_csv needs at least one column$"),
+        (["t_s", "z"], [np.arange(3.0), np.arange(3.0) + 1j], r"^CSV column 'z' must be real-valued, got dtype complex128$"),
+        (["t_s", "z"], [np.arange(3.0), np.array(["1", "2", "3"])], r"^CSV column 'z' must be real-valued, got dtype <U1$"),
+        (["a"], [np.float64(1.0)], r"^all columns must be 1-D with equal length$"),
+        (["a", "b"], [np.arange(3.0), np.ones((3, 1))], r"^all columns must be 1-D with equal length$"),
+    ],
+    ids=["header-long", "header-short", "no-columns", "complex", "strings", "0-d", "2-d"],
+)
+def test_write_csv_refuses_before_opening_the_file(tmp_path, header, columns, message):
+    path = tmp_path / "out.csv"
+    with pytest.raises(ValueError, match=message):
+        write_csv(path, header, columns)
+    assert not path.exists()
+
+
+def _per_cell_write_csv(path, header, columns):
+    """Reference writer: one ``format(float(cell), ".17g")`` call per cell, a row per write."""
+    columns = [np.asarray(col) for col in columns]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for i in range(columns[0].shape[0]):
+            fh.write(",".join(format(float(col[i]), ".17g") for col in columns) + "\n")
+
+
+_SPECIAL = np.array([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1e-300, -1e-300, np.nan, np.inf, -np.inf, 0.1, 2.0])
+_INT64 = np.array([0, -1, 2**53 + 1, -(2**53) - 1, 2**63 - 1, -(2**63)], dtype=np.int64)
+
+
+# block edges: empty, one row, one row short of a block, one block, one row
+# past it, and several blocks with a partial last one
+@pytest.mark.parametrize(
+    "n",
+    [0, 1, formats._BLOCK_ROWS - 1, formats._BLOCK_ROWS, formats._BLOCK_ROWS + 1, 2 * formats._BLOCK_ROWS + 1808],
+)
+def test_write_csv_matches_the_per_cell_writer_byte_for_byte(tmp_path, n):
+    rng = np.random.default_rng([53, n])
+    wide = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-320.0, 308.0, n)
+    columns = [
+        np.where(rng.random(n) < 0.25, rng.choice(_SPECIAL, n), wide),
+        rng.normal(size=n) * 1e-7,
+        np.where(rng.random(n) < 0.25, rng.choice(_INT64, n), rng.integers(-(2**62), 2**62, n)),
+        np.arange(n) * 2.5e-10,
+    ]
+    assert columns[2].dtype == np.int64
+    header = ["x", "v_volts", "count", "t_s"]
+    path, reference = tmp_path / "block.csv", tmp_path / "cell.csv"
+    write_csv(path, header, columns)
+    _per_cell_write_csv(reference, header, columns)
+    assert path.read_bytes() == reference.read_bytes()
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == n + 1
+    for i, line in enumerate(lines[1:]):
+        assert line.split(",") == [format_float(col[i]) for col in columns]
+
 
 def test_format_float_is_shortest_exact():
     assert format_float(0.1) == "0.10000000000000001"

@@ -289,6 +289,26 @@ def test_ode_oracle_rejects_a_non_finite_time_grid(bad):
         integrate_line_response(lambda s: np.ones_like(s), line, np.array([0.0, bad, 1e-7]))
 
 
+@pytest.mark.parametrize(
+    "v0, message",
+    [
+        (np.array([0.5]), r"^v_c_initial must be a scalar, got an array of shape \(1,\)$"),
+        (np.zeros((2, 3)), r"^v_c_initial must be a scalar, got an array of shape \(2, 3\)$"),
+        ([0.5], r"^v_c_initial must be finite, got \[0\.5\]$"),
+        (math.nan, r"^v_c_initial must be finite, got nan$"),
+    ],
+    ids=["one-element", "two-d", "list", "nan"],
+)
+def test_ode_oracle_names_a_non_scalar_initial_voltage(v0, message):
+    line = RCLine(1.0, 1e-5)
+    t = np.linspace(0.0, 1e-5, 101)
+    with pytest.raises(ValueError, match=message):
+        integrate_line_response(lambda s: np.ones_like(s), line, t, v_c_initial=v0)
+    # a 0-d array is a scalar
+    v, _ = integrate_line_response(lambda s: np.ones_like(s), line, t, v_c_initial=np.array(0.5))
+    assert v[0] == 0.5
+
+
 def test_square_pulse_droop_and_undershoot():
     # raw square through the line: delivered current sags during the pulse
     # and undershoots below zero after it
