@@ -22,7 +22,6 @@ forward model inverted by :mod:`fluxshape.extraction`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +32,6 @@ from fluxshape.rcline import (
     RCLine,
     _eval_waveform,
     capacitor_voltage,
-    integrate_line_response,
     square_pulse_flux_transient,
 )
 
@@ -46,7 +44,6 @@ __all__ = [
     "simulate_ramsey",
     "pulse_flux_waveform",
     "square_transient_waveform",
-    "square_train_response",
 ]
 
 
@@ -80,26 +77,17 @@ class CouplerDevice:
         object.__setattr__(self, "phi_idle", phi_idle)
 
 
-def _folded_flux(phi) -> np.ndarray:
-    """Reduce flux to the equivalent point in [0, 1/2] using exact float steps.
+def coupler_frequency(phi, device: CouplerDevice):
+    """Coupler frequency omega_max * sqrt(|cos(pi*phi)|) in rad/s, exactly zero at half a flux quantum.
 
-    abs, mod-1 and the 1-r fold are all exact in binary floating point, so
-    symmetry and periodicity of the flux map hold bit-for-bit whenever the
-    shifted arguments are themselves representable.
+    The flux is first folded into [0, 1/2]: abs, mod-1 and the 1-r fold are
+    all exact in binary floating point, so symmetry and periodicity of the
+    flux map hold bit-for-bit whenever the shifted arguments are themselves
+    representable.
     """
     r = np.mod(np.abs(np.asarray(phi, dtype=float)), 1.0)
-    return np.where(r > 0.5, 1.0 - r, r)
-
-
-def _flux_map(phi, omega_max: float) -> np.ndarray:
-    """omega_max * sqrt(|cos(pi*phi)|) as an array, exactly zero at half a flux quantum."""
-    r = _folded_flux(phi)
-    return omega_max * np.sqrt(np.where(r == 0.5, 0.0, np.maximum(np.cos(np.pi * r), 0.0)))
-
-
-def coupler_frequency(phi, device: CouplerDevice):
-    """Coupler frequency omega_max * sqrt(|cos(pi*phi)|) in rad/s."""
-    out = _flux_map(phi, device.omega_max)
+    r = np.where(r > 0.5, 1.0 - r, r)
+    out = device.omega_max * np.sqrt(np.where(r == 0.5, 0.0, np.maximum(np.cos(np.pi * r), 0.0)))
     return float(out) if out.ndim == 0 else out
 
 
@@ -151,7 +139,8 @@ class RamseyConfig:
         object.__setattr__(self, "delay_grid", grid)
         object.__setattr__(self, "t2", None if self.t2 is None else positive("t2", self.t2))
         object.__setattr__(self, "readout_noise_sigma", None if sigma is None else float(sigma))
-        object.__setattr__(self, "rng_seed", int(self.rng_seed))
+        # numpy seeds from any non-negative int, however large
+        object.__setattr__(self, "rng_seed", integer("rng_seed", self.rng_seed, 0, np.inf))
 
 
 def ramsey_phase(device: CouplerDevice, flux_waveform, config: RamseyConfig) -> np.ndarray:
@@ -242,53 +231,3 @@ def square_transient_waveform(amplitude: float, tau_pulse: float, tau: float, ph
         lambda t: amplitude * np.exp(-t / tau),
         lambda s: square_pulse_flux_transient(amplitude, tau_pulse, tau, s),
     )
-
-
-def square_train_response(
-    tau: float,
-    omega_max: float,
-    phi_idle: float,
-    amplitude: float = 0.1,
-    tau_pulse: float | None = None,
-    gap: float | None = None,
-    n_pulses: int = 3,
-    tail: float | None = None,
-):
-    """Push a repeated commanded square flux pulse through the RC line model.
-
-    Integrates the line equation numerically (no closed forms involved) for
-    ``n_pulses`` squares of height ``amplitude`` (Phi0) and width
-    ``tau_pulse`` separated by ``gap``, both defaulting to ``tau``.  Returns
-    a dict with keys ``t``, ``commanded``, ``flux`` and ``frequency`` where
-    ``flux = phi_idle + delivered`` and ``frequency`` applies the coupler
-    flux map with ``omega_max``.  ``tail`` is the settling time simulated
-    after the train, ``3 * tau`` by default.
-
-    With tau comparable to the pulse spacing, the delivered flux never
-    settles between pulses: successive nominally identical pulses produce
-    different frequency excursions, which is the failure mode the designed
-    pulses remove.
-    """
-    tau = positive("tau", tau)
-    tau_pulse = tau if tau_pulse is None else positive("tau_pulse", tau_pulse)
-    gap = tau_pulse if gap is None else positive("gap", gap)
-    n_pulses = integer("n_pulses", n_pulses, 1)
-    tail = 3.0 * tau if tail is None else positive("tail", tail)
-
-    period = tau_pulse + gap
-    train_end = n_pulses * period
-
-    def commanded(t):
-        t_arr = np.asarray(t, dtype=float)
-        inside = (t_arr >= 0.0) & (t_arr < train_end) & (np.mod(t_arr, period) < tau_pulse)
-        return np.where(inside, amplitude, 0.0)
-
-    total = train_end + tail
-    dt = min(tau / 60.0, tau_pulse / 60.0, gap / 60.0)
-    t = np.arange(int(math.ceil(total / dt)) + 1) * dt
-    # unit resistance and capacitance tau: the filter acts on flux directly
-    line = RCLine(1.0, tau)
-    v_c, _ = integrate_line_response(commanded, line, t)
-    delivered = commanded(t) - v_c
-    flux = phi_idle + delivered
-    return {"t": t, "commanded": commanded(t), "flux": flux, "frequency": _flux_map(flux, omega_max)}

@@ -207,7 +207,7 @@ def _fit_rows(rows: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
     return slope
 
 
-def fit_transient(flux, delays, tau_pulse: float, weights=None) -> TransientFit:
+def fit_transient(flux, delays, tau_pulse: float) -> TransientFit:
     """Fit ``A * (-exp(-d/tau) + exp(-(d+tau_pulse)/tau)) + B`` to a flux record.
 
     Variable projection (Golub & Pereyra 1973): A and B are linear, so each
@@ -225,7 +225,7 @@ def fit_transient(flux, delays, tau_pulse: float, weights=None) -> TransientFit:
     or once the bracket is below 1e-9, and the last point evaluated gives
     tau, A, B and the diagnostics.
 
-    The cost is ``sum((w * (model - y))**2)``; default weights are uniform
+    The cost is ``sum((w * (model - y))**2)``; the weights are uniform
     except the two endpoints at half weight.  ``interior`` is true when the
     first scan's best point is not at an end of the range, and
     ``iterations`` counts the root search's evaluations.  ``tau_stderr`` is
@@ -242,13 +242,8 @@ def fit_transient(flux, delays, tau_pulse: float, weights=None) -> TransientFit:
     if np.any(np.diff(d) <= 0.0):
         raise ValueError("delays must be strictly increasing")
     tau_pulse = positive("tau_pulse", tau_pulse)
-    if weights is None:
-        w = np.ones(y.size)
-        w[0] = w[-1] = 0.5
-    else:
-        w = finite("weights", np.atleast_1d(weights))
-        if w.shape != y.shape or np.any(w < 0.0):
-            raise ValueError("weights must be non-negative and match the data length")
+    w = np.ones(y.size)
+    w[0] = w[-1] = 0.5
 
     offset0 = y[-1]
     if float(np.max(np.abs(y - offset0))) == 0.0:

@@ -171,7 +171,14 @@ def input_impedance(network: TwoPort, load: complex):
 
     The entries of ``network`` may be scalars or arrays over frequency (as
     :func:`cascade` returns them); the result has the same shape.
+    ``load`` is a finite real or complex number.
     """
+    try:
+        finite_load = bool(np.isfinite(load))
+    except (TypeError, ValueError):
+        finite_load = False
+    if not finite_load:
+        raise ValueError(f"load must be a finite number, got {load!r}")
     denom = network.c * load + network.d
     if np.any(np.abs(denom) < 1e-15):
         raise ValueError("network is singular into this load at a swept frequency")

@@ -190,21 +190,21 @@ def integrate_line_response(v_in, line: RCLine, t_grid, v_c_initial: float = 0.0
     return v, i
 
 
-def square_pulse_flux_transient(amplitude, tau_pulse: float, tau: float, t_delay, baseline: float = 0.0):
+def square_pulse_flux_transient(amplitude, tau_pulse: float, tau: float, t_delay):
     """Residual flux after a square pulse through a first-order high-pass line.
 
     A square pulse of height ``amplitude`` and width ``tau_pulse`` leaves,
     at time ``t_delay`` past its trailing edge,
 
-        amplitude * (-exp(-t_delay/tau) + exp(-(t_delay + tau_pulse)/tau)) + baseline
+        amplitude * (-exp(-t_delay/tau) + exp(-(t_delay + tau_pulse)/tau))
 
     which is the template fitted by the transient-extraction pipeline.
     """
+    amplitude = finite("amplitude", amplitude)
     tau_pulse = positive("tau_pulse", tau_pulse)
     tau = positive("tau", tau)
-    td = np.asarray(t_delay, dtype=float)
+    td = finite("t_delay", np.asarray(t_delay, dtype=float))
     if np.any(td < 0.0):
         raise ValueError("t_delay must be non-negative")
-    out = amplitude * (-np.exp(-td / tau) + np.exp(-(td + tau_pulse) / tau)) + baseline
-    out = np.asarray(out)
+    out = np.asarray(amplitude * (-np.exp(-td / tau) + np.exp(-(td + tau_pulse) / tau)))
     return float(out) if out.ndim == 0 else out

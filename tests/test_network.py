@@ -200,6 +200,13 @@ def test_sweep_input_impedance_validation():
         sweep_input_impedance(chain, 0.0, [[1e6]])
 
 
+@pytest.mark.parametrize("load", [math.nan, math.inf, complex(0.0, math.nan), complex(-math.inf, 0.0), "50"])
+def test_sweep_input_impedance_refuses_a_non_finite_load(load):
+    # a nan load used to warn and return all-nan impedances
+    with pytest.raises(ValueError, match=r"^load must be a finite number, got "):
+        sweep_input_impedance(default_flux_chain(), load, [1e3, 1e4])
+
+
 def test_fit_recovers_pure_rc_exactly():
     chain = [WiringElement.series_resistor(47.0), WiringElement.series_capacitor(3.3e-7)]
     f = np.geomspace(1e3, 1e6, 31)

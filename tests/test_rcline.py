@@ -209,7 +209,7 @@ def test_ode_oracle_node_reuse_is_bit_identical():
         for got, ref in zip(integrate_line_response(p.evaluate, line, t), _three_call_rk4(p.evaluate, line, t)):
             assert got.tobytes() == ref.tobytes()
 
-    # a commanded square train as square_train_response builds it
+    # a commanded train of three square pulses, each tau wide and one tau apart
     tau, tau_pulse, period, train_end = 1e-5, 1e-5, 2e-5, 6e-5
 
     def commanded(s):
@@ -333,14 +333,25 @@ def test_square_pulse_flux_transient_values():
     val = square_pulse_flux_transient(1.0, 8e-6, 13e-6, 0.0)
     assert_allclose(val, -1.0 + math.exp(-8.0 / 13.0), rtol=1e-12)
     assert_allclose(val, -0.45960, rtol=1e-4)
-    # far delays decay to the baseline
-    assert_allclose(square_pulse_flux_transient(1.0, 8e-6, 13e-6, 1.0, baseline=0.25), 0.25, rtol=1e-12)
+    # far delays decay to zero
+    assert square_pulse_flux_transient(1.0, 8e-6, 13e-6, 1.0) == 0.0
     # vanishing pulse width leaves nothing behind
     assert abs(square_pulse_flux_transient(1.0, 1e-18, 13e-6, 5e-6)) < 1e-10
     with pytest.raises(ValueError):
         square_pulse_flux_transient(1.0, 0.0, 13e-6, 0.0)
     with pytest.raises(ValueError):
         square_pulse_flux_transient(1.0, 8e-6, 13e-6, -1e-6)
+
+
+@pytest.mark.parametrize("field", ["amplitude", "t_delay"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_square_pulse_flux_transient_refuses_a_non_finite_input(field, bad):
+    # a nan used to come back as the residual flux
+    args = {"amplitude": 1.0, "t_delay": np.array([0.0, 1e-6, 2e-6])}
+    args[field] = bad if field == "amplitude" else np.array([0.0, bad, 2e-6])
+    at = "" if field == "amplitude" else " at index 1"
+    with pytest.raises(ValueError, match=rf"^{field} must be finite, got {bad!r}{at}$"):
+        square_pulse_flux_transient(args["amplitude"], 8e-6, 13e-6, args["t_delay"])
 
 
 @pytest.mark.parametrize("vectorized", [True, False], ids=["vectorized", "scalar-only"])

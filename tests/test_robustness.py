@@ -6,13 +6,10 @@ from numpy.testing import assert_allclose
 
 from fluxshape import (
     HarmonicPulse,
-    PhaseStatistics,
     capacitor_voltage,
-    compare_single_vs_biharmonic,
     default_sweep_axes,
     mischaracterized_transient_coefficient,
     net_zero_metrics,
-    phase_statistics,
     solve_biharmonic,
     sweep_transient_coefficient,
     transient_coefficient,
@@ -28,8 +25,6 @@ def test_default_sweep_axes():
     assert m[0] == 0.01 and m[-1] == 100.0
     assert_allclose(np.diff(np.log(wt)), np.log(wt[1] / wt[0]), rtol=1e-9)
     assert_allclose(np.diff(np.log(m)), np.log(m[1] / m[0]), rtol=1e-9)
-    wt, m = default_sweep_axes(7, 11)
-    assert wt.size == 7 and m.size == 11
 
 
 def test_sweep_design_column_vanishes():
@@ -95,41 +90,28 @@ def test_sweep_smooth_in_m():
     assert checked > 30
 
 
-def test_compare_single_vs_biharmonic_values():
+def test_single_sine_versus_limiting_design():
+    # a bare sine against the m >> 1 limiting design b2 = -2*b1, omega = 1
+    # so that omega*tau = tau
+    single = HarmonicPulse(2.0 * math.pi, a=(0.0,), b=(1.0,))
+    limiting = HarmonicPulse(2.0 * math.pi, a=(0.0, 0.0), b=(1.0, -2.0))
     x = 8.79
-    k_single, k_bi = compare_single_vs_biharmonic(1.0, 1.0, x)
+    k_single, k_bi = transient_coefficient(single, x), transient_coefficient(limiting, x)
     assert_allclose(k_single, -x / (1.0 + x * x), rtol=1e-12)
-    assert_allclose(k_single, -0.11231203067562268, rtol=1e-12)
     assert_allclose(k_single, -0.11231, rtol=1e-3)
     assert_allclose(k_bi, 3.0 * x / (1.0 + 5.0 * x**2 + 4.0 * x**4), rtol=1e-12)
-    ratio = abs(k_single) / abs(k_bi)
-    assert 95.0 < ratio < 115.0
-
-
-def test_compare_scales_linearly_in_b1():
-    k1 = compare_single_vs_biharmonic(1.0, 1.0, 8.79)
-    k2 = compare_single_vs_biharmonic(-2.0, 1.0, 8.79)
-    assert_allclose(k2, tuple(-2.0 * v for v in k1), rtol=1e-12)
-    assert compare_single_vs_biharmonic(0.0, 1.0, 8.79) == (0.0, 0.0)
-
-
-def test_compare_crossover():
-    # designed pulse wins above omega*tau = 1/sqrt(2), loses below
+    assert 95.0 < abs(k_single) / abs(k_bi) < 115.0
+    # the design wins above omega*tau = 1/sqrt(2) and loses below
     for x in (2.0, 5.0, 10.0, 100.0):
-        k_single, k_bi = compare_single_vs_biharmonic(1.0, 1.0, x)
-        assert abs(k_bi) < abs(k_single)
+        assert abs(transient_coefficient(limiting, x)) < abs(transient_coefficient(single, x))
     for x in (0.2, 0.5):
-        k_single, k_bi = compare_single_vs_biharmonic(1.0, 1.0, x)
-        assert abs(k_bi) > abs(k_single)
-    k_single, k_bi = compare_single_vs_biharmonic(1.0, 1.0, 1.0 / math.sqrt(2.0))
-    assert_allclose(abs(k_bi), abs(k_single), rtol=1e-12)
-
-
-def test_compare_limits():
+        assert abs(transient_coefficient(limiting, x)) > abs(transient_coefficient(single, x))
+    x = 1.0 / math.sqrt(2.0)
+    assert_allclose(abs(transient_coefficient(limiting, x)), abs(transient_coefficient(single, x)), rtol=1e-12)
+    # -1/x against 3/(4 x^3) far above the crossover
     x = 1e4
-    k_single, k_bi = compare_single_vs_biharmonic(1.0, 1.0, x)
-    assert_allclose(k_single, -1.0 / x, rtol=1e-7)
-    assert_allclose(k_bi, 3.0 / (4.0 * x**3), rtol=1e-7)
+    assert_allclose(transient_coefficient(single, x), -1.0 / x, rtol=1e-7)
+    assert_allclose(transient_coefficient(limiting, x), 3.0 / (4.0 * x**3), rtol=1e-7)
 
 
 def test_net_zero_metrics_analytic():
@@ -158,36 +140,3 @@ def test_net_zero_capacitor_area_matches_quadrature():
     t = np.linspace(0.0, 8e-6, 20001)
     numeric = np.trapezoid(capacitor_voltage(pulse, line, t), t)
     assert_allclose(net_zero_metrics(pulse, line)["capacitor_area"], numeric, rtol=1e-6)
-
-
-def test_phase_statistics_small_samples():
-    stats = phase_statistics([1.0, -1.0])
-    assert stats.mean == 0.0
-    assert_allclose(stats.std, math.sqrt(2.0), rtol=1e-12)
-    assert_allclose(stats.mean_stderr, 1.0, rtol=1e-12)
-    assert_allclose(stats.std_stderr, 1.0, rtol=1e-12)
-    assert stats.n == 2
-    flat = phase_statistics([0.4, 0.4, 0.4])
-    assert flat.std < 1e-15 and flat.mean_stderr < 1e-15
-    assert flat.mean == pytest.approx(0.4)
-
-
-def test_phase_statistics_gaussian_sample():
-    rng = np.random.default_rng(4)
-    x = rng.normal(0.0, 0.33, 400)
-    stats = phase_statistics(x)
-    assert isinstance(stats, PhaseStatistics)
-    assert abs(stats.std - 0.33) < 0.033
-    assert_allclose(stats.mean_stderr, stats.std / 20.0, rtol=1e-12)
-    assert_allclose(stats.std_stderr, stats.std / math.sqrt(798.0), rtol=1e-12)
-    d = stats.to_dict()
-    assert set(d) == {"mean", "std", "mean_stderr", "std_stderr", "n"}
-
-
-def test_phase_statistics_validation():
-    with pytest.raises(ValueError):
-        phase_statistics([1.0])
-    with pytest.raises(ValueError):
-        phase_statistics([1.0, math.nan])
-    with pytest.raises(ValueError):
-        phase_statistics([[1.0, 2.0]])
