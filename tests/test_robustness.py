@@ -90,28 +90,42 @@ def test_sweep_smooth_in_m():
     assert checked > 30
 
 
-def test_single_sine_versus_limiting_design():
+def _single_and_limiting(x):
     # a bare sine against the m >> 1 limiting design b2 = -2*b1, omega = 1
     # so that omega*tau = tau
     single = HarmonicPulse(2.0 * math.pi, a=(0.0,), b=(1.0,))
     limiting = HarmonicPulse(2.0 * math.pi, a=(0.0, 0.0), b=(1.0, -2.0))
+    return transient_coefficient(single, x), transient_coefficient(limiting, x)
+
+
+def test_compare_single_vs_biharmonic_values():
     x = 8.79
-    k_single, k_bi = transient_coefficient(single, x), transient_coefficient(limiting, x)
+    k_single, k_bi = _single_and_limiting(x)
     assert_allclose(k_single, -x / (1.0 + x * x), rtol=1e-12)
+    assert_allclose(k_single, -0.11231203067562268, rtol=1e-12)
     assert_allclose(k_single, -0.11231, rtol=1e-3)
     assert_allclose(k_bi, 3.0 * x / (1.0 + 5.0 * x**2 + 4.0 * x**4), rtol=1e-12)
     assert 95.0 < abs(k_single) / abs(k_bi) < 115.0
+
+
+def test_compare_crossover():
     # the design wins above omega*tau = 1/sqrt(2) and loses below
     for x in (2.0, 5.0, 10.0, 100.0):
-        assert abs(transient_coefficient(limiting, x)) < abs(transient_coefficient(single, x))
+        k_single, k_bi = _single_and_limiting(x)
+        assert abs(k_bi) < abs(k_single)
     for x in (0.2, 0.5):
-        assert abs(transient_coefficient(limiting, x)) > abs(transient_coefficient(single, x))
-    x = 1.0 / math.sqrt(2.0)
-    assert_allclose(abs(transient_coefficient(limiting, x)), abs(transient_coefficient(single, x)), rtol=1e-12)
+        k_single, k_bi = _single_and_limiting(x)
+        assert abs(k_bi) > abs(k_single)
+    k_single, k_bi = _single_and_limiting(1.0 / math.sqrt(2.0))
+    assert_allclose(abs(k_bi), abs(k_single), rtol=1e-12)
+
+
+def test_compare_limits():
     # -1/x against 3/(4 x^3) far above the crossover
     x = 1e4
-    assert_allclose(transient_coefficient(single, x), -1.0 / x, rtol=1e-7)
-    assert_allclose(transient_coefficient(limiting, x), 3.0 / (4.0 * x**3), rtol=1e-7)
+    k_single, k_bi = _single_and_limiting(x)
+    assert_allclose(k_single, -1.0 / x, rtol=1e-7)
+    assert_allclose(k_bi, 3.0 / (4.0 * x**3), rtol=1e-7)
 
 
 def test_net_zero_metrics_analytic():
