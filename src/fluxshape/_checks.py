@@ -1,12 +1,16 @@
 """The one boundary check for numeric inputs.
 
-:func:`finite` and :func:`positive` return a float, or a float array for an
-ndarray of one or more dimensions, and raise a one-line ValueError naming
-the field when the conversion fails or a value is out of range.  Anything
-else goes through ``float``, so a list never passes for a scalar and a
-scalar never builds an array; callers convert sequences with ``np.asarray``.
-:func:`integer` is the same check for sizes and counts, and
-:func:`omega_tau_in_range` bounds the products omega*tau the closed forms square.
+:func:`finite`, :func:`positive` and :func:`nonnegative` return a float, or a
+float array for an ndarray of one or more dimensions, and raise a one-line
+ValueError naming the field when the conversion fails or a value is out of
+range; for an array the line quotes the first offending entry and its index.
+Anything else goes through ``float``, so a list never passes for a scalar
+and a scalar never builds an array.  :func:`samples` is the check for a
+sequence of samples: it converts any sequence to a finite 1-D float array and
+checks its length, and on request that it pairs with another array and that
+it strictly increases.  :func:`integer` is the same check for sizes and
+counts, and :func:`omega_tau_in_range` bounds the products omega*tau the
+closed forms square.
 """
 
 from __future__ import annotations
@@ -25,12 +29,47 @@ _OMEGA_TAU_MAX = 1e100
 
 def finite(name: str, value):
     """``value`` as a float or float array, every entry finite."""
-    return _check(name, value, "finite", False)
+    return _check(name, value, "finite", None)
 
 
 def positive(name: str, value):
     """``value`` as a float or float array, every entry positive and finite."""
-    return _check(name, value, "positive and finite", True)
+    return _check(name, value, "positive and finite", operator.gt)
+
+
+def nonnegative(name: str, value):
+    """``value`` as a float or float array, every entry non-negative and finite."""
+    return _check(name, value, "non-negative and finite", operator.ge)
+
+
+def samples(name: str, value, min_size: int = 1, *, size: int | None = None, increasing: bool = False) -> np.ndarray:
+    """``value`` as a finite 1-D float array of at least ``min_size`` entries.
+
+    ``size`` asks for exactly that many entries, the length of the array
+    ``value`` pairs with; ``increasing`` asks for every entry to exceed the
+    one before it, and a fault quotes the entry, its predecessor and its
+    index.  A 0-d value is refused: a caller that takes a scalar as one
+    sample passes ``np.atleast_1d(value)``.
+    """
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be finite, got {_shown(value)!r}") from None
+    if arr.ndim != 1:
+        raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
+    if arr.size < min_size:
+        raise ValueError(f"{name} must have length at least {min_size}, got {arr.size}")
+    if size is not None and arr.size != size:
+        raise ValueError(f"{name} must have length {size}, got {arr.size}")
+    _check(name, arr, "finite", None)
+    if increasing:
+        rising = np.diff(arr) > 0.0
+        if not rising.all():
+            i = int(np.argmin(rising)) + 1
+            raise ValueError(
+                f"{name} must be strictly increasing, got {arr[i].item()!r} after {arr[i - 1].item()!r} at index {i}"
+            )
+    return arr
 
 
 def integer(name: str, value, low: int, high: float = sys.float_info.max) -> int:
@@ -46,7 +85,7 @@ def integer(name: str, value, low: int, high: float = sys.float_info.max) -> int
             raise TypeError
         value = operator.index(value)
     except TypeError:
-        raise ValueError(f"{name} must be an integer, got {getattr(value, 'tolist', lambda: value)()!r}") from None
+        raise ValueError(f"{name} must be an integer, got {_shown(value)!r}") from None
     if value < low:
         raise ValueError(f"{name} must be at least {low}, got {value}")
     if value > high:
@@ -66,22 +105,27 @@ def omega_tau_in_range(name: str, value):
     return value
 
 
-def _check(name: str, value, rule: str, strict: bool):
+def _shown(value):
+    # tolist shows a numpy scalar or array as the plain value it holds
+    return getattr(value, "tolist", lambda: value)()
+
+
+def _check(name: str, value, rule: str, sign):
+    # sign compares an entry with zero (operator.gt or operator.ge), or is None
     if not (isinstance(value, np.ndarray) and value.ndim):
         try:
             x = float(value)
         except (TypeError, ValueError, OverflowError):
             x = math.nan
-        if not (math.isfinite(x) and (x > 0.0 or not strict)):
-            # tolist shows a numpy scalar or 0-d array as the plain value it holds
-            raise ValueError(f"{name} must be {rule}, got {getattr(value, 'tolist', lambda: value)()!r}")
+        if not (math.isfinite(x) and (sign is None or sign(x, 0.0))):
+            raise ValueError(f"{name} must be {rule}, got {_shown(value)!r}")
         return x
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         raise ValueError(f"{name} must be {rule}, got {value.tolist()!r}") from None
-    ok = np.isfinite(arr) & (arr > 0.0) if strict else np.isfinite(arr)
-    if not np.all(ok):
+    ok = np.isfinite(arr) if sign is None else np.isfinite(arr) & sign(arr, 0.0)
+    if not ok.all():
         # the first offending entry keeps the message on one line
         i = int(np.flatnonzero(~ok)[0])
         raise ValueError(f"{name} must be {rule}, got {arr.flat[i].item()!r} at index {i}")

@@ -25,7 +25,7 @@ import numpy as np
 
 import fluxshape
 from fluxshape import formats
-from fluxshape._checks import finite, integer, omega_tau_in_range, positive
+from fluxshape._checks import finite, integer, nonnegative, omega_tau_in_range, positive, samples
 from fluxshape.device import (
     RamseyConfig,
     pulse_flux_waveform,
@@ -103,35 +103,39 @@ def _cmd_design(args) -> _Run:
     if not isinstance(request, dict):
         raise ValueError("--request file must contain a JSON object")
 
-    def field(flag, key, check, scale=1.0, default=None):
+    def source(flag, key):
         # an explicit flag wins over the request file; errors name the one used
-        value = getattr(args, flag[2:].replace("-", "_"))
-        if value is not None:
-            return check(flag, value) * scale
+        return flag if getattr(args, flag[2:].replace("-", "_")) is not None else key
+
+    def field(flag, key, check, scale=1.0, default=None):
+        if source(flag, key) == flag:
+            return check(flag, getattr(args, flag[2:].replace("-", "_"))) * scale
         return check(key, request[key] if key in request else _require(default, flag))
 
     family = _require(args.family or request.get("family"), "--family")
     tau_pulse_s = field("--tau-pulse-us", "tau_pulse_s", positive, 1e-6)
     tau_assumed_s = field("--tau-assumed-us", "tau_assumed_s", positive, 1e-6)
     omega = 2.0 * math.pi / tau_pulse_s
-    tau_source = "tau_assumed_s" if args.tau_assumed_us is None else "--tau-assumed-us"
-    omega_tau_in_range(tau_source, omega * tau_assumed_s)
+    # the library's argument names, each with the flag or key it came from
+    sources = {"tau_assumed": source("--tau-assumed-us", "tau_assumed_s"), "b1": source("--b1", "b1"),
+               "a": source("--a", "a"), "b": source("--b", "b")}
+    omega_tau_in_range(sources["tau_assumed"], omega * tau_assumed_s)
 
-    if family == "biharmonic":
-        pulse = solve_biharmonic(field("--b1", "b1", finite), omega, tau_assumed_s)
-    elif family == "top-harmonic":
-        a0 = field("--a0", "a0", finite, default=0.0)
-        a_low = _require(args.a if args.a is not None else request.get("a"), "--a")
-        b_low = _require(args.b if args.b is not None else request.get("b"), "--b")
-        try:
+    try:
+        if family == "biharmonic":
+            pulse = solve_biharmonic(field("--b1", "b1", finite), omega, tau_assumed_s)
+        elif family == "top-harmonic":
+            a0 = field("--a0", "a0", finite, default=0.0)
+            a_low = _require(args.a if args.a is not None else request.get("a"), "--a")
+            b_low = _require(args.b if args.b is not None else request.get("b"), "--b")
             pulse, _ = solve_top_harmonic(a0, a_low, b_low, omega, tau_assumed_s)
-        except ValueError as exc:
-            # the library names its argument tau_assumed; the line names the flag or key it came from
-            if not str(exc).startswith("tau_assumed "):
-                raise
-            raise ValueError(tau_source + str(exc)[len("tau_assumed") :]) from None
-    else:
-        raise ValueError(f"--family must be 'biharmonic' or 'top-harmonic', got {family!r}")
+        else:
+            raise ValueError(f"--family must be 'biharmonic' or 'top-harmonic', got {family!r}")
+    except ValueError as exc:
+        name, _, rest = str(exc).partition(" ")
+        if name not in sources:
+            raise
+        raise ValueError(f"{sources[name]} {rest}") from None
 
     diagnostics = {
         "k_exp_at_assumed": transient_coefficient(pulse, tau_assumed_s),
@@ -150,6 +154,11 @@ def _cmd_respond(args) -> _Run:
     line = formats.rcline_from_dict(formats.load_json(args.line))
     omega_tau_in_range("r_ohms * c_farads", pulse.omega * line.tau)
     dt = positive("--dt-us", args.dt_us) * 1e-6
+    if dt > pulse.tau_pulse / 4.0:
+        # the test HarmonicPulse.sample makes, worded in the flag's microseconds
+        raise ValueError(
+            f"--dt-us={args.dt_us!r} undersamples the pulse; need --dt-us <= tau_pulse/4 = {pulse.tau_pulse * 0.25e6:.6g}"
+        )
     n_periods = integer("--n-periods", args.n_periods, 1)
     _at_most(MAX_RESPONSE_ROWS, n_periods * pulse.tau_pulse / dt, "--n-periods / --dt-us", "rows")
     t, v_in = pulse.sample(dt, n_periods)
@@ -235,8 +244,8 @@ def _cmd_ramsey_sim(args) -> _Run:
         raise ValueError(f"--waveform must be 'square' or 'pulse', got {args.waveform!r}")
 
     delays = np.arange(_delay_count(args.delay_max_us, args.delay_step_us)) * (args.delay_step_us * 1e-6)
-    if args.noise_sigma is not None and args.noise_sigma < 0.0:
-        raise ValueError(f"--noise-sigma must be non-negative, got {args.noise_sigma!r}")
+    if args.noise_sigma is not None:
+        nonnegative("--noise-sigma", args.noise_sigma)
     seed = _resolve_seed(args.seed)
     config = RamseyConfig(
         tau_pulse=tau_pulse,
@@ -268,9 +277,10 @@ def _cmd_extract(args) -> _Run:
     sg_order = integer("--sg-order", args.sg_order, 1, sg_window - 1)
     device = formats.device_from_dict(formats.load_json(args.device))
     delays, x, y = formats.read_csv_columns(args.trace, ["tau_delay_s", "x_expect", "y_expect"])
+    delays = samples("tau_delay_s", delays, 3, increasing=True)
+    # the smoothing window must fit in the trace before the fit window is judged
+    integer("--sg-window", sg_window, 3, delays.size)
     steps = np.diff(delays)
-    if delays.size < 3 or np.any(steps <= 0.0):
-        raise ValueError("trace delays must be strictly increasing with at least three points")
     dt = float(steps[0])
     if np.max(np.abs(steps - dt)) > 1e-6 * dt:
         raise ValueError("trace delay grid must be uniform")

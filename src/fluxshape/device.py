@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fluxshape._checks import finite, integer, positive
+from fluxshape._checks import finite, integer, nonnegative, positive, samples
 from fluxshape.pulse import HarmonicPulse
 from fluxshape.rcline import (
     RCLine,
@@ -65,10 +65,7 @@ class CouplerDevice:
     def __post_init__(self):
         object.__setattr__(self, "omega_q", positive("omega_q", self.omega_q))
         object.__setattr__(self, "omega_max", positive("omega_max", self.omega_max))
-        g = finite("g", self.g)
-        if g < 0.0:
-            raise ValueError(f"g must be non-negative and finite, got {self.g!r}")
-        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "g", nonnegative("g", self.g))
         object.__setattr__(self, "flux_per_volt", finite("flux_per_volt", self.flux_per_volt))
         phi_idle = finite("phi_idle", self.phi_idle)
         # the flux map is invertible only within half a period around the bias
@@ -126,19 +123,16 @@ class RamseyConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        grid = finite("delay_grid", np.array(self.delay_grid))
-        if np.ndim(grid) != 1 or grid.size < 2:
-            raise ValueError("delay_grid must be 1-D with at least two points")
-        if grid[0] < 0.0 or np.any(np.diff(grid) <= 0.0):
-            raise ValueError("delay_grid must be non-negative and strictly increasing")
+        # a copy, so that the caller's array cannot change the frozen config
+        grid = np.array(samples("delay_grid", self.delay_grid, 2, increasing=True))
+        # the grid increases, so its first entry is its least
+        nonnegative("delay_grid", grid[:1])
         grid.flags.writeable = False
-        sigma = self.readout_noise_sigma
-        if sigma is not None and finite("readout_noise_sigma", sigma) < 0.0:
-            raise ValueError(f"readout_noise_sigma must be non-negative, got {sigma!r}")
         object.__setattr__(self, "tau_pulse", positive("tau_pulse", self.tau_pulse))
         object.__setattr__(self, "delay_grid", grid)
         object.__setattr__(self, "t2", None if self.t2 is None else positive("t2", self.t2))
-        object.__setattr__(self, "readout_noise_sigma", None if sigma is None else float(sigma))
+        sigma = self.readout_noise_sigma
+        object.__setattr__(self, "readout_noise_sigma", None if sigma is None else nonnegative("readout_noise_sigma", sigma))
         # numpy seeds from any non-negative int, however large
         object.__setattr__(self, "rng_seed", integer("rng_seed", self.rng_seed, 0, np.inf))
 

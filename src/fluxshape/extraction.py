@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fluxshape._checks import finite, integer, positive
+from fluxshape._checks import finite, integer, positive, samples
 from fluxshape.device import CouplerDevice, dressed_qubit_frequency
 
 __all__ = [
@@ -58,10 +58,8 @@ def unwrap_phase(x, y) -> np.ndarray:
     less than pi per sample.  Raises when a quadrature is not finite or a
     point has magnitude below 1e-6 (phase undefined there).
     """
-    x = finite("x", np.atleast_1d(x))
-    y = finite("y", np.atleast_1d(y))
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("x and y must be 1-D arrays of equal length")
+    x = samples("x", np.atleast_1d(x))
+    y = samples("y", np.atleast_1d(y), size=x.size)
     if np.any(x * x + y * y < _QUADRATURE_FLOOR):
         raise ValueError("quadrature magnitude too small to define a phase")
     raw = np.arctan2(y, x)
@@ -88,15 +86,11 @@ def savgol_smooth(series, window_points: int, poly_order: int) -> np.ndarray:
     symmetric window convolved over the interior, and the right edge is the
     left edge of the reversed series.
     """
-    y = finite("series", np.atleast_1d(series))
-    if y.ndim != 1:
-        raise ValueError("series must be 1-D")
-    n = y.size
     window_points = integer("window_points", window_points, 3)
     if window_points % 2 == 0:
         raise ValueError(f"window_points must be odd, got {window_points}")
-    if window_points > n:
-        raise ValueError(f"window_points={window_points} exceeds series length {n}")
+    y = samples("series", np.atleast_1d(series), window_points)
+    n = y.size
     poly_order = integer("poly_order", poly_order, 1, window_points - 1)
 
     half = window_points // 2
@@ -124,9 +118,7 @@ def frequency_from_phase(phase, dt: float) -> np.ndarray:
     Uses second-order central differences with second-order one-sided
     stencils at both ends (the behavior of ``np.gradient``).
     """
-    phase = finite("phase", np.atleast_1d(phase))
-    if phase.ndim != 1 or phase.size < 3:
-        raise ValueError("phase must be 1-D with at least three points")
+    phase = samples("phase", np.atleast_1d(phase), 3)
     dt = positive("dt", dt)
     return np.gradient(phase, dt, edge_order=2) / (2.0 * np.pi)
 
@@ -233,14 +225,8 @@ def fit_transient(flux, delays, tau_pulse: float) -> TransientFit:
     A * dshape/dtau]``.  ``converged`` needs ``interior``, finite A, B and
     tau, and ``tau_stderr`` at most 10% of tau.
     """
-    y = finite("flux", np.atleast_1d(flux))
-    d = finite("delays", np.atleast_1d(delays))
-    if y.ndim != 1 or y.shape != d.shape:
-        raise ValueError("flux and delays must be 1-D arrays of equal length")
-    if y.size < 8:
-        raise ValueError(f"need at least 8 samples to fit, got {y.size}")
-    if np.any(np.diff(d) <= 0.0):
-        raise ValueError("delays must be strictly increasing")
+    y = samples("flux", np.atleast_1d(flux), 8)
+    d = samples("delays", np.atleast_1d(delays), size=y.size, increasing=True)
     tau_pulse = positive("tau_pulse", tau_pulse)
     w = np.ones(y.size)
     w[0] = w[-1] = 0.5

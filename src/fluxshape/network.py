@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fluxshape._checks import finite, positive
+from fluxshape._checks import nonnegative, positive, samples
 
 __all__ = [
     "TwoPort",
@@ -54,14 +54,6 @@ class TwoPort:
             self.c * other.b + self.d * other.d,
         )
 
-    def determinant(self) -> complex:
-        """a*d - b*c; equals 1 for any reciprocal network."""
-        return self.a * self.d - self.b * self.c
-
-    @staticmethod
-    def identity() -> "TwoPort":
-        return TwoPort(1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j)
-
 
 _ELEMENT_KINDS = {
     "attenuator": ("db", "z0_ohms"),
@@ -87,11 +79,12 @@ class WiringElement:
             raise ValueError(
                 f"element {self.kind!r} needs params {sorted(expected)}, got {sorted(self.params)}"
             )
-        params = {key: finite(f"{self.kind}.{key}", value) for key, value in self.params.items()}
-        for key, v in params.items():
+        params = {}
+        for key, value in self.params.items():
             # only the attenuator's db may be zero: a 0 dB attenuator is the identity
-            if v < 0.0 or (v == 0.0 and key != "db"):
-                raise ValueError(f"{self.kind}.{key} must be positive, got {self.params[key]!r}")
+            check = nonnegative if key == "db" else positive
+            # each parameter is one number; as a list, an array is refused
+            params[key] = check(f"{self.kind}.{key}", value.tolist() if isinstance(value, np.ndarray) else value)
         object.__setattr__(self, "params", params)
 
     @staticmethod
@@ -187,9 +180,7 @@ def input_impedance(network: TwoPort, load: complex):
 
 def sweep_input_impedance(elements, load: complex, f_grid) -> np.ndarray:
     """Input impedance of a terminated chain over a frequency grid (Hz)."""
-    f = positive("f_grid", np.asarray(f_grid))
-    if np.ndim(f) != 1 or f.size == 0:
-        raise ValueError("f_grid must be a non-empty 1-D sequence")
+    f = positive("f_grid", samples("f_grid", f_grid))
     return input_impedance(cascade(elements, f), load)
 
 
@@ -230,19 +221,14 @@ def sweep_and_fit_rc(elements, load: complex, f_grid, fit_band_hz: float = 1e6) 
     return RCFitResult(f, z, float(effective_r), float(effective_c), fit_rms)
 
 
-def default_flux_chain(
-    bias_tee_c: float = 2.2e-7,
-    attenuations_db=(20.0, 3.0, 20.0, 3.0, 20.0),
-    wirebond_l: float = 1e-9,
-    z0: float = 50.0,
-):
-    """Representative flux-line chain: bias tee, attenuator ladder, wirebond.
+def default_flux_chain(bias_tee_c: float = 2.2e-7, attenuations_db=(20.0, 3.0, 20.0, 3.0, 20.0)):
+    """Representative flux-line chain: bias tee, 50-ohm attenuator ladder, 1 nH wirebond.
 
     Terminated in a short on chip, the low-frequency behavior is a series RC
-    with R close to z0 (the ladder input resistance) and C the bias-tee
+    with R close to 50 ohms (the ladder input resistance) and C the bias-tee
     capacitor, giving a time constant near 11 us with the defaults.
     """
     chain = [WiringElement.series_capacitor(bias_tee_c)]
-    chain.extend(WiringElement.attenuator(db, z0) for db in attenuations_db)
-    chain.append(WiringElement.series_inductor(wirebond_l))
+    chain.extend(WiringElement.attenuator(db) for db in attenuations_db)
+    chain.append(WiringElement.series_inductor(1e-9))
     return chain

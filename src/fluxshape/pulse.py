@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fluxshape._checks import finite, integer, omega_tau_in_range, positive
+from fluxshape._checks import finite, integer, omega_tau_in_range, positive, samples
 
 __all__ = ["HarmonicPulse"]
 
@@ -76,14 +76,12 @@ class HarmonicPulse:
     b: tuple = ()
 
     def __post_init__(self):
-        a = tuple(finite("a", x) for x in self.a)
-        b = tuple(finite("b", x) for x in self.b)
-        if len(a) != len(b):
-            raise ValueError(f"a and b must have equal length, got {len(a)} and {len(b)}")
+        a = samples("a", self.a, 0)
+        b = samples("b", self.b, 0, size=a.size)
         object.__setattr__(self, "tau_pulse", positive("tau_pulse", self.tau_pulse))
         object.__setattr__(self, "a0", finite("a0", self.a0))
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "a", tuple(a.tolist()))
+        object.__setattr__(self, "b", tuple(b.tolist()))
 
     @property
     def omega(self) -> float:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fluxshape._checks import finite, positive
+from fluxshape._checks import finite, nonnegative, positive, samples
 from fluxshape.pulse import HarmonicPulse, _fourier_sum
 
 __all__ = [
@@ -123,8 +123,8 @@ def _rk4_affine_coefficients(z: np.ndarray):
     return a, b0, bm, z / 6.0
 
 
-def integrate_line_response(v_in, line: RCLine, t_grid, v_c_initial: float = 0.0):
-    """Integrate tau*dV_c/dt + V_c = V_in(t) with fixed-step classical RK4.
+def integrate_line_response(v_in, line: RCLine, t_grid):
+    """Integrate tau*dV_c/dt + V_c = V_in(t) from V_c = 0 with fixed-step classical RK4.
 
     ``v_in`` is a callable mapping time in seconds to volts (vectorized or
     scalar).  ``t_grid`` must be finite and strictly increasing with every
@@ -139,22 +139,14 @@ def integrate_line_response(v_in, line: RCLine, t_grid, v_c_initial: float = 0.0
     Returns ``(v_c, i)`` arrays aligned with ``t_grid``, where the delivered
     current is ``(V_in - V_c) / R``.
     """
-    t = np.asarray(t_grid, dtype=float)
-    if t.ndim != 1 or t.size < 2:
-        raise ValueError("t_grid must be a 1-D array with at least two points")
-    t = finite("t_grid", t)
+    t = samples("t_grid", t_grid, 2, increasing=True)
     h = np.diff(t)
-    if np.any(h <= 0.0):
-        raise ValueError("t_grid must be strictly increasing")
     tau = line.tau
     max_h = float(np.max(h))
     if max_h > tau / 50.0 * (1.0 + 1e-12):
         raise ValueError(
             f"integration step {max_h!r} exceeds tau/50 = {tau / 50.0!r}; refine the grid"
         )
-    if isinstance(v_c_initial, np.ndarray) and v_c_initial.ndim:
-        raise ValueError(f"v_c_initial must be a scalar, got an array of shape {v_c_initial.shape}")
-    v0 = finite("v_c_initial", v_c_initial)
 
     # the end of one step is the start of the next, so the grid nodes are
     # evaluated once and only the midpoints need a second call
@@ -177,14 +169,14 @@ def integrate_line_response(v_in, line: RCLine, t_grid, v_c_initial: float = 0.0
     np.cumprod(q, axis=1, out=q)
     s /= q
     np.cumsum(s, axis=1, out=s)
-    carry = [v0]
+    carry = [0.0]
     for q_end, s_end in zip(q[:-1, -1].tolist(), s[:-1, -1].tolist()):
         carry.append(q_end * (carry[-1] + s_end))
     s += np.array(carry)[:, None]
     s *= q
 
     v = np.empty(t.size)
-    v[0] = v0
+    v[0] = 0.0
     v[1:] = s.reshape(-1)[:n]
     i = (f - v) / line.resistance
     return v, i
@@ -203,8 +195,6 @@ def square_pulse_flux_transient(amplitude, tau_pulse: float, tau: float, t_delay
     amplitude = finite("amplitude", amplitude)
     tau_pulse = positive("tau_pulse", tau_pulse)
     tau = positive("tau", tau)
-    td = finite("t_delay", np.asarray(t_delay, dtype=float))
-    if np.any(td < 0.0):
-        raise ValueError("t_delay must be non-negative")
+    td = nonnegative("t_delay", np.asarray(t_delay))
     out = np.asarray(amplitude * (-np.exp(-td / tau) + np.exp(-(td + tau_pulse) / tau)))
     return float(out) if out.ndim == 0 else out

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fluxshape._checks import positive
+from fluxshape._checks import positive, samples
 from fluxshape.pulse import HarmonicPulse
 from fluxshape.rcline import RCLine, transient_coefficient
 from fluxshape.synthesis import mischaracterized_transient_coefficient
@@ -56,10 +56,8 @@ def sweep_transient_coefficient(b1: float, omega_tau_values, m_values) -> SweepG
     the grid is parameterized by ``omega*tau_true`` directly.  The m = 1
     column is exactly the design condition and vanishes identically.
     """
-    wt = positive("omega_tau_values", np.asarray(omega_tau_values))
-    m = positive("m_values", np.asarray(m_values))
-    if np.ndim(wt) != 1 or np.ndim(m) != 1 or wt.size == 0 or m.size == 0:
-        raise ValueError("omega_tau_values and m_values must be non-empty 1-D sequences")
+    wt = positive("omega_tau_values", samples("omega_tau_values", omega_tau_values))
+    m = positive("m_values", samples("m_values", m_values))
     k = mischaracterized_transient_coefficient(b1, 1.0, wt[:, None], m[None, :])
     return SweepGrid(wt, m, k)
 

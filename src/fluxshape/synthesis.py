@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from fluxshape._checks import finite, omega_tau_in_range, positive
+from fluxshape._checks import finite, omega_tau_in_range, positive, samples
 from fluxshape.pulse import HarmonicPulse
 from fluxshape.rcline import transient_coefficient
 
@@ -85,13 +85,9 @@ def solve_top_harmonic(a0: float, a, b, omega: float, tau_assumed: float):
     omega = positive("omega", omega)
     tau_assumed = positive("tau_assumed", tau_assumed)
     a0 = finite("a0", a0)
-    # object dtype leaves the conversion to the check, which names a bad entry's field
-    a_low = finite("a", np.asarray(a, dtype=object))
-    b_low = finite("b", np.asarray(b, dtype=object))
-    if np.ndim(a_low) != 1 or np.shape(a_low) != np.shape(b_low):
-        raise ValueError("a and b must be 1-D sequences of equal length")
-    if a_low.size < 1:
-        raise ValueError("need at least one lower harmonic (N >= 2)")
+    # at least one lower harmonic, so N >= 2
+    a_low = samples("a", a)
+    b_low = samples("b", b, size=a_low.size)
 
     n_top = a_low.size + 1
     x_top = n_top * omega * tau_assumed
@@ -102,7 +98,7 @@ def solve_top_harmonic(a0: float, a, b, omega: float, tau_assumed: float):
         )
 
     # the lower harmonics alone: their endpoint voltage and tail set the top harmonic's
-    lower = HarmonicPulse(tau_pulse=2.0 * math.pi / omega, a0=a0, a=tuple(a_low), b=tuple(b_low))
+    lower = HarmonicPulse(tau_pulse=2.0 * math.pi / omega, a0=a0, a=a_low, b=b_low)
     a_top = -lower.condition_one_residual()
     b_top = (a_top + transient_coefficient(lower, tau_assumed) * denom_top) / x_top
     pulse = HarmonicPulse(lower.tau_pulse, a0, (*lower.a, a_top), (*lower.b, b_top))
@@ -165,9 +161,7 @@ def asymptotic_transient_coefficient(family: str, coeffs, omega: float, tau: flo
         raise ValueError(
             f"asymptotic forms require omega*tau > 1, got {omega * tau!r}"
         )
-    c = finite("coeffs", np.asarray(coeffs))
-    if np.ndim(c) != 1 or c.size < 1:
-        raise ValueError("coeffs must be a non-empty 1-D sequence")
+    c = samples("coeffs", coeffs)
     if family == "biharmonic":
         if c.size != 1:
             raise ValueError("biharmonic family takes a single coefficient [b1]")

@@ -4,7 +4,28 @@ import re
 import numpy as np
 import pytest
 
-from fluxshape._checks import finite, integer, positive
+from fluxshape import (
+    CouplerDevice,
+    HarmonicPulse,
+    RamseyConfig,
+    RCLine,
+    WiringElement,
+    asymptotic_transient_coefficient,
+    fit_transient,
+    frequency_from_phase,
+    integrate_line_response,
+    savgol_smooth,
+    solve_top_harmonic,
+    square_pulse_flux_transient,
+    sweep_input_impedance,
+    sweep_transient_coefficient,
+    unwrap_phase,
+)
+from fluxshape import formats
+from fluxshape._checks import finite, integer, nonnegative, positive, samples
+from fluxshape.cli import build_parser
+
+from conftest import reference_device
 
 
 def test_scalars_come_back_as_floats():
@@ -81,3 +102,182 @@ def test_integer_range_names_the_field():
         integer("--sg-order", 5, 1, 4)
     with pytest.raises(ValueError, match=r"^n must be at most 1\.7976931348623157e\+308, got 9{400}$"):
         integer("n", int("9" * 400), 0)
+
+
+def test_nonnegative_admits_zero_and_names_the_first_negative_entry():
+    assert nonnegative("g", 0) == 0.0 and type(nonnegative("g", 0)) is float
+    assert nonnegative("g", -0.0) == 0.0
+    with pytest.raises(ValueError, match=r"^g must be non-negative and finite, got -1e-300$"):
+        nonnegative("g", -1e-300)
+    with pytest.raises(ValueError, match=r"^g must be non-negative and finite, got inf$"):
+        nonnegative("g", math.inf)
+    values = np.zeros(100)
+    values[37] = -2.0
+    with pytest.raises(ValueError, match=r"^sigma must be non-negative and finite, got -2.0 at index 37$"):
+        nonnegative("sigma", values)
+
+
+def test_samples_come_back_as_one_dimensional_float_arrays():
+    out = samples("t", [0, 1, 2], 3, size=3, increasing=True)
+    assert out.dtype == float and out.tolist() == [0.0, 1.0, 2.0]
+    floats = np.linspace(0.0, 1.0, 5)
+    assert samples("t", floats, increasing=True) is floats
+    assert samples("a", (), 0).shape == (0,)
+    # a 0-d value is not a sequence of samples
+    with pytest.raises(ValueError, match=r"^t must be 1-D, got shape \(\)$"):
+        samples("t", np.float64(1.0))
+    with pytest.raises(ValueError, match=r"^t must be finite, got \[1.0, \[1\]\]$"):
+        samples("t", [1.0, [1]])
+    with pytest.raises(ValueError, match=r"^t must be finite, got \['x'\]$"):
+        samples("t", ["x"])
+    # a decrease and a repeat are both refused, at the first fault
+    with pytest.raises(ValueError, match=r"^t must be strictly increasing, got 0.5 after 1.0 at index 2$"):
+        samples("t", [0.0, 1.0, 0.5, 0.5], increasing=True)
+
+
+def _handle(tmp_path, *argv):
+    """Run a subcommand's handler on the reference device, raising its refusal instead of printing it."""
+    device = tmp_path / "device.json"
+    formats.dump_json(formats.device_to_dict(reference_device()), device)
+    args = build_parser().parse_args([*argv, "--device", str(device), "--out-dir", str(tmp_path / "out")])
+    return args.handler(args)
+
+
+def _extract(tmp_path, delays):
+    trace = tmp_path / "trace.csv"
+    formats.write_csv(trace, ["tau_delay_s", "x_expect", "y_expect"], [delays, np.ones(delays.size), np.zeros(delays.size)])
+    return _handle(tmp_path, "extract", "--trace", str(trace), "--tau-pulse-us", "8", "--fit-window-us", "60")
+
+
+_TWO_D = np.ones((2, 3))
+_OMEGA = 2.0 * math.pi / 8e-6
+_LINE = RCLine(1.0, 1e-5)
+_STEP = lambda s: np.ones_like(s)
+
+# every entry point whose array arguments go through samples or nonnegative:
+# (id, call that must refuse, the whole message)
+_REFUSALS = [
+    ("unwrap-2d", lambda tmp: unwrap_phase(_TWO_D, _TWO_D), "x must be 1-D, got shape (2, 3)"),
+    ("unwrap-unequal", lambda tmp: unwrap_phase([1.0, 1.0, 1.0], [0.0, 0.0]), "y must have length 3, got 2"),
+    ("unwrap-nan", lambda tmp: unwrap_phase([1.0, 1.0], [0.0, math.nan]), "y must be finite, got nan at index 1"),
+    ("savgol-2d", lambda tmp: savgol_smooth(np.ones((2, 11)), 11, 3), "series must be 1-D, got shape (2, 11)"),
+    ("savgol-few", lambda tmp: savgol_smooth(np.ones(9), 11, 3), "series must have length at least 11, got 9"),
+    ("frequency-few", lambda tmp: frequency_from_phase([0.0, 1.0], 1e-6), "phase must have length at least 3, got 2"),
+    ("frequency-2d", lambda tmp: frequency_from_phase(_TWO_D, 1e-6), "phase must be 1-D, got shape (2, 3)"),
+    ("fit-few", lambda tmp: fit_transient(np.ones(7), np.arange(7.0), 8e-6), "flux must have length at least 8, got 7"),
+    ("fit-unequal", lambda tmp: fit_transient(np.ones(8), np.arange(9.0), 8e-6), "delays must have length 8, got 9"),
+    (
+        "fit-not-increasing",
+        lambda tmp: fit_transient(np.ones(8), [0.0, 1.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0], 8e-6),
+        "delays must be strictly increasing, got 1.0 after 1.0 at index 2",
+    ),
+    ("fit-nan", lambda tmp: fit_transient(np.r_[np.ones(7), math.nan], np.arange(8.0), 8e-6),
+     "flux must be finite, got nan at index 7"),
+    ("oracle-2d", lambda tmp: integrate_line_response(_STEP, _LINE, np.zeros((2, 2))), "t_grid must be 1-D, got shape (2, 2)"),
+    ("oracle-few", lambda tmp: integrate_line_response(_STEP, _LINE, [0.0]), "t_grid must have length at least 2, got 1"),
+    (
+        "oracle-not-increasing",
+        lambda tmp: integrate_line_response(_STEP, _LINE, [0.0, 1e-7, 1e-7]),
+        "t_grid must be strictly increasing, got 1e-07 after 1e-07 at index 2",
+    ),
+    (
+        "square-transient-negative",
+        lambda tmp: square_pulse_flux_transient(1.0, 8e-6, 1.3e-5, [0.0, -1e-6]),
+        "t_delay must be non-negative and finite, got -1e-06 at index 1",
+    ),
+    (
+        "device-g-negative",
+        lambda tmp: CouplerDevice(1e10, 1e10, -1.0, 1.0, 0.0),
+        "g must be non-negative and finite, got -1.0",
+    ),
+    ("ramsey-2d", lambda tmp: RamseyConfig(8e-6, np.zeros((2, 2))), "delay_grid must be 1-D, got shape (2, 2)"),
+    ("ramsey-few", lambda tmp: RamseyConfig(8e-6, [0.0]), "delay_grid must have length at least 2, got 1"),
+    (
+        "ramsey-not-increasing",
+        lambda tmp: RamseyConfig(8e-6, [0.0, 1e-6, 5e-7]),
+        "delay_grid must be strictly increasing, got 5e-07 after 1e-06 at index 2",
+    ),
+    (
+        "ramsey-negative-delay",
+        lambda tmp: RamseyConfig(8e-6, [-1e-6, 0.0]),
+        "delay_grid must be non-negative and finite, got -1e-06 at index 0",
+    ),
+    ("ramsey-nan", lambda tmp: RamseyConfig(8e-6, [0.0, math.nan]), "delay_grid must be finite, got nan at index 1"),
+    (
+        "ramsey-negative-sigma",
+        lambda tmp: RamseyConfig(8e-6, [0.0, 1e-6], readout_noise_sigma=-0.1),
+        "readout_noise_sigma must be non-negative and finite, got -0.1",
+    ),
+    (
+        "attenuator-negative-db",
+        lambda tmp: WiringElement.attenuator(-3.0),
+        "attenuator.db must be non-negative and finite, got -3.0",
+    ),
+    (
+        "resistor-zero",
+        lambda tmp: WiringElement.series_resistor(0.0),
+        "series_resistor.r_ohms must be positive and finite, got 0.0",
+    ),
+    (
+        "resistor-array",
+        lambda tmp: WiringElement("series_resistor", {"r_ohms": np.array([1.0, 2.0])}),
+        "series_resistor.r_ohms must be positive and finite, got [1.0, 2.0]",
+    ),
+    (
+        "impedance-2d",
+        lambda tmp: sweep_input_impedance([WiringElement.series_resistor(1.0)], 0.0, _TWO_D),
+        "f_grid must be 1-D, got shape (2, 3)",
+    ),
+    (
+        "impedance-empty",
+        lambda tmp: sweep_input_impedance([WiringElement.series_resistor(1.0)], 0.0, []),
+        "f_grid must have length at least 1, got 0",
+    ),
+    (
+        "impedance-negative",
+        lambda tmp: sweep_input_impedance([WiringElement.series_resistor(1.0)], 0.0, [1e6, -1e6]),
+        "f_grid must be positive and finite, got -1000000.0 at index 1",
+    ),
+    ("sweep-2d", lambda tmp: sweep_transient_coefficient(1.0, _TWO_D, [1.0]), "omega_tau_values must be 1-D, got shape (2, 3)"),
+    ("sweep-empty", lambda tmp: sweep_transient_coefficient(1.0, [1.0], []), "m_values must have length at least 1, got 0"),
+    ("top-few", lambda tmp: solve_top_harmonic(0.0, [], [], _OMEGA, 1e-5), "a must have length at least 1, got 0"),
+    ("top-unequal", lambda tmp: solve_top_harmonic(0.0, [0.3], [1.0, 2.0], _OMEGA, 1e-5), "b must have length 1, got 2"),
+    ("top-nan", lambda tmp: solve_top_harmonic(0.0, [math.nan], [1.0], _OMEGA, 1e-5), "a must be finite, got nan at index 0"),
+    (
+        "asymptotic-2d",
+        lambda tmp: asymptotic_transient_coefficient("sine-only", [[1.0]], _OMEGA, 1e-5),
+        "coeffs must be 1-D, got shape (1, 1)",
+    ),
+    (
+        "asymptotic-empty",
+        lambda tmp: asymptotic_transient_coefficient("sine-only", [], _OMEGA, 1e-5),
+        "coeffs must have length at least 1, got 0",
+    ),
+    ("pulse-unequal", lambda tmp: HarmonicPulse(8e-6, a=(0.0,), b=()), "b must have length 1, got 0"),
+    ("pulse-2d", lambda tmp: HarmonicPulse(8e-6, a=((0.0,),), b=((1.0,),)), "a must be 1-D, got shape (1, 1)"),
+    ("pulse-nan", lambda tmp: HarmonicPulse(8e-6, a=(0.0, math.nan), b=(1.0, 0.0)), "a must be finite, got nan at index 1"),
+    (
+        "cli-extract-not-increasing",
+        lambda tmp: _extract(tmp, np.array([0.0, 2.5e-7, 2.5e-7, 7.5e-7])),
+        "tau_delay_s must be strictly increasing, got 2.5e-07 after 2.5e-07 at index 2",
+    ),
+    (
+        "cli-extract-few",
+        lambda tmp: _extract(tmp, np.array([0.0, 2.5e-7])),
+        "tau_delay_s must have length at least 3, got 2",
+    ),
+    (
+        "cli-noise-sigma-negative",
+        lambda tmp: _handle(
+            tmp, "ramsey-sim", "--waveform", "square", "--square-amp-phi0", "5e-4", "--line-tau-us", "13",
+            "--tau-pulse-us", "8", "--delay-max-us", "10", "--delay-step-us", "0.5", "--noise-sigma", "-0.1",
+        ),
+        "--noise-sigma must be non-negative and finite, got -0.1",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, message", [row[1:] for row in _REFUSALS], ids=[row[0] for row in _REFUSALS])
+def test_array_arguments_are_refused_in_one_wording(tmp_path, call, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        call(tmp_path)

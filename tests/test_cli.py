@@ -937,6 +937,40 @@ def test_omega_tau_past_the_bound_exits_2_naming_the_field(tmp_path, capsys, cas
     assert not out.exists()
 
 
+@pytest.mark.parametrize("case", ["respond-dt", "extract-sg-window", "b1-flag", "b1-key", "b-flag"])
+def test_refusals_name_the_flag_or_key_given(tmp_path, capsys, case):
+    # the library's checks word these, but the line names what the user typed, in its units
+    out = tmp_path / "out"
+    design = ["design", "--tau-pulse-us", "8", "--tau-assumed-us", "11.2"]
+    if case == "respond-dt":
+        pulse = _write_json(tmp_path, "p.json", {"tau_pulse_s": 8e-6, "a": [0.0], "b": [1.0]})
+        argv = ["respond", "--pulse", pulse, "--line", write_line(tmp_path, 11.2e-6), "--dt-us", "3"]
+        message = "--dt-us=3.0 undersamples the pulse; need --dt-us <= tau_pulse/4 = 2"
+    elif case == "extract-sg-window":
+        device = write_device(tmp_path)
+        main(["ramsey-sim", "--device", device, *_DEVICE_SQUARE_ARGS, "--delay-max-us", "60",
+              "--delay-step-us", "0.25", "--out-dir", str(tmp_path / "sim")])
+        capsys.readouterr()
+        # the fit window keeps the whole 241-point trace, so only the smoothing window is at fault
+        argv = ["extract", "--trace", str(tmp_path / "sim" / "trace.csv"), "--device", device,
+                "--tau-pulse-us", "8", "--fit-window-us", "60", "--sg-window", "9999"]
+        message = "--sg-window must be at most 241, got 9999"
+    elif case == "b1-flag":
+        argv = [*design, "--family", "biharmonic", "--b1", "0"]
+        message = "--b1 must be finite and non-zero, got 0.0"
+    elif case == "b1-key":
+        request = {"family": "biharmonic", "b1": 0.0}
+        argv = [*design, "--request", _write_json(tmp_path, "r.json", request)]
+        message = "b1 must be finite and non-zero, got 0.0"
+    else:
+        argv = [*design, "--family", "top-harmonic", "--a", "0.3", "--b", "1,2"]
+        message = "--b must have length 1, got 2"
+    rc = main([*argv, "--out-dir", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("source", ["--tau-assumed-us", "tau_assumed_s"])
 def test_degenerate_top_harmonic_exits_2_naming_the_tau_source(tmp_path, capsys, source):
     # N*omega*tau = 1.6e-14 leaves the top harmonic no leverage on the tail

@@ -128,11 +128,12 @@ def test_line_current_designed_pulse_endpoints():
 def test_ode_oracle_homogeneous_and_step():
     line = line_with_tau(1e-5)
     t = np.linspace(0.0, 5e-5, 2001)
-    v, i = integrate_line_response(lambda s: np.zeros_like(s), line, t, v_c_initial=1.0)
-    assert_allclose(v, np.exp(-t / line.tau), rtol=1e-8)
-    assert_allclose(i, -np.exp(-t / line.tau) / line.resistance, rtol=1e-8)
+    v, i = integrate_line_response(lambda s: np.zeros_like(s), line, t)
+    assert np.array_equal(v, np.zeros(t.size)) and np.array_equal(i, np.zeros(t.size))
+    # a unit step from zero charges as 1 - exp(-t/tau), and the current decays as exp(-t/tau)/R
     v, i = integrate_line_response(lambda s: np.ones_like(s), line, t)
     assert_allclose(v, 1.0 - np.exp(-t / line.tau), rtol=1e-8, atol=1e-12)
+    assert_allclose(i, np.exp(-t / line.tau) / line.resistance, rtol=1e-8)
 
 
 def test_ode_oracle_matches_closed_form():
@@ -143,8 +144,7 @@ def test_ode_oracle_matches_closed_form():
     step = min(tau / 50.0, p.tau_pulse / 200.0)
     n = int(math.ceil(5.0 * p.tau_pulse / step))
     t = np.linspace(0.0, 5.0 * p.tau_pulse, n + 1)
-    v0 = capacitor_voltage(p, line, 0.0)
-    v, i = integrate_line_response(p.evaluate, line, t, v_c_initial=v0)
+    v, i = integrate_line_response(p.evaluate, line, t)
     v_cf = capacitor_voltage(p, line, t)
     i_cf = line_current(p, line, t)
     assert np.max(np.abs(v - v_cf)) < 1e-6 * np.max(np.abs(v_cf))
@@ -169,7 +169,7 @@ def test_ode_oracle_scalar_only_waveform():
     assert np.array_equal(v_vec, v_scal)
 
 
-def _three_call_rk4(v_in, line, t, v_c_initial=0.0):
+def _three_call_rk4(v_in, line, t):
     """RK4 reference that evaluates step starts, midpoints and ends separately and scans 256 steps per call."""
     h = np.diff(t)
     f0 = np.asarray(v_in(t[:-1]), dtype=float)
@@ -178,7 +178,6 @@ def _three_call_rk4(v_in, line, t, v_c_initial=0.0):
     decay, b0, bm, b1 = rcline._rk4_affine_coefficients(h / line.tau)
     forced = b0 * f0 + bm * fm + b1 * f1
     v = np.zeros(t.size)
-    v[0] = v_c_initial
     for start in range(0, forced.size, rcline._CHUNK):
         stop = min(start + rcline._CHUNK, forced.size)
         q = np.cumprod(decay[start:stop])
@@ -247,15 +246,14 @@ def test_rk4_coefficient_polynomials_match_the_basis_step():
 
 @pytest.mark.parametrize("n_steps", [1, 255, 256, 257, 513])
 def test_ode_oracle_block_scan_matches_the_chunk_loop(n_steps):
-    # one step, one row short of, at, just past and past two rows of the scan
+    # one step, one row short of, at, just past and past two rows of the scan,
+    # from zero charge under a drive that is nonzero from the first node on
     rng = np.random.default_rng(n_steps)
     p = _random_pulse(rng, 8e-6)
     line = line_with_tau(1.1e-5)
     t = np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 1.0, n_steps) * line.tau / 50.0)])
-    for got, ref in zip(
-        integrate_line_response(p.evaluate, line, t, v_c_initial=-0.37),
-        _three_call_rk4(p.evaluate, line, t, v_c_initial=-0.37),
-    ):
+    assert p.evaluate(0.0) != 0.0
+    for got, ref in zip(integrate_line_response(p.evaluate, line, t), _three_call_rk4(p.evaluate, line, t)):
         assert got.tobytes() == ref.tobytes()
 
 
@@ -267,7 +265,7 @@ def test_ode_oracle_matches_a_scalar_rk4_loop():
     h = rng.uniform(0.2, 1.0, 300) * line.tau / 50.0
     t = np.concatenate([[0.0], np.cumsum(h)])
     f = lambda s: float(p.evaluate(s))
-    v_ref = [0.8]
+    v_ref = [0.0]
     for t0, dt in zip(t[:-1].tolist(), h.tolist()):
         v = v_ref[-1]
         k1 = dt * (f(t0) - v) / line.tau
@@ -275,7 +273,7 @@ def test_ode_oracle_matches_a_scalar_rk4_loop():
         k3 = dt * (f(t0 + 0.5 * dt) - (v + 0.5 * k2)) / line.tau
         k4 = dt * (f(t0 + dt) - (v + k3)) / line.tau
         v_ref.append(v + (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0)
-    v, i = integrate_line_response(p.evaluate, line, t, v_c_initial=0.8)
+    v, i = integrate_line_response(p.evaluate, line, t)
     v_ref = np.array(v_ref)
     assert np.max(np.abs(v - v_ref)) <= 1e-14 * np.max(np.abs(v_ref))
     i_ref = (p.evaluate(t) - v_ref) / line.resistance
@@ -287,26 +285,6 @@ def test_ode_oracle_rejects_a_non_finite_time_grid(bad):
     line = RCLine(1.0, 1e-5)
     with pytest.raises(ValueError, match=rf"^t_grid must be finite, got {bad!r} at index 1$"):
         integrate_line_response(lambda s: np.ones_like(s), line, np.array([0.0, bad, 1e-7]))
-
-
-@pytest.mark.parametrize(
-    "v0, message",
-    [
-        (np.array([0.5]), r"^v_c_initial must be a scalar, got an array of shape \(1,\)$"),
-        (np.zeros((2, 3)), r"^v_c_initial must be a scalar, got an array of shape \(2, 3\)$"),
-        ([0.5], r"^v_c_initial must be finite, got \[0\.5\]$"),
-        (math.nan, r"^v_c_initial must be finite, got nan$"),
-    ],
-    ids=["one-element", "two-d", "list", "nan"],
-)
-def test_ode_oracle_names_a_non_scalar_initial_voltage(v0, message):
-    line = RCLine(1.0, 1e-5)
-    t = np.linspace(0.0, 1e-5, 101)
-    with pytest.raises(ValueError, match=message):
-        integrate_line_response(lambda s: np.ones_like(s), line, t, v_c_initial=v0)
-    # a 0-d array is a scalar
-    v, _ = integrate_line_response(lambda s: np.ones_like(s), line, t, v_c_initial=np.array(0.5))
-    assert v[0] == 0.5
 
 
 def test_square_pulse_droop_and_undershoot():
@@ -349,8 +327,9 @@ def test_square_pulse_flux_transient_refuses_a_non_finite_input(field, bad):
     # a nan used to come back as the residual flux
     args = {"amplitude": 1.0, "t_delay": np.array([0.0, 1e-6, 2e-6])}
     args[field] = bad if field == "amplitude" else np.array([0.0, bad, 2e-6])
-    at = "" if field == "amplitude" else " at index 1"
-    with pytest.raises(ValueError, match=rf"^{field} must be finite, got {bad!r}{at}$"):
+    # t_delay must also be non-negative, and its one check says so
+    rule, at = ("finite", "") if field == "amplitude" else ("non-negative and finite", " at index 1")
+    with pytest.raises(ValueError, match=rf"^{field} must be {rule}, got {bad!r}{at}$"):
         square_pulse_flux_transient(args["amplitude"], 8e-6, 13e-6, args["t_delay"])
 
 
