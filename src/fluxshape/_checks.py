@@ -8,7 +8,8 @@ Anything else goes through ``float``, so a list never passes for a scalar
 and a scalar never builds an array.  :func:`samples` is the check for a
 sequence of samples: it converts any sequence to a finite 1-D float array and
 checks its length, and on request that it pairs with another array and that
-it strictly increases.  :func:`integer` is the same check for sizes and
+it strictly increases; :func:`steps` is that order check, returning the
+steps it tested.  :func:`integer` is the same check for sizes and
 counts, and :func:`omega_tau_in_range` bounds the products omega*tau the
 closed forms square.
 """
@@ -63,13 +64,26 @@ def samples(name: str, value, min_size: int = 1, *, size: int | None = None, inc
         raise ValueError(f"{name} must have length {size}, got {arr.size}")
     _check(name, arr, "finite", None)
     if increasing:
-        rising = np.diff(arr) > 0.0
-        if not rising.all():
-            i = int(np.argmin(rising)) + 1
-            raise ValueError(
-                f"{name} must be strictly increasing, got {arr[i].item()!r} after {arr[i - 1].item()!r} at index {i}"
-            )
+        steps(name, arr)
     return arr
+
+
+def steps(name: str, arr: np.ndarray) -> np.ndarray:
+    """``np.diff(arr)`` of a 1-D float array, every step positive.
+
+    A fault quotes the first entry that does not exceed its predecessor,
+    that predecessor and the entry's index.  A caller that needs the steps
+    as well as the order check takes them from here rather than from a
+    second ``np.diff``.
+    """
+    h = np.diff(arr)
+    rising = h > 0.0
+    if not rising.all():
+        i = int(np.argmin(rising)) + 1
+        raise ValueError(
+            f"{name} must be strictly increasing, got {arr[i].item()!r} after {arr[i - 1].item()!r} at index {i}"
+        )
+    return h
 
 
 def integer(name: str, value, low: int, high: float = sys.float_info.max) -> int:

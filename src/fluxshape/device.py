@@ -148,7 +148,9 @@ def ramsey_phase(device: CouplerDevice, flux_waveform, config: RamseyConfig) -> 
     """
     pts = np.concatenate([[0.0], config.delay_grid])
     flux = _eval_waveform(flux_waveform, config.tau_pulse + pts)
-    detuning = dressed_qubit_frequency(flux, device) - dressed_qubit_frequency(device.phi_idle, device)
+    # the idle point rides along as the last entry of the one evaluation
+    freq = dressed_qubit_frequency(np.append(flux, device.phi_idle), device)
+    detuning = freq[:-1] - freq[-1]
     segments = 0.5 * (detuning[1:] + detuning[:-1]) * np.diff(pts)
     return np.cumsum(segments) + 0.0
 

@@ -140,14 +140,11 @@ def frequency_to_flux(freq_shift_hz, device: CouplerDevice, phi_idle: float):
     shifts = finite("freq_shift_hz", np.atleast_1d(freq_shift_hz))
     if device.g == 0.0:
         raise ValueError("g must be positive to invert the flux branch, got 0.0")
-    idle = dressed_qubit_frequency(phi_idle, device)
-    target = idle + 2.0 * np.pi * shifts
-
     half = math.floor(phi_idle * 2.0)
     lo_edge = half / 2.0
     hi_edge = lo_edge + 0.5
-    f_lo = dressed_qubit_frequency(lo_edge, device)
-    f_hi = dressed_qubit_frequency(hi_edge, device)
+    idle, f_lo, f_hi = dressed_qubit_frequency(np.array([phi_idle, lo_edge, hi_edge]), device).tolist()
+    target = idle + 2.0 * np.pi * shifts
     f_min, f_max = min(f_lo, f_hi), max(f_lo, f_hi)
     outside = np.flatnonzero((target < f_min) | (target > f_max))
     if outside.size:
@@ -217,6 +214,15 @@ def fit_transient(flux, delays, tau_pulse: float) -> TransientFit:
     or once the bracket is below 1e-9, and the last point evaluated gives
     tau, A, B and the diagnostics.
 
+    Each evaluation of the root search projects ``w * shape`` off ``w``
+    once and regresses the two rows ``[w * (y - ybar), w * (dshape/du -
+    mean)]`` on it with one matrix product: the first slope is A and the
+    second residual row is ``-P(dshape/du)``.  The cost, ``g`` and ``|P
+    J|**2`` are read from the 2x2 Gram matrix of the residual rows, which
+    are formed directly rather than from normal-equation sums, so their
+    norms keep full precision near an exact fit.  Each scan instead
+    regresses the data on its 16 shape rows at once.
+
     The cost is ``sum((w * (model - y))**2)``; the weights are uniform
     except the two endpoints at half weight.  ``interior`` is true when the
     first scan's best point is not at an end of the range, and
@@ -231,21 +237,25 @@ def fit_transient(flux, delays, tau_pulse: float) -> TransientFit:
     w = np.ones(y.size)
     w[0] = w[-1] = 0.5
 
-    offset0 = y[-1]
+    offset0 = float(y[-1])
     if float(np.max(np.abs(y - offset0))) == 0.0:
         return TransientFit(0.0, offset0, float("nan"), 0.0, False)
 
     w2 = w * w
+    ww = float(w2.sum())
 
     def centred(z):
         # w * (z - zbar), zbar the w**2-weighted mean of z
-        return w * (z - (z @ w2) / w2.sum())
+        return w * (z - (z @ w2) / ww)
 
-    span = d[-1] - d[0]
+    span = float(d[-1] - d[0])
+    neg_d, d_late = -d, d + tau_pulse
+    # the root search's rows: the centred data, then the centred dshape/du
+    stack = np.empty((2, y.size))
     # the range is on log(tau/span), so it never depends on the data
     lo, hi = math.log(1e-3), math.log(1e3)
     with np.errstate(all="ignore"):
-        v = centred(y)
+        v = stack[0] = centred(y)
         for scan in range(2):
             grid = lo + (hi - lo) * _SCAN
             # exp(-d/tau) is the template up to a per-row factor, which the
@@ -263,18 +273,22 @@ def fit_transient(flux, delays, tau_pulse: float) -> TransientFit:
         u = grid[best]
         step = math.inf  # no step taken yet
         for iterations in range(1, _ROOT_STEPS + 1):
-            tau = float(span * np.exp(u))
-            e1 = np.exp(-d / tau)
+            tau = span * math.exp(u)
+            e1 = np.exp(neg_d / tau)
             e2 = e1 * math.exp(-tau_pulse / tau)
             shape = e2 - e1
-            resid = (w * shape)[None, :]
-            amp = _fit_rows(resid, v, w)[0]
-            # regressing w * dshape/du on [w * shape, w] leaves -P(J)/A in jac
-            jac = (w * shape)[None, :]
-            _fit_rows(jac, centred((e2 * (d + tau_pulse) - e1 * d) / tau), w)
-            resid, jac = resid[0], -amp * jac[0]
-            g = resid @ jac
-            jj = jac @ jac
+            row = w * shape
+            row -= (row @ w / ww) * w
+            stack[1] = centred((e2 * d_late + e1 * neg_d) / tau)
+            # one regression of both rows on the projected shape: the data's
+            # slope is A, and the second residual row is -P(J)/A
+            slopes = stack @ row / (row @ row)
+            resid = np.multiply.outer(slopes, row)
+            resid -= stack
+            gram = resid @ resid.T
+            amp = slopes[0]
+            g = -amp * gram[0, 1]
+            jj = amp * amp * gram[1, 1]
             # g < 0: the cost still falls at u, so the minimum lies above it
             if g < 0.0:
                 lo = u
@@ -290,8 +304,8 @@ def fit_transient(flux, delays, tau_pulse: float) -> TransientFit:
             u = u + new
 
         amp = float(amp)
-        off = float((y - amp * shape) @ w2 / w2.sum())
-        cost = float(resid @ resid)
+        off = float((y - amp * shape) @ w2 / ww)
+        cost = float(gram[0, 0])
         # the tau entry of (J^T W^2 J)^-1 is tau**2 over |P J|**2, J the u column
         tau_se = float(tau * np.sqrt(cost / (y.size - 3) / jj))
         residual_rms = float(np.sqrt(np.mean((amp * shape + off - y) ** 2)))

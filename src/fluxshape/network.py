@@ -119,6 +119,11 @@ def element_abcd(element: WiringElement, f) -> TwoPort:
     """
     f = np.asarray(f, dtype=float)
     positive("frequency", f)
+    return _abcd(element, f)
+
+
+def _abcd(element: WiringElement, f: np.ndarray) -> TwoPort:
+    # element_abcd at a float array of frequencies that is already checked
     w = 2.0 * math.pi * f
     # [()] turns a 0-d array into a scalar and leaves other arrays as they are
     one = np.ones(f.shape, dtype=complex)[()]
@@ -153,9 +158,12 @@ def cascade(elements, f) -> TwoPort:
     elements = list(elements)
     if not elements:
         raise ValueError("chain must contain at least one element")
-    net = element_abcd(elements[0], f)
+    # one check of the frequencies serves every element
+    f = np.asarray(f, dtype=float)
+    positive("frequency", f)
+    net = _abcd(elements[0], f)
     for element in elements[1:]:
-        net = net @ element_abcd(element, f)
+        net = net @ _abcd(element, f)
     return net
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fluxshape._checks import finite, nonnegative, positive, samples
+from fluxshape._checks import finite, nonnegative, positive, samples, steps
 from fluxshape.pulse import HarmonicPulse, _fourier_sum
 
 __all__ = [
@@ -139,8 +139,8 @@ def integrate_line_response(v_in, line: RCLine, t_grid):
     Returns ``(v_c, i)`` arrays aligned with ``t_grid``, where the delivered
     current is ``(V_in - V_c) / R``.
     """
-    t = samples("t_grid", t_grid, 2, increasing=True)
-    h = np.diff(t)
+    t = samples("t_grid", t_grid, 2)
+    h = steps("t_grid", t)
     tau = line.tau
     max_h = float(np.max(h))
     if max_h > tau / 50.0 * (1.0 + 1e-12):

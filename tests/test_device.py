@@ -131,6 +131,21 @@ def test_dressed_continuous_across_resonance(device):
     assert np.max(np.abs(np.diff(values))) < 0.1 * MHZ
 
 
+def test_dressed_array_call_matches_scalar_calls(device):
+    # ramsey_phase and frequency_to_flux append the idle point or the branch
+    # edges to one array call, so each entry must equal its scalar call; the
+    # sizes cover the vector loops' tails
+    rng = np.random.default_rng(15)
+    above = CouplerDevice(1.02 * device.omega_max, device.omega_max, device.g, device.flux_per_volt, device.phi_idle)
+    uncoupled = CouplerDevice(device.omega_q, device.omega_max, 0.0, device.flux_per_volt, device.phi_idle)
+    edges = [0.0, -0.0, 0.5, -0.5, 1.0, -1.5, device.phi_idle, math.floor(2.0 * device.phi_idle) / 2.0]
+    phi = np.concatenate([edges, rng.uniform(-1.5, 1.5, 1000)])
+    for dev in (device, above, uncoupled):
+        scalars = np.array([dressed_qubit_frequency(p, dev) for p in phi.tolist()])
+        for size in (*range(1, 20), phi.size):
+            assert dressed_qubit_frequency(phi[:size], dev).tobytes() == scalars[:size].tobytes()
+
+
 def test_ramsey_config_validation():
     grid = np.array([0.0, 1e-6, 2e-6])
     cfg = RamseyConfig(tau_pulse=8e-6, delay_grid=grid)

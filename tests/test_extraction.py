@@ -427,21 +427,26 @@ def _profile(flux, delays, tau, tau_pulse):
 
 def _workload_traces(device):
     """Flux records built like the benchmark's ramsey ops: square-pulse tails on
-    both delay grids over 60 us, and zero-pulse records read out with noise."""
+    both delay grids over 60 us, and zero-pulse records read out with noise.
+
+    Yields ``(n, sigma, seed)``, the flux record and its delays.
+    """
     zero = lambda t: np.full(np.shape(t), device.phi_idle)  # noqa: E731
+    cases = []
     for n, dt in ((241, 0.25e-6), (961, 0.0625e-6)):
         for tau in np.geomspace(5e-6, 30e-6, 8):
             for sigma in (0.0, 0.02, 0.05):
-                yield n, dt, square_transient_waveform(5e-4, 8e-6, tau, device.phi_idle), sigma, int(tau * 1e9)
-    for seed in range(4):
-        yield 241, 0.25e-6, zero, 0.05, seed
-
-
-def test_fit_transient_matches_the_scan_search(device):
-    for n, dt, waveform, sigma, seed in _workload_traces(device):
+                cases.append((n, dt, square_transient_waveform(5e-4, 8e-6, tau, device.phi_idle), sigma, int(tau * 1e9)))
+    cases.extend((241, 0.25e-6, zero, 0.05, seed) for seed in range(4))
+    for n, dt, waveform, sigma, seed in cases:
         delays = np.arange(n) * dt
         cfg = RamseyConfig(tau_pulse=8e-6, delay_grid=delays, t2=75e-6, readout_noise_sigma=sigma, rng_seed=seed)
         flux = run_pipeline(*simulate_ramsey(device, waveform, cfg), dt, device, device.phi_idle, 8e-6).flux
+        yield (n, sigma, seed), flux, delays
+
+
+def test_fit_transient_matches_the_scan_search(device):
+    for (n, sigma, seed), flux, delays in _workload_traces(device):
         fit = fit_transient(flux, delays, 8e-6)
         ref_tau, ref_converged = _scan_fit(flux, delays, 8e-6)
         case = (n, sigma, seed, fit)
@@ -457,3 +462,97 @@ def test_fit_transient_matches_the_scan_search(device):
         span = delays[-1]
         at_edge = min(abs(fit.tau / span - 1e-3) / 1e-3, abs(fit.tau / span - 1e3) / 1e3) < 1e-12
         assert abs(g) <= 1e-8 * r_norm * j_norm or at_edge, case
+
+
+def _two_regression_fit(flux, delays, tau_pulse):
+    """``fit_transient`` with a root search that regresses each row on its own.
+
+    The search as it was before its evaluation stacked the data and dshape/du
+    on one projected shape: at every u, one ``_fit_rows`` call gives A and
+    the residual, and a second regresses the centred dshape/du on the shape
+    for -P(J)/A.  The scans, steps and stopping rules are those of
+    ``fit_transient``.  Returns tau, its standard error, the cost,
+    ``converged`` and ``interior``.
+    """
+    y, d = flux, delays
+    w = np.ones(y.size)
+    w[0] = w[-1] = 0.5
+    w2 = w * w
+
+    def centred(z):
+        return w * (z - (z @ w2) / w2.sum())
+
+    span = d[-1] - d[0]
+    lo, hi = math.log(1e-3), math.log(1e3)
+    with np.errstate(all="ignore"):
+        v = centred(y)
+        for scan in range(2):
+            grid = lo + (hi - lo) * np.linspace(0.0, 1.0, 16)
+            rows = w * np.exp(np.multiply.outer(-np.exp(-grid) / span, d))
+            _fit_rows(rows, v, w)
+            cost = np.einsum("ij,ij->i", rows, rows)
+            best = int(np.argmin(np.where(np.isfinite(cost), cost, np.inf)))
+            if scan == 0:
+                interior = 0 < best < grid.size - 1
+            lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, grid.size - 1)]
+        u = grid[best]
+        step = math.inf
+        for _ in range(64):
+            tau = float(span * np.exp(u))
+            e1 = np.exp(-d / tau)
+            e2 = e1 * math.exp(-tau_pulse / tau)
+            shape = e2 - e1
+            resid = (w * shape)[None, :]
+            amp = _fit_rows(resid, v, w)[0]
+            jac = (w * shape)[None, :]
+            _fit_rows(jac, centred((e2 * (d + tau_pulse) - e1 * d) / tau), w)
+            resid, jac = resid[0], -amp * jac[0]
+            g = resid @ jac
+            jj = jac @ jac
+            if g < 0.0:
+                lo = u
+            else:
+                hi = u
+            if abs(step) < 1e-10 or hi - lo < 1e-9:
+                break
+            new = -g / jj if step == math.inf else -g * (u - u_last) / (g - g_last)
+            if not (lo <= u + new <= hi and abs(new) <= 0.5 * abs(step)):
+                new = 0.5 * (lo + hi) - u
+            u_last, g_last, step = u, g, new
+            u = u + new
+        off = (y - amp * shape) @ w2 / w2.sum()
+        cost = float(resid @ resid)
+        tau_se = float(tau * np.sqrt(cost / (y.size - 3) / jj))
+    converged = bool(interior and np.all(np.isfinite([amp, off, tau])) and tau_se <= 0.1 * tau)
+    return tau, tau_se, cost, converged, interior
+
+
+def test_fit_transient_matches_the_two_regression_search(device):
+    # stacking the two regressions reorders sums only; on these records it
+    # moves tau by at most 1.2e-15, tau_stderr by 4.1e-12 and the cost by
+    # 8.2e-12, relative
+    for case, flux, delays in _workload_traces(device):
+        fit = fit_transient(flux, delays, 8e-6)
+        tau, tau_se, cost, converged, interior = _two_regression_fit(flux, delays, 8e-6)
+        case = (*case, fit)
+        assert (fit.converged, fit.interior) == (converged, interior), case
+        assert abs(fit.tau - tau) <= 1e-12 * tau, case
+        assert abs(fit.tau_stderr - tau_se) <= 1e-9 * tau_se, case
+        _, _, r_norm, _, v_norm = _profile(flux, delays, fit.tau, 8e-6)
+        # the near-exact-fit allowance of test_fit_transient_matches_the_scan_search
+        allowance = 2.0 * r_norm * math.sqrt(flux.size) * 2.2e-16 * v_norm
+        assert abs(fit.cost - cost) <= 1e-9 * cost + allowance, case
+
+
+def test_fit_transient_fields_are_plain_python_values(device):
+    # the fields go straight into JSON reports, which refuse numpy scalars
+    # such as np.bool_
+    delays = np.arange(20) * 1e-6
+    flat = fit_transient(np.full(20, 0.3), delays, 8e-6)
+    fits = [flat, *(fit_transient(flux, d, 8e-6) for _, flux, d in _workload_traces(device))]
+    for fit in fits:
+        types = {name: type(getattr(fit, name)) for name in TransientFit.__dataclass_fields__}
+        assert types == {
+            "amplitude": float, "offset": float, "tau": float, "residual_rms": float, "converged": bool,
+            "tau_stderr": float, "cost": float, "interior": bool, "iterations": int,
+        }, fit

@@ -17,6 +17,7 @@ from fluxshape import (
     sweep_and_fit_rc,
     sweep_input_impedance,
 )
+from fluxshape import network
 
 
 def test_twoport_matmul_matches_numpy():
@@ -68,8 +69,28 @@ def test_element_determinants_are_unity():
 def test_element_abcd_rejects_bad_frequency():
     r = WiringElement.series_resistor(47.0)
     for f in (0.0, -1e6, math.inf):
-        with pytest.raises(ValueError):
+        line = f"^frequency must be positive and finite, got {f!r}$"
+        with pytest.raises(ValueError, match=line):
             element_abcd(r, f)
+        with pytest.raises(ValueError, match=line):
+            cascade([r, r], f)
+
+
+def test_sweep_checks_the_frequencies_once_per_stage(monkeypatch):
+    # the sweep checks its grid, and cascade checks it once for the whole
+    # chain rather than once for each element
+    chain = default_flux_chain()
+    names = []
+    check = network.positive
+
+    def recording(name, value):
+        names.append(name)
+        return check(name, value)
+
+    monkeypatch.setattr(network, "positive", recording)
+    sweep_input_impedance(chain, 0.0, np.geomspace(1e3, 1e9, 50))
+    assert len(chain) == 7
+    assert names == ["f_grid", "frequency"]
 
 
 def test_matched_attenuator_preserves_reference_impedance():

@@ -199,6 +199,20 @@ def test_ode_oracle_evaluates_each_grid_node_once():
     assert sum(calls) == 2 * n + 1
 
 
+def test_ode_oracle_differences_the_grid_once(monkeypatch):
+    # the order check and the step sizes share one np.diff of the grid
+    sizes = []
+    diff = np.diff
+
+    def counting(a, *args, **kwargs):
+        sizes.append(np.size(a))
+        return diff(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "diff", counting)
+    rcline.integrate_line_response(lambda s: np.ones_like(s), line_with_tau(1e-5), np.linspace(0.0, 1e-5, 101))
+    assert sizes == [101]
+
+
 def test_ode_oracle_node_reuse_is_bit_identical():
     rng = np.random.default_rng(7)
     for _ in range(3):
