@@ -26,11 +26,9 @@ from fluxshape.rcline import RCLine
 __all__ = [
     "pulse_to_dict",
     "pulse_from_dict",
-    "rcline_to_dict",
     "rcline_from_dict",
     "device_to_dict",
     "device_from_dict",
-    "chain_to_list",
     "chain_from_list",
     "load_json",
     "dump_json",
@@ -73,10 +71,6 @@ def pulse_from_dict(data: dict) -> HarmonicPulse:
         raise ValueError(f"malformed pulse record: {exc}") from exc
 
 
-def rcline_to_dict(line: RCLine) -> dict:
-    return {"r_ohms": line.resistance, "c_farads": line.capacitance}
-
-
 def rcline_from_dict(data: dict) -> RCLine:
     try:
         return RCLine(positive("r_ohms", data["r_ohms"]), positive("c_farads", data["c_farads"]))
@@ -105,10 +99,6 @@ def device_from_dict(data: dict) -> CouplerDevice:
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed device record: {exc}") from exc
-
-
-def chain_to_list(elements) -> list:
-    return [{"kind": e.kind, **e.params} for e in elements]
 
 
 def chain_from_list(data) -> list:

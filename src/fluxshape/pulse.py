@@ -35,30 +35,49 @@ from fluxshape._checks import finite, integer, omega_tau_in_range, positive, sam
 __all__ = ["HarmonicPulse"]
 
 
-def _fourier_sum(t: np.ndarray, omega: float, c: np.ndarray, s: np.ndarray) -> np.ndarray:
+# points per block of the long-grid kernels (the Fourier sum here and the
+# RK4 scan in rcline): a block's few complex buffers stay in cache, and no
+# temporary grows with the grid
+_BLOCK = 8192
+
+
+def _fourier_sum(t, omega: float, c: np.ndarray, s: np.ndarray) -> np.ndarray:
     """``sum_n c_n cos(n w t) + s_n sin(n w t)`` over n = 1..len(c); zeros for an empty sum.
 
     The sum is ``Re sum_n (c_n - i s_n) z^n`` with ``z = exp(i w t)``,
     evaluated by Horner's rule from the top harmonic down (Clenshaw 1955),
-    so each point costs one cosine and one sine whatever N is.
+    so each point costs one cosine and one sine whatever N is.  The points
+    run in blocks of ``_BLOCK`` through a few block-sized buffers, so no
+    temporary grows with the grid; a point's value does not depend on the
+    block it falls in.
     """
-    theta = np.multiply(t, omega)
-    if c.size == 0:
-        return np.zeros(theta.shape)
-    z = np.empty(theta.shape, dtype=complex)
-    np.cos(theta, out=z.real)
-    np.sin(theta, out=z.imag)
+    flat = np.ravel(t)
+    if c.size == 0 or flat.size == 0:
+        return np.zeros(np.shape(t))
     d = c - 1j * s
-    acc = np.full(theta.shape, d[-1])
+    size = min(flat.size, _BLOCK)
+    theta = np.empty(size)
+    z = np.empty(size, dtype=complex)
+    acc = np.empty(size, dtype=complex)
     # products go to a second buffer: numpy's in-place complex multiply rounds
     # a one-element array differently, and a point's value must not depend on
     # the array it is evaluated in
-    out = np.empty_like(acc)
-    for dn in d[-2::-1]:
-        np.multiply(acc, z, out=out)
-        np.add(out, dn, out=acc)
-    np.multiply(acc, z, out=out)
-    return out.real
+    prod = np.empty(size, dtype=complex)
+    out = np.empty(flat.size)
+    for start in range(0, flat.size, size):
+        block = flat[start : start + size]
+        if block.size < size:
+            theta, z, acc, prod = (buffer[: block.size] for buffer in (theta, z, acc, prod))
+        np.multiply(block, omega, out=theta)
+        np.cos(theta, out=z.real)
+        np.sin(theta, out=z.imag)
+        acc.fill(d[-1])
+        for dn in d[-2::-1]:
+            np.multiply(acc, z, out=prod)
+            np.add(prod, dn, out=acc)
+        np.multiply(acc, z, out=prod)
+        out[start : start + size] = prod.real
+    return out.reshape(np.shape(t))
 
 
 @dataclass(frozen=True)
@@ -93,9 +112,9 @@ class HarmonicPulse:
         return len(self.a)
 
     def evaluate(self, t):
-        """Evaluate the series at time ``t`` (seconds; scalar or ndarray)."""
-        t_arr = np.asarray(t, dtype=float)
-        out = self.a0 + _fourier_sum(t_arr, self.omega, np.asarray(self.a), np.asarray(self.b))
+        """Evaluate the series at time ``t`` (seconds; scalar or ndarray, any finite value)."""
+        t = finite("t", np.asarray(t, dtype=float))
+        out = self.a0 + _fourier_sum(t, self.omega, np.asarray(self.a), np.asarray(self.b))
         return float(out) if out.ndim == 0 else out
 
     def condition_one_residual(self) -> float:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from fluxshape._checks import finite, nonnegative, positive, samples, steps
-from fluxshape.pulse import HarmonicPulse, _fourier_sum
+from fluxshape.pulse import _BLOCK, HarmonicPulse, _fourier_sum
 
 __all__ = [
     "RCLine",
@@ -71,32 +71,31 @@ def transient_coefficient(pulse: HarmonicPulse, tau: float) -> float:
 
 
 def capacitor_voltage_steady_state(pulse: HarmonicPulse, tau: float, t):
-    """Periodic part of the capacitor voltage (the t >> tau limit)."""
+    """Periodic part of the capacitor voltage (the t >> tau limit), at any finite t."""
     _, c, s = pulse._filtered_harmonics(tau)
-    out = pulse.a0 + _fourier_sum(np.asarray(t, dtype=float), pulse.omega, c, s)
+    t = finite("t", np.asarray(t, dtype=float))
+    out = pulse.a0 + _fourier_sum(t, pulse.omega, c, s)
     return float(out) if out.ndim == 0 else out
 
 
 def capacitor_voltage(pulse: HarmonicPulse, line: RCLine, t):
     """Closed-form capacitor voltage for zero pre-history, valid for t >= 0."""
     k = transient_coefficient(pulse, line.tau)
-    t_arr = np.asarray(t, dtype=float)
-    out = capacitor_voltage_steady_state(pulse, line.tau, t_arr) - k * np.exp(-t_arr / line.tau)
-    out = np.asarray(out)
+    t = nonnegative("t", np.asarray(t, dtype=float))
+    out = np.asarray(capacitor_voltage_steady_state(pulse, line.tau, t) - k * np.exp(-t / line.tau))
     return float(out) if out.ndim == 0 else out
 
 
 def line_current(pulse: HarmonicPulse, line: RCLine, t):
-    """Closed-form delivered current I = C * dV_c/dt for zero pre-history."""
+    """Closed-form delivered current I = C * dV_c/dt for zero pre-history, valid for t >= 0."""
     tau = line.tau
     k = transient_coefficient(pulse, tau)
-    t_arr = np.asarray(t, dtype=float)
+    t = nonnegative("t", np.asarray(t, dtype=float))
     n, c, s = pulse._filtered_harmonics(tau)
     cw = line.capacitance * pulse.omega
     # derivative of the steady state: w * sum_n n*(s_n cos - c_n sin), w in cw
-    periodic = _fourier_sum(t_arr, pulse.omega, n * s, -(n * c))
-    out = (k / line.resistance) * np.exp(-t_arr / tau) + cw * periodic
-    out = np.asarray(out)
+    periodic = _fourier_sum(t, pulse.omega, n * s, -(n * c))
+    out = np.asarray((k / line.resistance) * np.exp(-t / tau) + cw * periodic)
     return float(out) if out.ndim == 0 else out
 
 
@@ -131,10 +130,12 @@ def integrate_line_response(v_in, line: RCLine, t_grid):
     step at most tau/50; callers resolving an oscillatory input are
     responsible for also keeping the step well below its period.
 
-    Each RK4 step is the affine map v_next = A*v + forcing.  The steps are
-    laid out in rows of ``_CHUNK`` steps; one cumulative product and one
-    cumulative sum along the rows solve every row from a zero start, and a
-    loop over the rows carries the end value of one row into the next.
+    Each RK4 step is the affine map v_next = A*v + forcing.  The steps run
+    in blocks of ``_BLOCK``, each laid out in rows of ``_CHUNK`` steps; one
+    cumulative product and one cumulative sum along the rows solve every row
+    from a zero start, and a loop over the rows carries the end value of one
+    row into the next, across blocks too.  The rows live in block-sized
+    buffers, so the scan allocates nothing that grows with the grid.
 
     Returns ``(v_c, i)`` arrays aligned with ``t_grid``, where the delivered
     current is ``(V_in - V_c) / R``.
@@ -153,31 +154,41 @@ def integrate_line_response(v_in, line: RCLine, t_grid):
     f = _eval_waveform(v_in, t)
     fm = _eval_waveform(v_in, t[:-1] + 0.5 * h)
 
-    # padding steps decay by 1 and force 0, so they leave a row's end value alone
+    # block-sized buffers for the rows; padding steps, in the last row only,
+    # decay by 1 and force 0, so they leave its end value alone
     n = h.size
-    rows = -(-n // _CHUNK)
-    q = np.ones((rows, _CHUNK))
-    s = np.zeros((rows, _CHUNK))
-    forced = s.reshape(-1)[:n]
-    decay, b0, bm, b1 = _rk4_affine_coefficients(h / tau)
-    q.reshape(-1)[:n] = decay
-    np.multiply(b0, f[:-1], out=forced)
-    forced += bm * fm
-    forced += b1 * f[1:]
-    del decay, b0, bm, b1
-
-    np.cumprod(q, axis=1, out=q)
-    s /= q
-    np.cumsum(s, axis=1, out=s)
-    carry = [0.0]
-    for q_end, s_end in zip(q[:-1, -1].tolist(), s[:-1, -1].tolist()):
-        carry.append(q_end * (carry[-1] + s_end))
-    s += np.array(carry)[:, None]
-    s *= q
-
+    rows = min(-(-n // _CHUNK), _BLOCK // _CHUNK)
+    q = np.empty((rows, _CHUNK))
+    s = np.empty((rows, _CHUNK))
     v = np.empty(t.size)
     v[0] = 0.0
-    v[1:] = s.reshape(-1)[:n]
+    for start in range(0, n, _BLOCK):
+        stop = min(start + _BLOCK, n)
+        m = stop - start
+        if m < q.size:
+            rows = -(-m // _CHUNK)
+            q, s = q[:rows], s[:rows]
+            q.reshape(-1)[m:] = 1.0
+            s.reshape(-1)[m:] = 0.0
+        forced = s.reshape(-1)[:m]
+        decay, b0, bm, b1 = _rk4_affine_coefficients(h[start:stop] / tau)
+        q.reshape(-1)[:m] = decay
+        np.multiply(b0, f[start:stop], out=forced)
+        forced += bm * fm[start:stop]
+        forced += b1 * f[start + 1 : stop + 1]
+
+        np.cumprod(q, axis=1, out=q)
+        s /= q
+        np.cumsum(s, axis=1, out=s)
+        # each row starts from the end value of the row before, the first
+        # from the end of the previous block
+        carry = [v[start].item()]
+        for q_end, s_end in zip(q[:, -1].tolist(), s[:, -1].tolist()):
+            carry.append(q_end * (carry[-1] + s_end))
+        carry.pop()
+        s += np.array(carry)[:, None]
+        np.multiply(s.reshape(-1)[:m], q.reshape(-1)[:m], out=v[start + 1 : stop + 1])
+
     i = (f - v) / line.resistance
     return v, i
 

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from fluxshape import HarmonicPulse, transient_coefficient
+from fluxshape.pulse import _BLOCK, _fourier_sum
 
 
 def test_validation():
@@ -163,3 +164,52 @@ def test_many_harmonics():
     v = p.evaluate(t)
     assert np.all(np.isfinite(v))
     assert_allclose(p.evaluate(t + 3 * p.tau_pulse), v, rtol=0.0, atol=1e-11 * np.max(np.abs(v)))
+
+
+def _whole_array_fourier_sum(t, omega, c, s):
+    """The Horner sum over the whole array at once, as it ran before the points were blocked."""
+    theta = np.multiply(t, omega)
+    if c.size == 0:
+        return np.zeros(theta.shape)
+    z = np.empty(theta.shape, dtype=complex)
+    np.cos(theta, out=z.real)
+    np.sin(theta, out=z.imag)
+    d = c - 1j * s
+    acc = np.full(theta.shape, d[-1])
+    out = np.empty_like(acc)
+    for dn in d[-2::-1]:
+        np.multiply(acc, z, out=out)
+        np.add(out, dn, out=acc)
+    np.multiply(acc, z, out=out)
+    return out.real
+
+
+@pytest.mark.parametrize("n_harm", [0, 1, 2, 9])
+@pytest.mark.parametrize(
+    "shape",
+    [(), (1,), (_BLOCK - 1,), (_BLOCK,), (_BLOCK + 1,), (2 * _BLOCK + 1,), (200_001,), (3, _BLOCK - 5)],
+    ids=str,
+)
+def test_fourier_sum_blocks_match_the_whole_array_sum(shape, n_harm):
+    # a 0-d time, one point, a block short of, at, just past and past two
+    # blocks, a long grid and a 2-D grid whose rows straddle the blocks, at
+    # phases of either sign: the shape of t, and every bit of the whole-array sum
+    rng = np.random.default_rng(len(shape) + int(np.prod(shape)) + n_harm)
+    omega = 2.0 * math.pi / 8e-6
+    c, s = rng.uniform(-1, 1, n_harm), rng.uniform(-1, 1, n_harm)
+    t = np.asarray(rng.uniform(-1000.0, 1000.0, shape) / omega)
+    got = _fourier_sum(t, omega, c, s)
+    ref = np.asarray(_whole_array_fourier_sum(t, omega, c, s))
+    assert got.shape == shape
+    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_evaluate_refuses_a_non_finite_time(bad):
+    p = HarmonicPulse(8e-6, a0=0.1, a=(0.3,), b=(1.0,))
+    with pytest.raises(ValueError, match=rf"^t must be finite, got {bad!r}$"):
+        p.evaluate(bad)
+    with pytest.raises(ValueError, match=rf"^t must be finite, got {bad!r} at index 2$"):
+        p.evaluate(np.array([0.0, 1e-6, bad]))
+    # a periodic series is defined at any finite time, negative ones included
+    assert p.evaluate(-1.0) == p.evaluate(np.array([-1.0]))[0]

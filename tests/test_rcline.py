@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -258,10 +259,14 @@ def test_rk4_coefficient_polynomials_match_the_basis_step():
         assert np.all(np.abs(got - ref) <= 4.0 * np.spacing(np.abs(ref)))
 
 
-@pytest.mark.parametrize("n_steps", [1, 255, 256, 257, 513])
+_BLOCK = pulse_module._BLOCK
+
+
+@pytest.mark.parametrize("n_steps", [1, 255, 256, 257, 513, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7])
 def test_ode_oracle_block_scan_matches_the_chunk_loop(n_steps):
     # one step, one row short of, at, just past and past two rows of the scan,
-    # from zero charge under a drive that is nonzero from the first node on
+    # then one block short of, at, just past and past three blocks, from zero
+    # charge under a drive that is nonzero from the first node on
     rng = np.random.default_rng(n_steps)
     p = _random_pulse(rng, 8e-6)
     line = line_with_tau(1.1e-5)
@@ -440,3 +445,51 @@ def test_closed_forms_match_ode_oracle_on_random_spectra():
         i_cf = line_current(pulse, line, t)
         assert np.max(np.abs(v - v_cf)) < 1e-6 * np.max(np.abs(v_cf)), (trial, omega_tau)
         assert np.max(np.abs(i - i_cf)) < 1e-6 * np.max(np.abs(i_cf)), (trial, omega_tau)
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_long_grid_kernels_allocate_no_temporary_that_grows_with_the_grid():
+    # peaks in grid-sized arrays at 200 001 points, whole-array kernels then
+    # blocked ones: the Fourier sum 7 -> 1.3 (its result and the block
+    # buffers), closed forms 7 -> 3, the oracle on pulse.evaluate 10 -> 5.1
+    p = HarmonicPulse(8e-6, a0=0.1, a=(0.3, -0.2, 0.1), b=(1.0, 0.5, -0.3))
+    line = line_with_tau(1.1e-5)
+    t = np.linspace(0.0, 20 * p.tau_pulse, 200_001)
+    a, b = np.asarray(p.a), np.asarray(p.b)
+    assert _traced_peak(lambda: pulse_module._fourier_sum(t, p.omega, a, b)) <= 1.5 * t.nbytes
+    assert _traced_peak(lambda: capacitor_voltage(p, line, t)) <= 3.5 * t.nbytes
+    assert _traced_peak(lambda: line_current(p, line, t)) <= 3.5 * t.nbytes
+    assert _traced_peak(lambda: integrate_line_response(p.evaluate, line, t)) <= 6.0 * t.nbytes
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+@pytest.mark.parametrize("closed_form", [capacitor_voltage, line_current])
+def test_closed_forms_refuse_a_time_before_zero_or_non_finite(closed_form, bad):
+    # a nan used to come back as the voltage, and t = -1 as an overflowing current
+    p = HarmonicPulse(8e-6, a0=0.1, a=(0.3,), b=(1.0,))
+    line = line_with_tau(1.1e-5)
+    rule = "non-negative and finite"
+    with pytest.raises(ValueError, match=rf"^t must be {rule}, got {bad!r}$"):
+        closed_form(p, line, bad)
+    with pytest.raises(ValueError, match=rf"^t must be {rule}, got {bad!r} at index 1$"):
+        closed_form(p, line, np.array([0.0, bad, 1e-6]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_steady_state_refuses_a_non_finite_time(bad):
+    p = HarmonicPulse(8e-6, a0=0.1, a=(0.3,), b=(1.0,))
+    with pytest.raises(ValueError, match=rf"^t must be finite, got {bad!r}$"):
+        capacitor_voltage_steady_state(p, 1.1e-5, bad)
+    with pytest.raises(ValueError, match=rf"^t must be finite, got {bad!r} at index 1$"):
+        capacitor_voltage_steady_state(p, 1.1e-5, np.array([0.0, bad]))
+    # the periodic part is defined at any finite time: one period back is the same point
+    earlier = capacitor_voltage_steady_state(p, 1.1e-5, -p.tau_pulse)
+    assert_allclose(earlier, capacitor_voltage_steady_state(p, 1.1e-5, 0.0), rtol=1e-12)
