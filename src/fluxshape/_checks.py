@@ -131,16 +131,22 @@ def _check(name: str, value, rule: str, sign):
             x = float(value)
         except (TypeError, ValueError, OverflowError):
             x = math.nan
-        if not (math.isfinite(x) and (sign is None or sign(x, 0.0))):
+        if not _passes(x, sign):
             raise ValueError(f"{name} must be {rule}, got {_shown(value)!r}")
         return x
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         raise ValueError(f"{name} must be {rule}, got {value.tolist()!r}") from None
-    ok = np.isfinite(arr) if sign is None else np.isfinite(arr) & sign(arr, 0.0)
-    if not ok.all():
-        # the first offending entry keeps the message on one line
+    # the extremes decide, one reduction each and no grid-sized mask; a nan
+    # propagates through both and fails
+    if arr.size and not (_passes(arr.min(), sign) and math.isfinite(arr.max())):
+        # the mask names the first offending entry, which keeps the message on one line
+        ok = np.isfinite(arr) if sign is None else np.isfinite(arr) & sign(arr, 0.0)
         i = int(np.flatnonzero(~ok)[0])
         raise ValueError(f"{name} must be {rule}, got {arr.flat[i].item()!r} at index {i}")
     return arr
+
+
+def _passes(x, sign) -> bool:
+    return math.isfinite(x) and (sign is None or sign(x, 0.0))

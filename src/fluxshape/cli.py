@@ -228,7 +228,7 @@ def _cmd_ramsey_sim(args) -> _Run:
         amp = _require(args.square_amp_phi0, "--square-amp-phi0")
         line_tau = positive("--line-tau-us", _require(args.line_tau_us, "--line-tau-us")) * 1e-6
         waveform = square_transient_waveform(amp, tau_pulse, line_tau, device.phi_idle)
-    elif args.waveform == "pulse":
+    else:  # "pulse", the one other choice argparse admits
         pulse_path = _require(args.pulse, "--pulse")
         line_path = _require(args.line, "--line")
         pulse = formats.pulse_from_dict(formats.load_json(pulse_path))
@@ -240,8 +240,6 @@ def _cmd_ramsey_sim(args) -> _Run:
         omega_tau_in_range("r_ohms * c_farads", pulse.omega * line.tau)
         waveform = pulse_flux_waveform(pulse, line, device)
         inputs.extend([pulse_path, line_path])
-    else:
-        raise ValueError(f"--waveform must be 'square' or 'pulse', got {args.waveform!r}")
 
     delays = np.arange(_delay_count(args.delay_max_us, args.delay_step_us)) * (args.delay_step_us * 1e-6)
     if args.noise_sigma is not None:
@@ -348,7 +346,8 @@ def _cmd_impedance(args) -> _Run:
     n_points = integer("--n-points", args.n_points, 2)
     _at_most(MAX_FREQUENCIES, n_points, "--n-points", "frequencies")
     f = np.geomspace(args.f_start_hz, args.f_stop_hz, n_points)
-    load = complex(args.load_ohms)
+    # a passive load: 0, the default, is the on-chip short
+    load = complex(nonnegative("--load-ohms", args.load_ohms))
 
     if args.fit:
         fit = sweep_and_fit_rc(elements, load, f, fit_band_hz=positive("--fit-band-hz", args.fit_band_hz))

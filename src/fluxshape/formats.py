@@ -27,7 +27,6 @@ __all__ = [
     "pulse_to_dict",
     "pulse_from_dict",
     "rcline_from_dict",
-    "device_to_dict",
     "device_from_dict",
     "chain_from_list",
     "load_json",
@@ -76,16 +75,6 @@ def rcline_from_dict(data: dict) -> RCLine:
         return RCLine(positive("r_ohms", data["r_ohms"]), positive("c_farads", data["c_farads"]))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed line record: {exc}") from exc
-
-
-def device_to_dict(device: CouplerDevice) -> dict:
-    return {
-        "omega_q_ghz": device.omega_q / _GHZ,
-        "omega_max_ghz": device.omega_max / _GHZ,
-        "g_mhz": device.g / _MHZ,
-        "flux_per_volt_phi0": device.flux_per_volt,
-        "phi_idle_phi0": device.phi_idle,
-    }
 
 
 def device_from_dict(data: dict) -> CouplerDevice:

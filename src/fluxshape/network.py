@@ -28,7 +28,6 @@ __all__ = [
     "TwoPort",
     "WiringElement",
     "RCFitResult",
-    "element_abcd",
     "cascade",
     "input_impedance",
     "sweep_input_impedance",
@@ -110,20 +109,8 @@ class WiringElement:
         return WiringElement("transmission_line", {"z0_ohms": z0, "delay_s": delay})
 
 
-def element_abcd(element: WiringElement, f) -> TwoPort:
-    """ABCD matrix of one element at frequency ``f`` in Hz.
-
-    ``f`` is a scalar or an array of frequencies; every entry of the
-    returned matrix is then a complex scalar or a complex array of the
-    same shape.
-    """
-    f = np.asarray(f, dtype=float)
-    positive("frequency", f)
-    return _abcd(element, f)
-
-
 def _abcd(element: WiringElement, f: np.ndarray) -> TwoPort:
-    # element_abcd at a float array of frequencies that is already checked
+    # one element's ABCD matrix at a checked float array of frequencies in Hz
     w = 2.0 * math.pi * f
     # [()] turns a 0-d array into a scalar and leaves other arrays as they are
     one = np.ones(f.shape, dtype=complex)[()]
@@ -154,7 +141,7 @@ def _abcd(element: WiringElement, f: np.ndarray) -> TwoPort:
 
 
 def cascade(elements, f) -> TwoPort:
-    """ABCD matrix of a chain, source side first, at a scalar or array ``f``."""
+    """ABCD matrix of a chain, source side first, at a scalar or array ``f``; one element gives its own."""
     elements = list(elements)
     if not elements:
         raise ValueError("chain must contain at least one element")

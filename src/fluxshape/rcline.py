@@ -32,7 +32,6 @@ __all__ = [
     "RCLine",
     "transient_coefficient",
     "capacitor_voltage",
-    "capacitor_voltage_steady_state",
     "line_current",
     "integrate_line_response",
     "square_pulse_flux_transient",
@@ -70,19 +69,13 @@ def transient_coefficient(pulse: HarmonicPulse, tau: float) -> float:
     return pulse.a0 + float(np.sum(c))
 
 
-def capacitor_voltage_steady_state(pulse: HarmonicPulse, tau: float, t):
-    """Periodic part of the capacitor voltage (the t >> tau limit), at any finite t."""
-    _, c, s = pulse._filtered_harmonics(tau)
-    t = finite("t", np.asarray(t, dtype=float))
-    out = pulse.a0 + _fourier_sum(t, pulse.omega, c, s)
-    return float(out) if out.ndim == 0 else out
-
-
 def capacitor_voltage(pulse: HarmonicPulse, line: RCLine, t):
     """Closed-form capacitor voltage for zero pre-history, valid for t >= 0."""
     k = transient_coefficient(pulse, line.tau)
     t = nonnegative("t", np.asarray(t, dtype=float))
-    out = np.asarray(capacitor_voltage_steady_state(pulse, line.tau, t) - k * np.exp(-t / line.tau))
+    _, c, s = pulse._filtered_harmonics(line.tau)
+    # the periodic steady state (the t >> tau limit) less the decaying tail
+    out = np.asarray(pulse.a0 + _fourier_sum(t, pulse.omega, c, s) - k * np.exp(-t / line.tau))
     return float(out) if out.ndim == 0 else out
 
 

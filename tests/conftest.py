@@ -18,6 +18,16 @@ IDLE_FLUX = -0.278
 FLUX_PER_VOLT = 7e-5
 
 
+# the reference device as a device.json record spells it
+DEVICE_RECORD = {
+    "omega_q_ghz": QUBIT_GHZ,
+    "omega_max_ghz": COUPLER_MAX_GHZ,
+    "g_mhz": COUPLING_MHZ,
+    "flux_per_volt_phi0": FLUX_PER_VOLT,
+    "phi_idle_phi0": IDLE_FLUX,
+}
+
+
 def reference_device(phi_idle=IDLE_FLUX, flux_per_volt=FLUX_PER_VOLT) -> CouplerDevice:
     return CouplerDevice(
         omega_q=QUBIT_GHZ * GHZ,

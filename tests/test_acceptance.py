@@ -15,6 +15,7 @@ from fluxshape import (
     RCLine,
     WiringElement,
     capacitor_voltage,
+    cascade,
     coupler_frequency,
     dressed_qubit_frequency,
     integrate_line_response,
@@ -29,12 +30,11 @@ from fluxshape import (
     sweep_and_fit_rc,
     sweep_input_impedance,
     transient_coefficient,
-    element_abcd,
 )
 from fluxshape import formats
 from fluxshape.cli import main
 
-from conftest import line_with_tau, reference_device
+from conftest import DEVICE_RECORD, line_with_tau, reference_device
 
 
 def _verdict(number: int, ok: bool, detail: str) -> None:
@@ -304,7 +304,7 @@ def test_criterion_08_network_properties():
     spacings = np.diff(f[interior])
     spacing_err = float(np.max(np.abs(spacings - 1.0 / (2.0 * delay))) * 2.0 * delay)
 
-    reactance = abs(element_abcd(WiringElement.series_inductor(2e-9), 20e6).b)
+    reactance = abs(cascade([WiringElement.series_inductor(2e-9)], 20e6).b)
     ok = r_err < 1e-9 and c_err < 1e-9
     ok &= spacings.size >= 3 and spacing_err < 0.02
     ok &= format(reactance, ".3g") == "0.251"
@@ -321,7 +321,7 @@ def test_criterion_09_cli_determinism(tmp_path, monkeypatch):
     # repeated CLI runs with a fixed seed produce byte-identical artifacts
     monkeypatch.delenv("FLUXSHAPE_SEED", raising=False)
     device_path = tmp_path / "device.json"
-    formats.dump_json(formats.device_to_dict(reference_device()), device_path)
+    formats.dump_json(DEVICE_RECORD, device_path)
 
     def run_all(tag):
         base = tmp_path / tag

@@ -1,4 +1,5 @@
 import math
+import operator
 import re
 
 import numpy as np
@@ -25,7 +26,7 @@ from fluxshape import formats
 from fluxshape._checks import finite, integer, nonnegative, positive, samples
 from fluxshape.cli import build_parser
 
-from conftest import reference_device
+from conftest import DEVICE_RECORD
 
 
 def test_scalars_come_back_as_floats():
@@ -117,6 +118,48 @@ def test_nonnegative_admits_zero_and_names_the_first_negative_entry():
         nonnegative("sigma", values)
 
 
+def _masked_check(name, value, rule, sign):
+    # the array path as a per-entry mask: isfinite, the sign test and their &,
+    # then all(); the reference for deciding from the extremes
+    arr = np.asarray(value, dtype=float)
+    ok = np.isfinite(arr) if sign is None else np.isfinite(arr) & sign(arr, 0.0)
+    if not ok.all():
+        i = int(np.flatnonzero(~ok)[0])
+        raise ValueError(f"{name} must be {rule}, got {arr.flat[i].item()!r} at index {i}")
+    return arr
+
+
+def _outcome(check, *args):
+    try:
+        out = check(*args)
+    except ValueError as exc:
+        return str(exc)
+    return out.dtype, out.shape, out.tobytes()
+
+
+def test_array_checks_match_the_per_entry_mask():
+    # the extremes decide pass or fail; every return and every message is the mask's
+    rng = np.random.default_rng(43)
+    specials = np.array([math.nan, math.inf, -math.inf, -1.0, 0.0, -0.0, 5e-324])
+    rules = [
+        (finite, "finite", None),
+        (positive, "positive and finite", operator.gt),
+        (nonnegative, "non-negative and finite", operator.ge),
+    ]
+    for _ in range(2000):
+        shape = tuple(int(n) for n in rng.integers(0, 6, size=rng.integers(1, 3)))
+        values = rng.uniform(-0.5, 3.0, size=shape)
+        sprinkle = rng.random(shape) < rng.choice([0.0, 0.05, 0.5])
+        values[sprinkle] = rng.choice(specials, size=int(sprinkle.sum()))
+        kind = rng.integers(3)
+        if kind == 1:
+            values = np.round(np.nan_to_num(values, nan=0.0, posinf=7.0, neginf=-7.0)).astype(int)
+        elif kind == 2:
+            values = np.nan_to_num(values) > 1.0
+        for check, rule, sign in rules:
+            assert _outcome(check, "x", values) == _outcome(_masked_check, "x", values, rule, sign), (values, rule)
+
+
 def test_samples_come_back_as_one_dimensional_float_arrays():
     out = samples("t", [0, 1, 2], 3, size=3, increasing=True)
     assert out.dtype == float and out.tolist() == [0.0, 1.0, 2.0]
@@ -138,7 +181,7 @@ def test_samples_come_back_as_one_dimensional_float_arrays():
 def _handle(tmp_path, *argv):
     """Run a subcommand's handler on the reference device, raising its refusal instead of printing it."""
     device = tmp_path / "device.json"
-    formats.dump_json(formats.device_to_dict(reference_device()), device)
+    formats.dump_json(DEVICE_RECORD, device)
     args = build_parser().parse_args([*argv, "--device", str(device), "--out-dir", str(tmp_path / "out")])
     return args.handler(args)
 

@@ -19,7 +19,7 @@ from fluxshape import (
 from fluxshape import cli, formats
 from fluxshape.cli import main
 
-from conftest import IDLE_FLUX, reference_device
+from conftest import DEVICE_RECORD, IDLE_FLUX, reference_device
 
 TAU_PULSE_US = 8.0
 OMEGA = 2.0 * math.pi / (TAU_PULSE_US * 1e-6)
@@ -33,7 +33,7 @@ def _isolated_seed_env(monkeypatch):
 
 def write_device(tmp_path):
     path = tmp_path / "device.json"
-    formats.dump_json(formats.device_to_dict(reference_device()), path)
+    formats.dump_json(DEVICE_RECORD, path)
     return str(path)
 
 
@@ -476,6 +476,11 @@ def test_impedance_custom_chain_and_validation(tmp_path, capsys):
     assert rc == 0
     fit = formats.load_json(out / "rc_fit.json")
     assert_allclose(fit["effective_r_ohms"], 47.0, rtol=1e-9)
+    # 0 ohms, the on-chip short, is the default load and may also be given
+    short = tmp_path / "short"
+    assert main(["impedance", "--chain", str(chain_path), "--load-ohms", "0", "--n-points", "5",
+                 "--out-dir", str(short)]) == 0
+    assert formats.load_json(short / "manifest.json")["parameters"]["load_ohms"] == 0.0
     assert main(["impedance", "--chain", "default", "--f-start-hz", "0",
                  "--out-dir", str(tmp_path / "bad")]) == 2
     assert "f-start" in capsys.readouterr().err
@@ -937,7 +942,7 @@ def test_omega_tau_past_the_bound_exits_2_naming_the_field(tmp_path, capsys, cas
     assert not out.exists()
 
 
-@pytest.mark.parametrize("case", ["respond-dt", "extract-sg-window", "b1-flag", "b1-key", "b-flag"])
+@pytest.mark.parametrize("case", ["respond-dt", "extract-sg-window", "b1-flag", "b1-key", "b-flag", "load-negative"])
 def test_refusals_name_the_flag_or_key_given(tmp_path, capsys, case):
     # the library's checks word these, but the line names what the user typed, in its units
     out = tmp_path / "out"
@@ -962,6 +967,10 @@ def test_refusals_name_the_flag_or_key_given(tmp_path, capsys, case):
         request = {"family": "biharmonic", "b1": 0.0}
         argv = [*design, "--request", _write_json(tmp_path, "r.json", request)]
         message = "b1 must be finite and non-zero, got 0.0"
+    elif case == "load-negative":
+        # a passive load is never negative; 0, the on-chip short, is the default
+        argv = ["impedance", "--chain", "default", "--load-ohms", "-50", "--n-points", "5"]
+        message = "--load-ohms must be non-negative and finite, got -50.0"
     else:
         argv = [*design, "--family", "top-harmonic", "--a", "0.3", "--b", "1,2"]
         message = "--b must have length 1, got 2"
@@ -1009,7 +1018,7 @@ def test_extract_refuses_a_trace_past_the_flux_branch(tmp_path, capsys):
     # idling 0.0005 Phi0 below the top of the flux map, a noiseless +0.5 MHz
     # detuning leaves the invertible branch; the whole trace is refused and
     # the message names the first sample past the edge
-    device = _write_json(tmp_path, "device.json", formats.device_to_dict(reference_device(phi_idle=-0.0005)))
+    device = _write_json(tmp_path, "device.json", {**DEVICE_RECORD, "phi_idle_phi0": -0.0005})
     delays = np.arange(241) * 0.25e-6
     phase = 2.0 * np.pi * 0.5e6 * delays
     trace = tmp_path / "trace.csv"

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from fluxshape import CouplerDevice, HarmonicPulse, RCLine, WiringElement
+from fluxshape import HarmonicPulse, RCLine, WiringElement
 from fluxshape import formats
 from fluxshape.formats import (
     chain_from_list,
     device_from_dict,
-    device_to_dict,
     dump_json,
     format_float,
     load_json,
@@ -17,7 +16,7 @@ from fluxshape.formats import (
     write_csv,
 )
 
-from conftest import reference_device
+from conftest import DEVICE_RECORD, GHZ, MHZ, reference_device
 
 
 def test_pulse_round_trip():
@@ -35,14 +34,12 @@ def test_rcline_round_trip():
         rcline_from_dict({"r_ohms": 50.0})
 
 
-def test_device_round_trip():
-    device = reference_device()
-    again = device_from_dict(device_to_dict(device))
-    assert again.omega_q == pytest.approx(device.omega_q, rel=1e-15)
-    assert again.omega_max == pytest.approx(device.omega_max, rel=1e-15)
-    assert again.g == pytest.approx(device.g, rel=1e-15)
-    assert again.flux_per_volt == device.flux_per_volt
-    assert again.phi_idle == device.phi_idle
+def test_device_round_trip(tmp_path):
+    # the reference record, written and read back, is the reference device
+    path = tmp_path / "device.json"
+    dump_json(DEVICE_RECORD, path)
+    assert load_json(path) == DEVICE_RECORD
+    assert device_from_dict(load_json(path)) == reference_device()
     with pytest.raises(ValueError):
         device_from_dict({"omega_q_ghz": 4.7})
 
@@ -259,20 +256,21 @@ def test_json_round_trips_are_lossless(tmp_path):
 
 
 def test_device_round_trips_hold_their_fields(tmp_path):
-    # the three fields stored in GHz or MHz come back within 1e-15, the other two exactly
+    # the three fields stored in GHz or MHz come back as angular frequencies
+    # within 1e-15, the other two exactly
     rng = np.random.default_rng(37)
     path = tmp_path / "device.json"
     for _ in range(60):
-        device = CouplerDevice(
-            omega_q=_positive_magnitude(rng, -100.0, 100.0),
-            omega_max=_positive_magnitude(rng, -100.0, 100.0),
-            g=float(rng.choice([0.0, _positive_magnitude(rng, -100.0, 100.0)])),
-            flux_per_volt=_random_magnitude(rng),
-            phi_idle=float(rng.uniform(-0.4999, 0.4999)) if rng.random() < 0.9 else -0.0,
-        )
-        dump_json(device_to_dict(device), path)
-        again = device_from_dict(load_json(path))
-        assert again.omega_q == pytest.approx(device.omega_q, rel=1e-15)
-        assert again.omega_max == pytest.approx(device.omega_max, rel=1e-15)
-        assert again.g == pytest.approx(device.g, rel=1e-15, abs=0.0)
-        assert _bits(again.flux_per_volt, again.phi_idle) == _bits(device.flux_per_volt, device.phi_idle)
+        record = {
+            "omega_q_ghz": _positive_magnitude(rng, -100.0, 100.0),
+            "omega_max_ghz": _positive_magnitude(rng, -100.0, 100.0),
+            "g_mhz": float(rng.choice([0.0, _positive_magnitude(rng, -100.0, 100.0)])),
+            "flux_per_volt_phi0": _random_magnitude(rng),
+            "phi_idle_phi0": float(rng.uniform(-0.4999, 0.4999)) if rng.random() < 0.9 else -0.0,
+        }
+        dump_json(record, path)
+        device = device_from_dict(load_json(path))
+        assert device.omega_q == pytest.approx(record["omega_q_ghz"] * GHZ, rel=1e-15)
+        assert device.omega_max == pytest.approx(record["omega_max_ghz"] * GHZ, rel=1e-15)
+        assert device.g == pytest.approx(record["g_mhz"] * MHZ, rel=1e-15, abs=0.0)
+        assert _bits(device.flux_per_volt, device.phi_idle) == _bits(record["flux_per_volt_phi0"], record["phi_idle_phi0"])

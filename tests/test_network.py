@@ -12,7 +12,6 @@ from fluxshape import (
     WiringElement,
     cascade,
     default_flux_chain,
-    element_abcd,
     input_impedance,
     sweep_and_fit_rc,
     sweep_input_impedance,
@@ -36,19 +35,19 @@ def test_twoport_matmul_matches_numpy():
 def test_element_abcd_formulas():
     f = 7e6
     w = 2.0 * math.pi * f
-    r = element_abcd(WiringElement.series_resistor(47.0), f)
+    r = cascade([WiringElement.series_resistor(47.0)], f)
     assert (r.a, r.b, r.c, r.d) == (1.0, 47.0 + 0.0j, 0.0, 1.0)
-    c = element_abcd(WiringElement.series_capacitor(1e-7), f)
+    c = cascade([WiringElement.series_capacitor(1e-7)], f)
     assert_allclose(c.b, 1.0 / (1j * w * 1e-7), rtol=1e-15)
     assert c.c == 0.0
-    l = element_abcd(WiringElement.series_inductor(2e-9), f)
+    l = cascade([WiringElement.series_inductor(2e-9)], f)
     assert_allclose(l.b, 1j * w * 2e-9, rtol=1e-15)
-    line = element_abcd(WiringElement.transmission_line(50.0, 15e-9), f)
+    line = cascade([WiringElement.transmission_line(50.0, 15e-9)], f)
     theta = w * 15e-9
     assert_allclose(line.a, math.cos(theta), rtol=1e-15)
     assert_allclose(line.b, 1j * 50.0 * math.sin(theta), rtol=1e-15)
     assert_allclose(line.c, 1j * math.sin(theta) / 50.0, rtol=1e-15)
-    assert element_abcd(WiringElement.attenuator(0.0), f) == TwoPort(1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j)
+    assert cascade([WiringElement.attenuator(0.0)], f) == TwoPort(1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j)
 
 
 def test_element_determinants_are_unity():
@@ -60,7 +59,7 @@ def test_element_determinants_are_unity():
         WiringElement.transmission_line(50.0, 15e-9),
     ]
     for element in elements:
-        net = element_abcd(element, 7e6)
+        net = cascade([element], 7e6)
         assert cmath.isclose(net.a * net.d - net.b * net.c, 1.0, rel_tol=1e-12)
     net = cascade(default_flux_chain(), 7e6)
     assert cmath.isclose(net.a * net.d - net.b * net.c, 1.0, rel_tol=1e-9)
@@ -70,10 +69,9 @@ def test_element_abcd_rejects_bad_frequency():
     r = WiringElement.series_resistor(47.0)
     for f in (0.0, -1e6, math.inf):
         line = f"^frequency must be positive and finite, got {f!r}$"
-        with pytest.raises(ValueError, match=line):
-            element_abcd(r, f)
-        with pytest.raises(ValueError, match=line):
-            cascade([r, r], f)
+        for chain in ([r], [r, r]):
+            with pytest.raises(ValueError, match=line):
+                cascade(chain, f)
 
 
 def test_sweep_checks_the_frequencies_once_per_stage(monkeypatch):
@@ -109,7 +107,7 @@ def test_cascade_composition():
     both = cascade([r1, r2], f)
     assert both.b == 50.0 + 0.0j
     single = cascade([r1], f)
-    assert single == element_abcd(r1, f)
+    assert single == TwoPort(1.0 + 0.0j, 20.0 + 0.0j, 0.0j, 1.0 + 0.0j)
     with pytest.raises(ValueError):
         cascade([], f)
 
@@ -199,7 +197,7 @@ def test_array_path_keeps_scalar_entries_for_scalar_frequency():
     net = cascade(default_flux_chain(), np.array([1e3, 7e6]))
     assert all(np.shape(entry) == (2,) for entry in (net.a, net.b, net.c, net.d))
     with pytest.raises(ValueError):
-        element_abcd(WiringElement.series_resistor(47.0), [1e6, 0.0])
+        cascade([WiringElement.series_resistor(47.0)], [1e6, 0.0])
 
 
 def test_array_sweep_singular_load_raises():
@@ -289,7 +287,7 @@ def test_line_resonance_spacing():
 
 def test_wirebond_reactance_scale():
     # a 2 nH wirebond at 20 MHz is a quarter-ohm detail on a 50 ohm chain
-    b = element_abcd(WiringElement.series_inductor(2e-9), 20e6).b
+    b = cascade([WiringElement.series_inductor(2e-9)], 20e6).b
     assert format(abs(b), ".3g") == "0.251"
     z_chain = input_impedance(cascade(default_flux_chain(), 20e6), 0.0)
     assert abs(b) < 0.01 * abs(z_chain)
@@ -319,7 +317,7 @@ def test_zero_db_attenuator_is_the_identity_bit_for_bit():
     f = np.geomspace(1e3, 1e9, 7)
     for freq in (20e6, f):
         for db in (0.0, -0.0):
-            got = element_abcd(WiringElement.attenuator(db), freq)
+            got = cascade([WiringElement.attenuator(db)], freq)
             for entry, want in zip((got.a, got.b, got.c, got.d), (1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j)):
                 assert np.shape(entry) == np.shape(freq)
                 assert np.asarray(entry).tobytes() == np.full(np.shape(freq), want).tobytes()

@@ -9,7 +9,6 @@ from fluxshape import (
     HarmonicPulse,
     RCLine,
     capacitor_voltage,
-    capacitor_voltage_steady_state,
     integrate_line_response,
     line_current,
     solve_biharmonic,
@@ -91,23 +90,26 @@ def test_capacitor_voltage_dc_charging():
 
 
 def test_capacitor_voltage_steady_state_amplitude():
+    # a single sine at omega*tau = 8.79; over period 60 the tail exp(-t/tau)
+    # is below 1e-18, so the voltage is the steady state alone
     p = HarmonicPulse(8e-6, a=(0.0,), b=(1.0,))
-    tau = 8.79 / p.omega
-    t = np.linspace(0.0, p.tau_pulse, 200001)
-    amp = np.max(np.abs(capacitor_voltage_steady_state(p, tau, t)))
+    line = line_with_tau(8.79 / p.omega)
+    t = np.linspace(60.0 * p.tau_pulse, 61.0 * p.tau_pulse, 200001)
+    amp = np.max(np.abs(capacitor_voltage(p, line, t)))
     assert_allclose(amp, 1.0 / math.sqrt(1.0 + 8.79**2), rtol=1e-8)
     assert_allclose(amp, 0.11304, rtol=1e-4)
 
 
 def test_transient_isolation():
-    # full response minus the periodic part is exactly the decaying term
+    # adding back the decaying term leaves a voltage that repeats every period
     rng = np.random.default_rng(29)
     p = _random_pulse(rng, 6e-6)
     line = line_with_tau(2.0e-6)
     k = transient_coefficient(p, line.tau)
-    t = np.linspace(0.0, 4 * p.tau_pulse, 500)
-    diff = capacitor_voltage(p, line, t) - capacitor_voltage_steady_state(p, line.tau, t)
-    assert_allclose(diff, -k * np.exp(-t / line.tau), rtol=0.0, atol=1e-10)
+    t = np.linspace(0.0, 3 * p.tau_pulse, 500)
+    periodic = capacitor_voltage(p, line, t) + k * np.exp(-t / line.tau)
+    later = capacitor_voltage(p, line, t + p.tau_pulse) + k * np.exp(-(t + p.tau_pulse) / line.tau)
+    assert_allclose(later, periodic, rtol=0.0, atol=1e-12)
 
 
 def test_line_current_dc_and_zero():
@@ -481,15 +483,3 @@ def test_closed_forms_refuse_a_time_before_zero_or_non_finite(closed_form, bad):
         closed_form(p, line, bad)
     with pytest.raises(ValueError, match=rf"^t must be {rule}, got {bad!r} at index 1$"):
         closed_form(p, line, np.array([0.0, bad, 1e-6]))
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_steady_state_refuses_a_non_finite_time(bad):
-    p = HarmonicPulse(8e-6, a0=0.1, a=(0.3,), b=(1.0,))
-    with pytest.raises(ValueError, match=rf"^t must be finite, got {bad!r}$"):
-        capacitor_voltage_steady_state(p, 1.1e-5, bad)
-    with pytest.raises(ValueError, match=rf"^t must be finite, got {bad!r} at index 1$"):
-        capacitor_voltage_steady_state(p, 1.1e-5, np.array([0.0, bad]))
-    # the periodic part is defined at any finite time: one period back is the same point
-    earlier = capacitor_voltage_steady_state(p, 1.1e-5, -p.tau_pulse)
-    assert_allclose(earlier, capacitor_voltage_steady_state(p, 1.1e-5, 0.0), rtol=1e-12)
