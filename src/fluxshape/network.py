@@ -131,13 +131,12 @@ def _abcd(element: WiringElement, f: np.ndarray) -> TwoPort:
         y_shunt = (k - 1.0) / (z0 * (k + 1.0))
         a = (1.0 + r_series * y_shunt) * one
         return TwoPort(a, r_series * one, y_shunt * (2.0 + r_series * y_shunt) * one, a)
-    if kind == "transmission_line":
-        theta = w * p["delay_s"]
-        z0 = p["z0_ohms"]
-        cos = np.cos(theta) * one
-        sin = np.sin(theta)
-        return TwoPort(cos, 1j * z0 * sin, 1j * sin / z0, cos)
-    raise ValueError(f"unknown element kind {kind!r}")
+    # the transmission line: WiringElement admits no other kind
+    theta = w * p["delay_s"]
+    z0 = p["z0_ohms"]
+    cos = np.cos(theta) * one
+    sin = np.sin(theta)
+    return TwoPort(cos, 1j * z0 * sin, 1j * sin / z0, cos)
 
 
 def cascade(elements, f) -> TwoPort:

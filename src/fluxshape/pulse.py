@@ -45,18 +45,20 @@ def _fourier_sum(t, omega: float, c: np.ndarray, s: np.ndarray) -> np.ndarray:
     """``sum_n c_n cos(n w t) + s_n sin(n w t)`` over n = 1..len(c); zeros for an empty sum.
 
     The sum is ``Re sum_n (c_n - i s_n) z^n`` with ``z = exp(i w t)``,
-    evaluated by Horner's rule from the top harmonic down (Clenshaw 1955),
-    so each point costs one cosine and one sine whatever N is.  The points
-    run in blocks of ``_BLOCK`` through a few block-sized buffers, so no
-    temporary grows with the grid; a point's value does not depend on the
-    block it falls in.
+    evaluated by Horner's rule from the top harmonic down (Clenshaw 1955).
+    ``z`` comes from one tangent of the half angle: with ``u = tan(w t / 2)``
+    and ``r = 2/(1 + u^2)``, ``cos(w t) = r - 1`` and ``sin(w t) = u r``, so
+    each point costs one tangent whatever N is.  The points run in blocks of
+    ``_BLOCK`` through a few block-sized buffers, so no temporary grows with
+    the grid; a point's value does not depend on the block it falls in.
     """
     flat = np.ravel(t)
     if c.size == 0 or flat.size == 0:
         return np.zeros(np.shape(t))
     d = c - 1j * s
     size = min(flat.size, _BLOCK)
-    theta = np.empty(size)
+    u = np.empty(size)
+    r = np.empty(size)
     z = np.empty(size, dtype=complex)
     acc = np.empty(size, dtype=complex)
     # products go to a second buffer: numpy's in-place complex multiply rounds
@@ -64,13 +66,19 @@ def _fourier_sum(t, omega: float, c: np.ndarray, s: np.ndarray) -> np.ndarray:
     # the array it is evaluated in
     prod = np.empty(size, dtype=complex)
     out = np.empty(flat.size)
+    # w t / 2 exactly, since 0.5 is a power of two
+    half_omega = 0.5 * omega
     for start in range(0, flat.size, size):
         block = flat[start : start + size]
         if block.size < size:
-            theta, z, acc, prod = (buffer[: block.size] for buffer in (theta, z, acc, prod))
-        np.multiply(block, omega, out=theta)
-        np.cos(theta, out=z.real)
-        np.sin(theta, out=z.imag)
+            u, r, z, acc, prod = (buffer[: block.size] for buffer in (u, r, z, acc, prod))
+        np.multiply(block, half_omega, out=u)
+        np.tan(u, out=u)
+        np.multiply(u, u, out=r)
+        np.add(r, 1.0, out=r)
+        np.divide(2.0, r, out=r)
+        np.subtract(r, 1.0, out=z.real)
+        np.multiply(u, r, out=z.imag)
         acc.fill(d[-1])
         for dn in d[-2::-1]:
             np.multiply(acc, z, out=prod)
@@ -114,7 +122,8 @@ class HarmonicPulse:
     def evaluate(self, t):
         """Evaluate the series at time ``t`` (seconds; scalar or ndarray, any finite value)."""
         t = finite("t", np.asarray(t, dtype=float))
-        out = self.a0 + _fourier_sum(t, self.omega, np.asarray(self.a), np.asarray(self.b))
+        out = _fourier_sum(t, self.omega, np.asarray(self.a), np.asarray(self.b))
+        out += self.a0
         return float(out) if out.ndim == 0 else out
 
     def condition_one_residual(self) -> float:

@@ -69,26 +69,36 @@ def transient_coefficient(pulse: HarmonicPulse, tau: float) -> float:
     return pulse.a0 + float(np.sum(c))
 
 
+def _decay(t, tau: float, scale: float) -> np.ndarray:
+    """``scale * exp(-t/tau)`` in one array shaped like ``t`` (0-d for a 0-d ``t``)."""
+    # t / -tau is -t / tau bit for bit: rounding is symmetric in sign
+    out = np.divide(t, -tau, out=np.empty(np.shape(t)))
+    np.exp(out, out=out)
+    out *= scale
+    return out
+
+
 def capacitor_voltage(pulse: HarmonicPulse, line: RCLine, t):
     """Closed-form capacitor voltage for zero pre-history, valid for t >= 0."""
-    k = transient_coefficient(pulse, line.tau)
-    t = nonnegative("t", np.asarray(t, dtype=float))
     _, c, s = pulse._filtered_harmonics(line.tau)
+    k = pulse.a0 + float(np.sum(c))
+    t = nonnegative("t", np.asarray(t, dtype=float))
     # the periodic steady state (the t >> tau limit) less the decaying tail
-    out = np.asarray(pulse.a0 + _fourier_sum(t, pulse.omega, c, s) - k * np.exp(-t / line.tau))
+    out = _fourier_sum(t, pulse.omega, c, s)
+    out += pulse.a0
+    out -= _decay(t, line.tau, k)
     return float(out) if out.ndim == 0 else out
 
 
 def line_current(pulse: HarmonicPulse, line: RCLine, t):
     """Closed-form delivered current I = C * dV_c/dt for zero pre-history, valid for t >= 0."""
-    tau = line.tau
-    k = transient_coefficient(pulse, tau)
+    n, c, s = pulse._filtered_harmonics(line.tau)
+    k = pulse.a0 + float(np.sum(c))
     t = nonnegative("t", np.asarray(t, dtype=float))
-    n, c, s = pulse._filtered_harmonics(tau)
-    cw = line.capacitance * pulse.omega
-    # derivative of the steady state: w * sum_n n*(s_n cos - c_n sin), w in cw
-    periodic = _fourier_sum(t, pulse.omega, n * s, -(n * c))
-    out = np.asarray((k / line.resistance) * np.exp(-t / tau) + cw * periodic)
+    # derivative of the steady state: w * sum_n n*(s_n cos - c_n sin), w in C*w
+    out = _fourier_sum(t, pulse.omega, n * s, -(n * c))
+    out *= line.capacitance * pulse.omega
+    out += _decay(t, line.tau, k / line.resistance)
     return float(out) if out.ndim == 0 else out
 
 

@@ -93,6 +93,12 @@ def test_condition_one_equals_value_at_zero():
         # order: N*eps*(|a0| + sum|a_n|)
         bound = n * np.finfo(float).eps * (abs(p.a0) + np.sum(np.abs(p.a)))
         assert abs(p.evaluate(0.0) - p.condition_one_residual()) <= bound
+        # tan(0) = 0 makes z exactly 1, so the series at t = 0 is that top-down
+        # sum bit for bit
+        top_down = p.a[-1]
+        for an in p.a[-2::-1]:
+            top_down += an
+        assert p.evaluate(0.0) == p.a0 + top_down
 
 
 def test_condition_three_residual_values():
@@ -167,15 +173,28 @@ def test_many_harmonics():
 
 
 def _whole_array_fourier_sum(t, omega, c, s):
-    """The Horner sum over the whole array at once, as it ran before the points were blocked."""
-    theta = np.multiply(t, omega)
+    """The kernel's half-angle Horner sum over the whole array at once, without blocks."""
     if c.size == 0:
-        return np.zeros(theta.shape)
+        return np.zeros(np.shape(t))
+    u = np.tan(np.multiply(t, 0.5 * omega))
+    r = 2.0 / (u * u + 1.0)
+    z = np.empty(u.shape, dtype=complex)
+    np.subtract(r, 1.0, out=z.real)
+    np.multiply(u, r, out=z.imag)
+    return _horner(z, c - 1j * s)
+
+
+def _cos_sin_fourier_sum(t, omega, c, s):
+    """The Horner sum with z from a cosine and a sine: the accuracy reference."""
+    theta = np.multiply(t, omega)
     z = np.empty(theta.shape, dtype=complex)
     np.cos(theta, out=z.real)
     np.sin(theta, out=z.imag)
-    d = c - 1j * s
-    acc = np.full(theta.shape, d[-1])
+    return _horner(z, c - 1j * s)
+
+
+def _horner(z, d):
+    acc = np.full(z.shape, d[-1])
     out = np.empty_like(acc)
     for dn in d[-2::-1]:
         np.multiply(acc, z, out=out)
@@ -202,6 +221,24 @@ def test_fourier_sum_blocks_match_the_whole_array_sum(shape, n_harm):
     ref = np.asarray(_whole_array_fourier_sum(t, omega, c, s))
     assert got.shape == shape
     assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+def test_fourier_sum_half_angle_agrees_with_cos_sin():
+    # z = e^{iwt} from tan(wt/2) against numpy's cosine and sine, read through
+    # the kernel itself (c = 1 gives cos, s = 1 gives sin, both exactly), and
+    # the whole sum against the cos/sin Horner sum, at |wt| up to 1e6
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(18)
+    omega = 2.0 * math.pi / 8e-6
+    t = rng.uniform(-1e6, 1e6, 20_001) / omega
+    theta = t * omega
+    one, zero = np.ones(1), np.zeros(1)
+    assert np.max(np.abs(_fourier_sum(t, omega, one, zero) - np.cos(theta))) <= 2 * eps
+    assert np.max(np.abs(_fourier_sum(t, omega, zero, one) - np.sin(theta))) <= 2 * eps
+    for n_harm in range(1, 17):
+        c, s = rng.uniform(-1, 1, n_harm), rng.uniform(-1, 1, n_harm)
+        bound = 8 * eps * np.sum(np.abs(c) + np.abs(s))
+        assert np.max(np.abs(_fourier_sum(t, omega, c, s) - _cos_sin_fourier_sum(t, omega, c, s))) <= bound
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
