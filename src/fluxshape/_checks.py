@@ -10,8 +10,9 @@ sequence of samples: it converts any sequence to a finite 1-D float array and
 checks its length, and on request that it pairs with another array and that
 it strictly increases; :func:`steps` is that order check, returning the
 steps it tested.  :func:`integer` is the same check for sizes and
-counts, and :func:`omega_tau_in_range` bounds the products omega*tau the
-closed forms square.
+counts, :func:`omega_tau_in_range` bounds the products omega*tau the
+closed forms square, and :func:`at_most` bounds any other checked float
+that a formula would overflow.
 """
 
 from __future__ import annotations
@@ -104,6 +105,13 @@ def integer(name: str, value, low: int, high: float = sys.float_info.max) -> int
         raise ValueError(f"{name} must be at least {low}, got {value}")
     if value > high:
         raise ValueError(f"{name} must be at most {high!r}, got {value}")
+    return value
+
+
+def at_most(name: str, value: float, high: float, unit: str) -> float:
+    """``value``, a checked float, or a one-line ValueError naming the field when it exceeds ``high`` (in ``unit``)."""
+    if value > high:
+        raise ValueError(f"{name} must be at most {high:g}{unit}, got {value!r}{unit}")
     return value
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fluxshape._checks import finite, integer, nonnegative, positive, samples
+from fluxshape._checks import at_most, finite, integer, nonnegative, positive, samples
 from fluxshape.pulse import HarmonicPulse
 from fluxshape.rcline import (
     RCLine,
@@ -47,6 +47,12 @@ __all__ = [
 ]
 
 
+# omega_q, omega_max and g above this (rad/s) are refused: the dressed
+# frequency squares them, which overflows near 1e154, while no modelled
+# device comes within decades of it
+_OMEGA_MAX = 1e100
+
+
 @dataclass(frozen=True)
 class CouplerDevice:
     """Static device parameters, all angular frequencies in rad/s.
@@ -63,9 +69,8 @@ class CouplerDevice:
     phi_idle: float
 
     def __post_init__(self):
-        object.__setattr__(self, "omega_q", positive("omega_q", self.omega_q))
-        object.__setattr__(self, "omega_max", positive("omega_max", self.omega_max))
-        object.__setattr__(self, "g", nonnegative("g", self.g))
+        for name, check in (("omega_q", positive), ("omega_max", positive), ("g", nonnegative)):
+            object.__setattr__(self, name, at_most(name, check(name, getattr(self, name)), _OMEGA_MAX, " rad/s"))
         object.__setattr__(self, "flux_per_volt", finite("flux_per_volt", self.flux_per_volt))
         phi_idle = finite("phi_idle", self.phi_idle)
         # the flux map is invertible only within half a period around the bias

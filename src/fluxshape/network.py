@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fluxshape._checks import nonnegative, positive, samples
+from fluxshape._checks import at_most, nonnegative, positive, samples
 
 __all__ = [
     "TwoPort",
@@ -54,6 +54,10 @@ class TwoPort:
         )
 
 
+# attenuations above this are refused: the attenuator's matrix squares
+# k = 10**(db/20), which passes 1e100 here and overflows near 3000 dB
+_DB_MAX = 2000.0
+
 _ELEMENT_KINDS = {
     "attenuator": ("db", "z0_ohms"),
     "series_resistor": ("r_ohms",),
@@ -84,6 +88,8 @@ class WiringElement:
             check = nonnegative if key == "db" else positive
             # each parameter is one number; as a list, an array is refused
             params[key] = check(f"{self.kind}.{key}", value.tolist() if isinstance(value, np.ndarray) else value)
+        if "db" in params:
+            at_most(f"{self.kind}.db", params["db"], _DB_MAX, " dB")
         object.__setattr__(self, "params", params)
 
     @staticmethod
@@ -173,9 +179,20 @@ def input_impedance(network: TwoPort, load: complex):
 
 
 def sweep_input_impedance(elements, load: complex, f_grid) -> np.ndarray:
-    """Input impedance of a terminated chain over a frequency grid (Hz)."""
+    """Input impedance of a terminated chain over a frequency grid (Hz).
+
+    A frequency at which the chain's matrices overflow, and the impedance
+    is not finite, is refused with a one-line ValueError quoting the first.
+    """
     f = positive("f_grid", samples("f_grid", f_grid))
-    return input_impedance(cascade(elements, f), load)
+    # an overflow (or a 1/(j w C) whose w C underflows) is refused below
+    # rather than warned about on the way
+    with np.errstate(all="ignore"):
+        z = input_impedance(cascade(elements, f), load)
+    ok = np.isfinite(z)
+    if not ok.all():
+        raise ValueError(f"input impedance is not finite at f_grid {f[np.argmin(ok)].item()!r} Hz")
+    return z
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,16 +219,25 @@ def sweep_and_fit_rc(elements, load: complex, f_grid, fit_band_hz: float = 1e6) 
     band = f <= positive("fit_band_hz", fit_band_hz)
     if np.count_nonzero(band) < 3:
         raise ValueError("need at least three sweep points inside the fit band")
-    zz = np.abs(z[band]) ** 2
-    inv_f2 = 1.0 / f[band] ** 2
-    design = np.column_stack([np.ones(inv_f2.size), inv_f2])
-    (alpha, beta), *_ = np.linalg.lstsq(design, zz, rcond=None)
-    if beta <= 0.0:
-        raise ValueError("no capacitive 1/f^2 rise inside the fit band; chain is not RC-like there")
-    effective_r = math.sqrt(alpha) if alpha > 0.0 else 0.0
-    effective_c = 1.0 / (2.0 * math.pi * math.sqrt(beta))
-    z_fit = np.sqrt(np.maximum(alpha + beta * inv_f2, 0.0))
-    fit_rms = float(np.sqrt(np.mean((z_fit - np.abs(z[band])) ** 2)))
+    # |Z|^2, 1/f^2 and the fitted form can overflow for a finite Z and f:
+    # each is refused rather than warned about, and LAPACK, which would print
+    # about an overflowed row, never sees one
+    with np.errstate(all="ignore"):
+        zz = np.abs(z[band]) ** 2
+        inv_f2 = 1.0 / f[band] ** 2
+        ok = np.isfinite(zz) & np.isfinite(inv_f2)
+        if not ok.all():
+            raise ValueError(f"the RC fit overflows |Z_in|^2 or 1/f^2 at f_grid {f[band][np.argmin(ok)].item()!r} Hz")
+        design = np.column_stack([np.ones(inv_f2.size), inv_f2])
+        (alpha, beta), *_ = np.linalg.lstsq(design, zz, rcond=None)
+        if beta <= 0.0:
+            raise ValueError("no capacitive 1/f^2 rise inside the fit band; chain is not RC-like there")
+        effective_r = math.sqrt(alpha) if alpha > 0.0 else 0.0
+        effective_c = 1.0 / (2.0 * math.pi * math.sqrt(beta))
+        z_fit = np.sqrt(np.maximum(alpha + beta * inv_f2, 0.0))
+        fit_rms = float(np.sqrt(np.mean((z_fit - np.abs(z[band])) ** 2)))
+    if not math.isfinite(fit_rms):
+        raise ValueError(f"the RC fit overflows below fit_band_hz {fit_band_hz!r}: |Z_in| is out of its range")
     return RCFitResult(f, z, float(effective_r), float(effective_c), fit_rms)
 
 

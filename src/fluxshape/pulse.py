@@ -88,6 +88,21 @@ def _fourier_sum(t, omega: float, c: np.ndarray, s: np.ndarray) -> np.ndarray:
     return out.reshape(np.shape(t))
 
 
+def _line_filter(a, b, omega_tau):
+    """``(n, c_n, s_n)``: the harmonics ``(a_n, b_n)`` leave on a line of fundamental ``omega_tau``.
+
+    ``(c_n, s_n) = (a_n - x_n b_n, x_n a_n + b_n) / (1 + x_n^2)`` with ``x_n
+    = n*omega_tau``.  The harmonic axis comes first: ``b`` has one entry per
+    harmonic along it, ``a`` broadcasts against ``b``, and ``omega_tau`` (a
+    float or an array) broadcasts against the axes after it.  The caller
+    checks ``omega_tau``.
+    """
+    n = np.arange(1, len(b) + 1).reshape(-1, *(1,) * np.ndim(omega_tau))
+    x = n * omega_tau
+    denom = 1.0 + x * x
+    return n, (a - x * b) / denom, (x * a + b) / denom
+
+
 @dataclass(frozen=True)
 class HarmonicPulse:
     """Finite Fourier series with period ``tau_pulse`` (seconds).
@@ -148,12 +163,7 @@ class HarmonicPulse:
         """``(n, c_n, s_n)``: the steady-state capacitor voltage's harmonics on a line ``tau`` (checked here)."""
         tau = positive("tau", tau)
         omega_tau_in_range("tau", self.omega * tau)
-        n = np.arange(1, self.n_harmonics + 1)
-        x = n * (self.omega * tau)
-        a = np.asarray(self.a)
-        b = np.asarray(self.b)
-        denom = 1.0 + x * x
-        return n, (a - x * b) / denom, (x * a + b) / denom
+        return _line_filter(np.asarray(self.a), np.asarray(self.b), self.omega * tau)
 
     def sample(self, dt: float, n_periods: int = 1):
         """Sample the pulse on a uniform grid starting at t = 0.

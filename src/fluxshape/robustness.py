@@ -5,7 +5,8 @@ before a designed pulse loses its advantage":
 
 * :func:`sweep_transient_coefficient` tabulates the residual transient
   coefficient of the two-harmonic design on a grid of (w*tau, m) where m is
-  the ratio of assumed to true time constant.
+  the ratio of assumed to true time constant; each cell is read from the
+  line-filtered spectrum of :mod:`fluxshape.pulse`, as every closed form is.
 * :func:`net_zero_metrics` reports the per-period areas of the input voltage
   and of the capacitor voltage, the quantities a net-zero pulse constraint
   would control; designed pulses suppress the capacitor area without any
@@ -19,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fluxshape._checks import positive, samples
-from fluxshape.pulse import HarmonicPulse
+from fluxshape._checks import finite, omega_tau_in_range, positive, samples
+from fluxshape.pulse import HarmonicPulse, _line_filter
 from fluxshape.rcline import RCLine, transient_coefficient
-from fluxshape.synthesis import mischaracterized_transient_coefficient
+from fluxshape.synthesis import _biharmonic_b2
 
 __all__ = [
     "SweepGrid",
@@ -53,13 +54,20 @@ def sweep_transient_coefficient(b1: float, omega_tau_values, m_values) -> SweepG
     """Tabulate the two-harmonic design's residual coefficient on a grid.
 
     The residual depends on omega and tau only through their product, so
-    the grid is parameterized by ``omega*tau_true`` directly.  The m = 1
-    column is exactly the design condition and vanishes identically.
+    the grid is parameterized by ``x = omega*tau_true`` directly.  Each cell
+    is the transient coefficient, on the line ``x``, of the
+    :func:`~fluxshape.synthesis.solve_biharmonic` pulse designed for ``m*x``,
+    read from the one line-filtered spectrum every closed form uses.  The
+    m = 1 column is exactly the design condition and vanishes identically.
     """
+    b1 = finite("b1", b1)
     wt = positive("omega_tau_values", samples("omega_tau_values", omega_tau_values))
+    x = omega_tau_in_range("omega_tau_values", wt[:, None])
     m = positive("m_values", samples("m_values", m_values))
-    k = mischaracterized_transient_coefficient(b1, 1.0, wt[:, None], m[None, :])
-    return SweepGrid(wt, m, k)
+    b2 = _biharmonic_b2(b1, m * x, "m_values")
+    # harmonics first: b is (b1, b2) over the grid, and a sine design has no a_n
+    _, c, _ = _line_filter(0.0, np.array([np.full_like(b2, b1), b2]), x)
+    return SweepGrid(wt, m, c.sum(axis=0))
 
 
 def net_zero_metrics(pulse: HarmonicPulse, line: RCLine) -> dict:

@@ -11,7 +11,6 @@ from fluxshape import (
     RamseyConfig,
     RCLine,
     WiringElement,
-    asymptotic_transient_coefficient,
     fit_transient,
     frequency_from_phase,
     integrate_line_response,
@@ -286,16 +285,6 @@ _REFUSALS = [
     ("top-few", lambda tmp: solve_top_harmonic(0.0, [], [], _OMEGA, 1e-5), "a must have length at least 1, got 0"),
     ("top-unequal", lambda tmp: solve_top_harmonic(0.0, [0.3], [1.0, 2.0], _OMEGA, 1e-5), "b must have length 1, got 2"),
     ("top-nan", lambda tmp: solve_top_harmonic(0.0, [math.nan], [1.0], _OMEGA, 1e-5), "a must be finite, got nan at index 0"),
-    (
-        "asymptotic-2d",
-        lambda tmp: asymptotic_transient_coefficient("sine-only", [[1.0]], _OMEGA, 1e-5),
-        "coeffs must be 1-D, got shape (1, 1)",
-    ),
-    (
-        "asymptotic-empty",
-        lambda tmp: asymptotic_transient_coefficient("sine-only", [], _OMEGA, 1e-5),
-        "coeffs must have length at least 1, got 0",
-    ),
     ("pulse-unequal", lambda tmp: HarmonicPulse(8e-6, a=(0.0,), b=()), "b must have length 1, got 0"),
     ("pulse-2d", lambda tmp: HarmonicPulse(8e-6, a=((0.0,),), b=((1.0,),)), "a must be 1-D, got shape (1, 1)"),
     ("pulse-nan", lambda tmp: HarmonicPulse(8e-6, a=(0.0, math.nan), b=(1.0, 0.0)), "a must be finite, got nan at index 1"),

@@ -11,7 +11,6 @@ from fluxshape import (
     HarmonicPulse,
     capacitor_voltage,
     line_current,
-    mischaracterized_transient_coefficient,
     run_pipeline,
     solve_biharmonic,
     sweep_transient_coefficient,
@@ -175,12 +174,13 @@ def test_sweep_explicit_axes(tmp_path):
         "--out-dir", str(out),
     ])
     assert rc == 0
-    omega_tau, m, k = formats.read_csv_columns(out / "sweep.csv", ["omega_tau", "m", "k_exp"])
-    assert omega_tau.size == 3
-    for mm, kk in zip(m, k):
-        assert kk == mischaracterized_transient_coefficient(1.0, 1.0, 8.79, mm)
-    assert abs(k[1]) < 1e-14
-    assert abs(k[0]) > 10.0 * abs(k[2])
+    # README's explicit-axes sweep, byte for byte: k at m = 0.01, at the design point and at m = 100
+    assert (out / "sweep.csv").read_bytes() == (
+        b"omega_tau,m,k_exp\n"
+        b"8.7899999999999991,0.01,-0.083310264284806146\n"
+        b"8.7899999999999991,1,0\n"
+        b"8.7899999999999991,100,0.0010865828358266744\n"
+    )
 
 
 def test_sweep_csv_row_major(tmp_path):
@@ -939,6 +939,47 @@ def test_omega_tau_past_the_bound_exits_2_naming_the_field(tmp_path, capsys, cas
     assert rc == 2 and captured.out == ""
     assert len(err) == 1 and err[0].startswith(f"error: {name} makes omega*tau "), err
     assert err[0].endswith("above the limit 1e+100")
+    assert not out.exists()
+
+
+_OVERFLOW_REFUSALS = {
+    "impedance": "error: input impedance is not finite at f_grid 1e-300 Hz",
+    "impedance-fit": "error: input impedance is not finite at f_grid 1e-300 Hz",
+    "impedance-fit-capacitor": "error: the RC fit overflows |Z_in|^2 or 1/f^2 at f_grid 1000.0 Hz",
+    "attenuator-db": "error: attenuator.db must be at most 2000 dB",
+    "device-omega-q": "error: omega_q must be at most 1e+100 rad/s",
+    "device-omega-max": "error: omega_max must be at most 1e+100 rad/s",
+    "device-g": "error: g must be at most 1e+100 rad/s",
+}
+
+
+@pytest.mark.parametrize("case", list(_OVERFLOW_REFUSALS))
+def test_overflowing_inputs_exit_2_in_one_line(tmp_path, capfd, case):
+    # these used to write nan rows or a NaN fit after RuntimeWarnings, print
+    # LAPACK's DLASCL lines, or end in an OverflowError traceback; capfd also
+    # sees what LAPACK writes to the process's own stderr
+    out = tmp_path / "out"
+    default = ["impedance", "--chain", "default", "--f-start-hz", "1e-300"]
+    if case.startswith("device-"):
+        key = {"device-omega-q": "omega_q_ghz", "device-omega-max": "omega_max_ghz", "device-g": "g_mhz"}[case]
+        device = _write_json(tmp_path, "device.json", {**DEVICE_RECORD, key: 1e200})
+        argv = ["ramsey-sim", "--device", device, *_DEVICE_SQUARE_ARGS]
+    else:
+        argv = {
+            "impedance": default,
+            "impedance-fit": [*default, "--fit"],
+            "impedance-fit-capacitor": ["impedance", "--fit", "--chain", _write_json(
+                tmp_path, "capacitor.json", [{"kind": "series_capacitor", "c_farads": 1e-300}])],
+            "attenuator-db": ["impedance", "--chain", _write_json(
+                tmp_path, "attenuator.json", [{"kind": "attenuator", "db": 1e30, "z0_ohms": 50.0}])],
+        }[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main([*argv, "--out-dir", str(out)])
+    captured = capfd.readouterr()
+    err = captured.err.splitlines()
+    assert rc == 2 and captured.out == ""
+    assert len(err) == 1 and err[0].startswith(_OVERFLOW_REFUSALS[case]), err
     assert not out.exists()
 
 

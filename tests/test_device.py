@@ -51,6 +51,15 @@ def test_coupler_device_validation():
     assert ok.g == 0.0
 
 
+@pytest.mark.parametrize("field", ["omega_q", "omega_max", "g"])
+def test_coupler_device_refuses_a_frequency_the_dressed_map_would_overflow(field):
+    # the dressed frequency squares these; 1e200 used to give an all-nan trace
+    fields = dict(omega_q=1.0, omega_max=1.0, g=0.1, flux_per_volt=1.0, phi_idle=0.0)
+    with pytest.raises(ValueError, match=rf"^{field} must be at most 1e\+100 rad/s, got 1e\+200 rad/s$"):
+        CouplerDevice(**{**fields, field: 1e200})
+    assert getattr(CouplerDevice(**{**fields, field: 1e100}), field) == 1e100
+
+
 def test_coupler_frequency_special_points(device):
     assert coupler_frequency(0.0, device) == device.omega_max
     assert coupler_frequency(0.5, device) == 0.0

@@ -260,11 +260,12 @@ def test_device_round_trips_hold_their_fields(tmp_path):
     # within 1e-15, the other two exactly
     rng = np.random.default_rng(37)
     path = tmp_path / "device.json"
+    # CouplerDevice takes angular frequencies up to 1e100 rad/s, 2*pi*1e90 GHz and 2*pi*1e93 MHz
     for _ in range(60):
         record = {
-            "omega_q_ghz": _positive_magnitude(rng, -100.0, 100.0),
-            "omega_max_ghz": _positive_magnitude(rng, -100.0, 100.0),
-            "g_mhz": float(rng.choice([0.0, _positive_magnitude(rng, -100.0, 100.0)])),
+            "omega_q_ghz": _positive_magnitude(rng, -100.0, 90.0),
+            "omega_max_ghz": _positive_magnitude(rng, -100.0, 90.0),
+            "g_mhz": float(rng.choice([0.0, _positive_magnitude(rng, -100.0, 93.0)])),
             "flux_per_volt_phi0": _random_magnitude(rng),
             "phi_idle_phi0": float(rng.uniform(-0.4999, 0.4999)) if rng.random() < 0.9 else -0.0,
         }

@@ -1,6 +1,7 @@
 import cmath
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -225,6 +226,37 @@ def test_sweep_input_impedance_refuses_a_non_finite_load(load):
         sweep_input_impedance(default_flux_chain(), load, [1e3, 1e4])
 
 
+def test_sweep_input_impedance_refuses_an_overflowing_chain():
+    # at 1e-300 Hz the bias tee's 1/(j w C) times the attenuator ladder
+    # overflows to inf, then inf * 0 to nan; the sweep used to warn and return it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^input impedance is not finite at f_grid 1e-300 Hz$"):
+            sweep_input_impedance(default_flux_chain(), 0.0, [1e-300, 1e3])
+        with pytest.raises(ValueError, match=r"^input impedance is not finite at f_grid 1e-300 Hz$"):
+            sweep_and_fit_rc(default_flux_chain(), 0.0, [1e-300, 1e3, 1e4, 1e5])
+        # w C underflows to zero, and 1/(j w C) divides by it
+        with pytest.raises(ValueError, match=r"^input impedance is not finite at f_grid 1e-300 Hz$"):
+            sweep_input_impedance([WiringElement.series_capacitor(1e-300)], 0.0, [1e-300, 1.0])
+
+
+@pytest.mark.parametrize(
+    "c, message",
+    [
+        # |Z_in|^2 itself overflows at the first frequency
+        (1e-300, r"^the RC fit overflows \|Z_in\|\^2 or 1/f\^2 at f_grid 1000\.0 Hz$"),
+        # |Z_in|^2 is finite, but the fitted (1/(2 pi C))^2 is not
+        (6e-158, r"^the RC fit overflows below fit_band_hz 1000000\.0: "),
+    ],
+)
+def test_fit_refuses_an_overflowing_fit(c, message):
+    # both used to return nan or a zero capacitance, the first after a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            sweep_and_fit_rc([WiringElement.series_capacitor(c)], 0.0, np.geomspace(1e3, 1e6, 31))
+
+
 def test_fit_recovers_pure_rc_exactly():
     chain = [WiringElement.series_resistor(47.0), WiringElement.series_capacitor(3.3e-7)]
     f = np.geomspace(1e3, 1e6, 31)
@@ -310,6 +342,10 @@ def test_wiring_element_validation():
         WiringElement.transmission_line(50.0, -1e-9)
     with pytest.raises(ValueError):
         WiringElement.series_inductor(math.inf)
+    # 10**(db/20) overflowed Python's float power with a traceback
+    with pytest.raises(ValueError, match=r"^attenuator\.db must be at most 2000 dB, got 1e\+30 dB$"):
+        WiringElement.attenuator(1e30)
+    assert WiringElement.attenuator(2000.0).params["db"] == 2000.0
 
 
 def test_zero_db_attenuator_is_the_identity_bit_for_bit():

@@ -8,7 +8,6 @@ from fluxshape import (
     HarmonicPulse,
     capacitor_voltage,
     default_sweep_axes,
-    mischaracterized_transient_coefficient,
     net_zero_metrics,
     solve_biharmonic,
     sweep_transient_coefficient,
@@ -42,7 +41,6 @@ def test_sweep_matches_pointwise_evaluation():
         assert grid.k_exp.shape == (wt.size, m.size)
         for i, x in enumerate(wt):
             for j, mm in enumerate(m):
-                assert grid.k_exp[i, j] == mischaracterized_transient_coefficient(b1, 1.0, x, mm)
                 # bit-identical to designing the pulse and evaluating it
                 pulse = solve_biharmonic(b1, 1.0, mm * x)
                 assert grid.k_exp[i, j] == transient_coefficient(pulse, x)

@@ -6,10 +6,9 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from fluxshape import (
     HarmonicPulse,
-    asymptotic_transient_coefficient,
-    mischaracterized_transient_coefficient,
     solve_biharmonic,
     solve_top_harmonic,
+    sweep_transient_coefficient,
     transient_coefficient,
 )
 
@@ -108,38 +107,48 @@ def test_solve_top_harmonic_validation():
         solve_top_harmonic(0.0, [1.0], [1.0], 1.0, 1e-13)
 
 
+def _k(b1, omega_tau, m):
+    """The biharmonic design's residual at one (omega*tau, m) cell of the sweep."""
+    return float(sweep_transient_coefficient(b1, [omega_tau], [m]).k_exp[0, 0])
+
+
+def _limiting_pulse(a, b):
+    # omega = 1, so that omega*tau = tau
+    return HarmonicPulse(2.0 * math.pi, a=a, b=b)
+
+
 def test_mischaracterized_exact_at_unity():
-    assert abs(mischaracterized_transient_coefficient(1.0, 1.0, 8.79, 1.0)) < 1e-16
+    assert abs(_k(1.0, 8.79, 1.0)) < 1e-16
 
 
 def test_mischaracterized_frozen_values():
-    k100 = mischaracterized_transient_coefficient(1.0, 1.0, 8.79, 100.0)
-    k001 = mischaracterized_transient_coefficient(1.0, 1.0, 8.79, 0.01)
+    k100 = _k(1.0, 8.79, 100.0)
+    k001 = _k(1.0, 8.79, 0.01)
     assert_allclose(k100, 1.0865828358266744e-3, rtol=1e-12)
     assert_allclose(k001, -0.08331026428480615, rtol=1e-12)
     assert abs(k001) > 10.0 * abs(k100)
 
 
 def test_mischaracterized_linearity_and_zero():
-    k1 = mischaracterized_transient_coefficient(1.0, 1.0, 8.79, 100.0)
-    k2 = mischaracterized_transient_coefficient(-0.3, 1.0, 8.79, 100.0)
+    k1 = _k(1.0, 8.79, 100.0)
+    k2 = _k(-0.3, 8.79, 100.0)
     assert_allclose(k2, -0.3 * k1, rtol=1e-12)
-    assert mischaracterized_transient_coefficient(0.0, 1.0, 8.79, 100.0) == 0.0
+    assert _k(0.0, 8.79, 100.0) == 0.0
     with pytest.raises(ValueError):
-        mischaracterized_transient_coefficient(1.0, 1.0, 8.79, 0.0)
+        _k(1.0, 8.79, 0.0)
     with pytest.raises(ValueError):
-        mischaracterized_transient_coefficient(math.nan, 1.0, 8.79, 2.0)
+        _k(math.nan, 8.79, 2.0)
 
 
 def test_mischaracterized_broadcast_matches_design_path():
-    # the closed form against the pulse that solve_biharmonic actually
-    # designs, evaluated by transient_coefficient one cell at a time
+    # the sweep against the pulse that solve_biharmonic actually designs,
+    # evaluated by transient_coefficient one cell at a time
     rng = np.random.default_rng(23)
     for omega in (1.0, OMEGA, float(10.0 ** rng.uniform(4, 8))):
         b1 = float(rng.uniform(-2.0, 2.0)) or 1.0
         tau = 10.0 ** rng.uniform(-1.0, 2.0, 17) / omega
         m = 10.0 ** rng.uniform(-2.0, 2.0, 13)
-        grid = mischaracterized_transient_coefficient(b1, omega, tau[:, None], m[None, :])
+        grid = sweep_transient_coefficient(b1, omega * tau, m).k_exp
         assert grid.shape == (17, 13)
         ref = np.array(
             [[transient_coefficient(solve_biharmonic(b1, omega, mm * tt), tt) for mm in m] for tt in tau]
@@ -149,55 +158,57 @@ def test_mischaracterized_broadcast_matches_design_path():
         else:
             # the design path rounds omega through the pulse period 2*pi/omega
             assert_allclose(grid, ref, rtol=1e-14, atol=1e-15 * abs(b1))
-        assert mischaracterized_transient_coefficient(b1, omega, tau[3], m[5]) == grid[3, 5]
-    assert isinstance(mischaracterized_transient_coefficient(1.0, 1.0, 8.79, 2.0), float)
+        assert _k(b1, omega * tau[3], m[5]) == grid[3, 5]
 
 
 def test_mischaracterized_broadcast_validation():
-    zeros = mischaracterized_transient_coefficient(0.0, 1.0, [[2.0], [3.0]], [0.5, 2.0])
+    zeros = sweep_transient_coefficient(0.0, [2.0, 3.0], [0.5, 2.0]).k_exp
     assert_array_equal(zeros, np.zeros((2, 2)))
-    with pytest.raises(ValueError, match="tau_true"):
-        mischaracterized_transient_coefficient(1.0, 1.0, [2.0, math.inf], 2.0)
-    with pytest.raises(ValueError, match="m must"):
-        mischaracterized_transient_coefficient(1.0, 1.0, 2.0, [0.5, -1.0])
-    with pytest.raises(ValueError):
-        mischaracterized_transient_coefficient(1.0, 1.0, [2.0, 3.0], [0.5, 1.0, 2.0])
+    with pytest.raises(ValueError, match="^omega_tau_values must be finite, got inf at index 1$"):
+        sweep_transient_coefficient(1.0, [2.0, math.inf], [2.0])
+    with pytest.raises(ValueError, match="^m_values must be positive and finite, got -1.0 at index 1$"):
+        sweep_transient_coefficient(1.0, [2.0], [0.5, -1.0])
+    with pytest.raises(ValueError, match="^b1 must be finite, got inf$"):
+        sweep_transient_coefficient(math.inf, [2.0], [0.5])
 
 
 def test_mischaracterized_approaches_asymptotes():
-    k100 = mischaracterized_transient_coefficient(1.0, 1.0, 8.79, 100.0)
-    deep = asymptotic_transient_coefficient("biharmonic", [1.0], 1.0, 8.79)
-    assert_allclose(k100, deep, rtol=0.05)
-    k_inf = mischaracterized_transient_coefficient(1.0, 1.0, 8.79, 1e9)
-    limit = asymptotic_transient_coefficient("sine-only", [1.0], 1.0, 8.79)
-    assert_allclose(k_inf, limit, rtol=1e-6)
+    # m >> 1 tends to the b2 = -2*b1 design, whose residual
+    # 3x/(1 + 5x^2 + 4x^4) leads with 3/(4 x^3) at x = omega*tau >> 1
+    x = 8.79
+    assert_allclose(_k(1.0, x, 100.0), 3.0 / (4.0 * x**3), rtol=0.05)
+    mid = 3.0 * x / (1.0 + 5.0 * x**2 + 4.0 * x**4)
+    assert_allclose(_k(1.0, x, 1e9), mid, rtol=1e-6)
 
 
 def test_mischaracterized_regime_separation():
     # strongly underestimated tau always hurts more than overestimated tau
-    small = [abs(mischaracterized_transient_coefficient(1.0, 1.0, 8.79, m)) for m in (0.01, 0.03, 0.1)]
-    large = [abs(mischaracterized_transient_coefficient(1.0, 1.0, 8.79, m)) for m in (10.0, 30.0, 100.0)]
-    assert min(small) > max(large)
+    k = np.abs(sweep_transient_coefficient(1.0, [8.79], [0.01, 0.03, 0.1, 10.0, 30.0, 100.0]).k_exp[0])
+    assert k[:3].min() > k[3:].max()
 
 
 def test_asymptotic_biharmonic_values():
+    # the b2 = -2*b1 design's residual tends to 3*b1/(4*(omega*tau)^3)
     wt = 8.79
-    val = asymptotic_transient_coefficient("biharmonic", [1.0], 1.0, wt)
-    assert_allclose(val, 3.0 / (4.0 * wt**3), rtol=1e-12)
-    assert_allclose(val, 1.1044e-3, rtol=1e-3)
-    assert abs(asymptotic_transient_coefficient("biharmonic", [1.0], 1.0, 1e6)) < 1e-17
+    limiting = _limiting_pulse((0.0, 0.0), (1.0, -2.0))
+    assert_allclose(3.0 / (4.0 * wt**3), 1.1044e-3, rtol=1e-3)
+    assert_allclose(transient_coefficient(limiting, wt), 3.0 / (4.0 * wt**3), rtol=0.02)
+    assert_allclose(transient_coefficient(limiting, 1e3), 3.0 / (4.0 * 1e3**3), rtol=1e-5)
+    assert abs(transient_coefficient(limiting, 1e6)) < 1e-17
 
 
 def test_asymptotic_sine_only_matches_mid_form():
+    # the sine-only limiting design at N = 2 is b = (b1, -2*b1)
     wt = 8.79
-    val = asymptotic_transient_coefficient("sine-only", [1.0], 1.0, wt)
+    val = transient_coefficient(_limiting_pulse((0.0, 0.0), (1.0, -2.0)), wt)
     mid = 3.0 * wt / (1.0 + 5.0 * wt**2 + 4.0 * wt**4)
     assert_allclose(val, mid, rtol=1e-12)
 
 
 def test_asymptotic_families_match_direct_evaluation():
-    # each family formula equals the transient coefficient of the pulse it
-    # describes, evaluated directly on the line
+    # the m >> 1 limiting designs of the cosine-only and sine-only families,
+    # a_N = -N^2 sum(a_n/n^2) and b_N = -N sum(b_n/n), leave the written-out
+    # residuals below on the line, for omega*tau > 1
     rng = np.random.default_rng(23)
     for _ in range(10):
         n_low = int(rng.integers(1, 6))
@@ -205,31 +216,17 @@ def test_asymptotic_families_match_direct_evaluation():
         wt = float(10.0 ** rng.uniform(0.1, 2))
         n = np.arange(1, n_low + 1)
         n_top = n_low + 1
+        top = 1.0 + (n_top * wt) ** 2
 
         a_top = -float(n_top**2 * np.sum(c / n**2))
-        cos_pulse = HarmonicPulse(2.0 * math.pi, a=(*c, a_top), b=(0.0,) * n_top)
-        got = asymptotic_transient_coefficient("cosine-only", c, 1.0, wt)
-        assert_allclose(got, transient_coefficient(cos_pulse, wt), rtol=1e-12, atol=1e-15)
+        cos_pulse = _limiting_pulse((*c, a_top), (0.0,) * n_top)
+        want = float(np.sum(c / (1.0 + (n * wt) ** 2))) + a_top / top
+        assert_allclose(transient_coefficient(cos_pulse, wt), want, rtol=1e-12, atol=1e-15)
 
         b_top = -float(n_top * np.sum(c / n))
-        sin_pulse = HarmonicPulse(2.0 * math.pi, a=(0.0,) * n_top, b=(*c, b_top))
-        got = asymptotic_transient_coefficient("sine-only", c, 1.0, wt)
-        assert_allclose(got, transient_coefficient(sin_pulse, wt), rtol=1e-12, atol=1e-15)
-
-
-def test_asymptotic_validation():
-    with pytest.raises(ValueError):
-        asymptotic_transient_coefficient("triangular", [1.0], 1.0, 8.79)
-    with pytest.raises(ValueError):
-        asymptotic_transient_coefficient("sine-only", [1.0], 1.0, 1.0)
-    with pytest.raises(ValueError):
-        asymptotic_transient_coefficient("sine-only", [1.0], 1.0, 0.5)
-    with pytest.raises(ValueError):
-        asymptotic_transient_coefficient("biharmonic", [1.0, 2.0], 1.0, 8.79)
-    with pytest.raises(ValueError):
-        asymptotic_transient_coefficient("sine-only", [], 1.0, 8.79)
-    with pytest.raises(ValueError):
-        asymptotic_transient_coefficient("sine-only", [math.nan], 1.0, 8.79)
+        sin_pulse = _limiting_pulse((0.0,) * n_top, (*c, b_top))
+        want = -wt * float(np.sum(n * c / (1.0 + (n * wt) ** 2))) + n_top**2 * wt * float(np.sum(c / n)) / top
+        assert_allclose(transient_coefficient(sin_pulse, wt), want, rtol=1e-12, atol=1e-15)
 
 
 def test_solve_top_harmonic_cancels_random_spectra():
@@ -257,23 +254,21 @@ def test_omega_tau_beyond_the_bound_is_refused():
     # the squares of omega*tau overflow near 1e154; products up to 1e100 are accepted and stay finite
     pulse = solve_biharmonic(1.0, 1.0, 1e100)
     assert math.isfinite(transient_coefficient(pulse, 1e100))
-    assert math.isfinite(mischaracterized_transient_coefficient(1.0, 1.0, 1e100, 1.0))
+    assert math.isfinite(_k(1.0, 1e100, 1.0))
     with pytest.raises(ValueError, match=r"^tau_assumed makes omega\*tau 2e\+100, above the limit 1e\+100$"):
         solve_biharmonic(1.0, 2.0, 1e100)
     with pytest.raises(ValueError, match=r"^tau makes omega\*tau"):
         transient_coefficient(pulse, 1e200)
-    with pytest.raises(ValueError, match=r"^tau_true makes omega\*tau 1e\+200"):
-        mischaracterized_transient_coefficient(1.0, 1.0, [1.0, 1e200], 1e-160)
-    with pytest.raises(ValueError, match=r"^m makes omega\*tau 1e\+160"):
-        mischaracterized_transient_coefficient(1.0, 1.0, 1.0, [1.0, 1e160])
-    with pytest.raises(ValueError, match=r"^tau makes omega\*tau"):
-        asymptotic_transient_coefficient("sine-only", [1.0], 1.0, 1e200)
+    with pytest.raises(ValueError, match=r"^omega_tau_values makes omega\*tau 1e\+200"):
+        sweep_transient_coefficient(1.0, [1.0, 1e200], [1e-160])
+    with pytest.raises(ValueError, match=r"^m_values makes omega\*tau 1e\+160"):
+        sweep_transient_coefficient(1.0, [1.0], [1.0, 1e160])
 
 
 def test_mischaracterized_zero_b1_gives_positive_zeros():
-    # the general formula gives +0.0 for b1 = 0.0 and for b1 = -0.0 alike
+    # the line-filtered spectrum gives +0.0 for b1 = 0.0 and for b1 = -0.0 alike
     for b1 in (0.0, -0.0):
-        grid = mischaracterized_transient_coefficient(b1, 1.0, [[0.5], [2.0], [30.0]], [0.01, 1.0, 100.0])
+        grid = sweep_transient_coefficient(b1, [0.5, 2.0, 30.0], [0.01, 1.0, 100.0]).k_exp
         assert grid.shape == (3, 3)
         assert grid.tobytes() == np.zeros((3, 3)).tobytes()
-        assert math.copysign(1.0, mischaracterized_transient_coefficient(b1, 1.0, 8.79, 2.0)) == 1.0
+        assert math.copysign(1.0, _k(b1, 8.79, 2.0)) == 1.0
