@@ -30,6 +30,7 @@ from fluxshape._checks import at_most, finite, integer, nonnegative, positive, s
 from fluxshape.pulse import HarmonicPulse
 from fluxshape.rcline import (
     RCLine,
+    _decay,
     _eval_waveform,
     capacitor_voltage,
     square_pulse_flux_transient,
@@ -213,7 +214,7 @@ def pulse_flux_waveform(pulse: HarmonicPulse, line: RCLine, device: CouplerDevic
     return _pulse_then_tail(
         pulse.tau_pulse, device.phi_idle,
         lambda t: fpv * (pulse.evaluate(t) - capacitor_voltage(pulse, line, t)),
-        lambda s: -fpv * v_c_end * np.exp(-s / line.tau),
+        lambda s: _decay(s, line.tau, -fpv * v_c_end),
     )
 
 

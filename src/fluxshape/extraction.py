@@ -11,8 +11,8 @@ The pipeline mirrors the experimental analysis chain:
    form on the monotone flux branch containing the idle point.
 5. :func:`fit_transient` fits the square-pulse transient template
    ``A * (-exp(-d/tau) + exp(-(d+tau_pulse)/tau)) + B`` by variable
-   projection: A and B solved in closed form, log tau bracketed by two
-   scans of the cost and then found as a root of the cost's derivative.
+   projection: A and B solved in closed form, and log tau found as a root
+   of the cost's derivative, started from a closed-form estimate.
 
 :func:`run_pipeline` chains the stages and reports the fitted time constant
 together with the total acquired phase.
@@ -40,10 +40,8 @@ __all__ = [
 ]
 
 _QUADRATURE_FLOOR = 1e-12
-# positions of the 16 points of one log-tau scan across its bracket
-_SCAN = np.linspace(0.0, 1.0, 16)
 # bound on the evaluations of the root search in fit_transient; from the
-# second scan's bracket, bisection alone reaches the 1e-9 stop in 28
+# whole range, bisection alone reaches the 1e-9 stop in 34
 _ROOT_STEPS = 64
 # floats in one block of stacked Savitzky-Golay edge designs, so that a wide
 # window's edge fits take a few MB, not one (half x window x order) stack
@@ -146,7 +144,8 @@ def frequency_to_flux(freq_shift_hz, device: CouplerDevice, phi_idle: float):
     idle, f_lo, f_hi = dressed_qubit_frequency(np.array([phi_idle, lo_edge, hi_edge]), device).tolist()
     target = idle + 2.0 * np.pi * shifts
     f_min, f_max = min(f_lo, f_hi), max(f_lo, f_hi)
-    outside = np.flatnonzero((target < f_min) | (target > f_max))
+    # the branch never reaches omega_q itself, which has no finite omega_c
+    outside = np.flatnonzero((target < f_min) | (target > f_max) | (target == device.omega_q))
     if outside.size:
         i = int(outside[0])
         raise ValueError(
@@ -181,38 +180,29 @@ class TransientFit:
     iterations: int = 0
 
 
-def _fit_rows(rows: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Weighted least-squares fit of data ``y`` to ``[shape, 1]`` for each row, in place.
-
-    ``rows`` holds ``w * shape`` and ``v`` holds ``w * (y - ybar)``, ``ybar``
-    the ``w**2``-weighted mean.  Returns the slopes and leaves the weighted
-    residuals in ``rows``, formed directly rather than from normal-equation
-    sums so that their norms keep full precision near an exact fit.
-    """
-    rows -= (rows @ w / (w @ w))[:, None] * w
-    slope = rows @ v / np.einsum("ij,ij->i", rows, rows)
-    rows *= slope[:, None]
-    rows -= v
-    return slope
-
-
 def fit_transient(flux, delays, tau_pulse: float) -> TransientFit:
     """Fit ``A * (-exp(-d/tau) + exp(-(d+tau_pulse)/tau)) + B`` to a flux record.
 
     Variable projection (Golub & Pereyra 1973): A and B are linear, so each
     tau gets them from a closed-form weighted least-squares solve, leaving a
-    one-dimensional problem in ``u = log(tau/span)``.  A 16-point scan over
-    ``tau`` in ``[span/1000, 1000*span]`` and a second over the two cells
-    around its best point bracket the minimum.  Inside that bracket a
-    safeguarded root search (Brent 1973) solves ``g(u) = r . P(dmodel/du) =
-    0``, ``r`` the weighted residual at the optimal A and B and ``P`` the
+    one-dimensional problem in ``u = log(tau/span)`` over the range ``tau``
+    in ``[span/1000, 1000*span]``.  The template is one exponential plus an
+    offset, ``B + C * exp(-d/tau)``, and such a record obeys ``y = alpha +
+    beta * S + gamma * x`` with ``x = (d - d0)/span``, ``S`` the running
+    trapezoid integral of ``y`` over ``x`` and ``beta = -span/tau``
+    (Jacquelin 2009).  One least-squares solve on ``[1, S, x]`` thus starts
+    the search at ``u0 = log(-1/beta)``.  From there a safeguarded root
+    search (Brent 1973) over the whole range solves ``g(u) = r . P(dmodel/du)
+    = 0``, ``r`` the weighted residual at the optimal A and B and ``P`` the
     projection off ``[w * shape, w]``: by the envelope theorem ``g`` is half
     the derivative of the cost.  The first step is Gauss-Newton,
     ``-g/|P J|**2``, later ones are secants on ``g``; a step that leaves the
     bracket or fails to halve is replaced by bisection, and the sign of
     ``g`` shrinks the bracket.  The search stops after a step below 1e-10
     or once the bracket is below 1e-9, and the last point evaluated gives
-    tau, A, B and the diagnostics.
+    tau, A, B and the diagnostics.  When ``beta`` is not negative and
+    finite, or ``u0`` is outside the range, there is no start: the fit
+    evaluates ``u = 0`` once and reports the result as not interior.
 
     Each evaluation of the root search projects ``w * shape`` off ``w``
     once and regresses the two rows ``[w * (y - ybar), w * (dshape/du -
@@ -220,16 +210,18 @@ def fit_transient(flux, delays, tau_pulse: float) -> TransientFit:
     second residual row is ``-P(dshape/du)``.  The cost, ``g`` and ``|P
     J|**2`` are read from the 2x2 Gram matrix of the residual rows, which
     are formed directly rather than from normal-equation sums, so their
-    norms keep full precision near an exact fit.  Each scan instead
-    regresses the data on its 16 shape rows at once.
+    norms keep full precision near an exact fit.
 
     The cost is ``sum((w * (model - y))**2)``; the weights are uniform
-    except the two endpoints at half weight.  ``interior`` is true when the
-    first scan's best point is not at an end of the range, and
-    ``iterations`` counts the root search's evaluations.  ``tau_stderr`` is
-    ``sqrt(cost/(n-3) * [(J^T W^2 J)^-1]_tau,tau)`` with ``J = [shape, 1,
-    A * dshape/dtau]``.  ``converged`` needs ``interior``, finite A, B and
-    tau, and ``tau_stderr`` at most 10% of tau.
+    except the two endpoints at half weight.  ``interior`` is true when
+    there is a start and the search ends inside the range, more than its
+    1e-9 bracket tolerance from either end, and ``iterations`` counts the
+    root search's evaluations.  ``tau_stderr`` is ``sqrt(cost/(n-3) *
+    [(J^T W^2 J)^-1]_tau,tau)`` with ``J = [shape, 1, A * dshape/dtau]``.
+    ``converged`` needs ``interior``, finite A, B and tau, and
+    ``tau_stderr`` at most 10% of tau.  A fit that does not converge
+    reports the point where its search stopped, which on an aliased record
+    may be a local minimum.
     """
     y = samples("flux", np.atleast_1d(flux), 8)
     d = samples("delays", np.atleast_1d(delays), size=y.size, increasing=True)
@@ -253,24 +245,18 @@ def fit_transient(flux, delays, tau_pulse: float) -> TransientFit:
     # the root search's rows: the centred data, then the centred dshape/du
     stack = np.empty((2, y.size))
     # the range is on log(tau/span), so it never depends on the data
-    lo, hi = math.log(1e-3), math.log(1e3)
+    edge_lo, edge_hi = math.log(1e-3), math.log(1e3)
     with np.errstate(all="ignore"):
         v = stack[0] = centred(y)
-        for scan in range(2):
-            grid = lo + (hi - lo) * _SCAN
-            # exp(-d/tau) is the template up to a per-row factor, which the
-            # fitted amplitude absorbs
-            rows = np.multiply.outer(-np.exp(-grid) / span, d)
-            np.exp(rows, out=rows)
-            rows *= w
-            _fit_rows(rows, v, w)
-            cost = np.einsum("ij,ij->i", rows, rows)
-            best = int(np.argmin(np.where(np.isfinite(cost), cost, np.inf)))
-            if scan == 0:
-                interior = 0 < best < grid.size - 1
-            lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, grid.size - 1)]
-
-        u = grid[best]
+        # the start u0 = log(-1/beta), beta from the fit of y on [1, S, x]
+        x = (d - d[0]) / span
+        s = np.concatenate(([0.0], np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x))))
+        beta = np.linalg.lstsq(np.column_stack((np.ones(y.size), s, x)), y, rcond=None)[0][1]
+        u = float(np.log(-1.0 / beta))
+        start = edge_lo < u < edge_hi
+        # without a start the bracket collapses on u = 0, which stops the
+        # search after its first evaluation
+        lo, hi, u = (edge_lo, edge_hi, u) if start else (0.0, 0.0, 0.0)
         step = math.inf  # no step taken yet
         for iterations in range(1, _ROOT_STEPS + 1):
             tau = span * math.exp(u)
@@ -309,6 +295,9 @@ def fit_transient(flux, delays, tau_pulse: float) -> TransientFit:
         # the tau entry of (J^T W^2 J)^-1 is tau**2 over |P J|**2, J the u column
         tau_se = float(tau * np.sqrt(cost / (y.size - 3) / jj))
         residual_rms = float(np.sqrt(np.mean((amp * shape + off - y) ** 2)))
+    # a search that ends within its 1e-9 bracket tolerance of an edge ran
+    # into that edge rather than onto a minimum
+    interior = bool(start and edge_lo + 1e-9 < u < edge_hi - 1e-9)
     converged = bool(interior and np.all(np.isfinite([amp, off, tau])) and tau_se <= 0.1 * tau)
     return TransientFit(amp, off, tau, residual_rms, converged, tau_se, cost, interior, iterations)
 

@@ -71,8 +71,10 @@ def transient_coefficient(pulse: HarmonicPulse, tau: float) -> float:
 
 def _decay(t, tau: float, scale: float) -> np.ndarray:
     """``scale * exp(-t/tau)`` in one array shaped like ``t`` (0-d for a 0-d ``t``)."""
-    # t / -tau is -t / tau bit for bit: rounding is symmetric in sign
-    out = np.divide(t, -tau, out=np.empty(np.shape(t)))
+    # t / -tau is -t / tau bit for bit: rounding is symmetric in sign; a
+    # subnormal tau overflows it to -inf, where the tail rightly vanishes
+    with np.errstate(over="ignore"):
+        out = np.divide(t, -tau, out=np.empty(np.shape(t)))
     np.exp(out, out=out)
     out *= scale
     return out

@@ -1072,3 +1072,42 @@ def test_extract_refuses_a_trace_past_the_flux_branch(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: flux-inversion stage: sample 0 detunes 5000"), err
     assert "Hz, outside the flux branch's range" in err[0]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["respond", "ramsey-sim"])
+def test_subnormal_line_tau_runs_without_warnings(tmp_path, capsys, command):
+    # c_farads 5e-324 makes tau subnormal, so t / tau overflows; the settling
+    # tail is then exactly zero, which is right, and no warning is printed
+    design = tmp_path / "design"
+    main(["design", "--family", "biharmonic", "--b1", "1", "--tau-pulse-us", "8",
+          "--tau-assumed-us", "11.2", "--out-dir", str(design)])
+    line = _write_json(tmp_path, "line.json", {"r_ohms": 50.0, "c_farads": 5e-324})
+    pulse = ["--pulse", str(design / "pulse.json"), "--line", line]
+    out = tmp_path / "out"
+    argv = {
+        "respond": ["respond", *pulse, "--dt-us", "0.05", "--n-periods", "3"],
+        "ramsey-sim": ["ramsey-sim", "--device", write_device(tmp_path), "--waveform", "pulse", *pulse,
+                       "--tau-pulse-us", "8", "--delay-max-us", "60", "--delay-step-us", "0.25"],
+    }[command]
+    capsys.readouterr()
+    assert main([*argv, "--out-dir", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_extract_refuses_a_detuning_at_the_bare_qubit_frequency(tmp_path, capsys):
+    # at omega_q 1e30 GHz the coupler's pull is below one ulp, so every
+    # target rounds onto omega_q itself, where omega_c is not finite: that
+    # is off the branch, not a divide by zero
+    device = _write_json(tmp_path, "device.json", {**DEVICE_RECORD, "omega_q_ghz": 1e30})
+    delays = np.arange(241) * 0.25e-6
+    phase = 2.0 * np.pi * 0.5e6 * delays
+    trace = tmp_path / "trace.csv"
+    formats.write_csv(trace, ["tau_delay_s", "x_expect", "y_expect"], [delays, np.cos(phase), np.sin(phase)])
+    out = tmp_path / "out"
+    argv = ["extract", "--trace", str(trace), "--device", device,
+            "--tau-pulse-us", "8", "--fit-window-us", "60", "--out-dir", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: flux-inversion stage: sample 0 detunes 5000"), err
+    assert "Hz, outside the flux branch's range" in err[0]
+    assert not out.exists()
