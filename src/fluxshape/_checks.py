@@ -8,11 +8,11 @@ Anything else goes through ``float``, so a list never passes for a scalar
 and a scalar never builds an array.  :func:`samples` is the check for a
 sequence of samples: it converts any sequence to a finite 1-D float array and
 checks its length, and on request that it pairs with another array and that
-it strictly increases; :func:`steps` is that order check, returning the
-steps it tested.  :func:`integer` is the same check for sizes and
-counts, :func:`omega_tau_in_range` bounds the products omega*tau the
-closed forms square, and :func:`at_most` bounds any other checked float
-that a formula would overflow.
+it strictly increases; :func:`length` and :func:`steps` are its length and
+order checks, the latter returning the steps it tested.  :func:`integer` is
+the same check for sizes and counts, :func:`omega_tau_in_range` bounds the
+products omega*tau the closed forms square, and :func:`at_most` bounds any
+other checked float that a formula would overflow.
 """
 
 from __future__ import annotations
@@ -59,14 +59,20 @@ def samples(name: str, value, min_size: int = 1, *, size: int | None = None, inc
         raise ValueError(f"{name} must be finite, got {_shown(value)!r}") from None
     if arr.ndim != 1:
         raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
-    if arr.size < min_size:
-        raise ValueError(f"{name} must have length at least {min_size}, got {arr.size}")
+    length(name, arr.size, min_size)
     if size is not None and arr.size != size:
         raise ValueError(f"{name} must have length {size}, got {arr.size}")
     _check(name, arr, "finite", None)
     if increasing:
         steps(name, arr)
     return arr
+
+
+def length(name: str, size: int, min_size: int) -> int:
+    """``size``, an array's length, or a one-line ValueError naming the field when it is below ``min_size``."""
+    if size < min_size:
+        raise ValueError(f"{name} must have length at least {min_size}, got {size}")
+    return size
 
 
 def steps(name: str, arr: np.ndarray) -> np.ndarray:

@@ -4,7 +4,8 @@ The pipeline mirrors the experimental analysis chain:
 
 1. :func:`unwrap_phase` turns (X, Y) quadratures into a continuous phase.
 2. :func:`savgol_smooth` suppresses readout noise with a local polynomial
-   (Savitzky-Golay) filter whose edge windows are truncated one-sided fits.
+   (Savitzky-Golay) filter whose edge windows are truncated one-sided fits,
+   its weights taken from QR factors.
 3. :func:`frequency_from_phase` differentiates the phase (second-order
    central differences, one-sided at the ends) to get the detuning in Hz.
 4. :func:`frequency_to_flux` inverts the dressed-frequency map in closed
@@ -14,18 +15,21 @@ The pipeline mirrors the experimental analysis chain:
    projection: A and B solved in closed form, and log tau found as a root
    of the cost's derivative, started from a closed-form estimate.
 
-:func:`run_pipeline` chains the stages and reports the fitted time constant
-together with the total acquired phase.
+Each public stage checks its arrays, then runs a private kernel that checks
+its scalars.  :func:`run_pipeline` checks each input once, runs the kernels
+on the arrays it builds, and reports the fitted time constant, the acquired
+phase and one ``(name, seconds, shape)`` record per stage.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from fluxshape._checks import finite, integer, positive, samples
+from fluxshape._checks import finite, integer, length, positive, samples
 from fluxshape.device import CouplerDevice, dressed_qubit_frequency
 
 __all__ = [
@@ -56,10 +60,18 @@ def unwrap_phase(x, y) -> np.ndarray:
     less than pi per sample.  Raises when a quadrature is not finite or a
     point has magnitude below 1e-6 (phase undefined there).
     """
+    return _unwrap(*_quadratures(x, y))
+
+
+def _quadratures(x, y):
     x = samples("x", np.atleast_1d(x))
     y = samples("y", np.atleast_1d(y), size=x.size)
     if np.any(x * x + y * y < _QUADRATURE_FLOOR):
         raise ValueError("quadrature magnitude too small to define a phase")
+    return x, y
+
+
+def _unwrap(x, y):
     raw = np.arctan2(y, x)
     d = np.diff(raw)
     d -= 2.0 * np.pi * np.round(d / (2.0 * np.pi))
@@ -75,50 +87,65 @@ def savgol_smooth(series, window_points: int, poly_order: int) -> np.ndarray:
     so no points are discarded and no data is mirrored or extrapolated in.
 
     Point ``i <= half`` from the left fits offsets ``-i..half``, scaled by
-    ``1/half``.  Its Vandermonde design, zero-padded to ``window_points``
-    rows, has as pseudo-inverse that of the clipped design followed by zero
-    columns, so the first row of that pseudo-inverse is the point's weight
-    vector on the first ``window_points`` samples.  The padded designs are
-    stacked and inverted by one ``np.linalg.pinv`` call per block of about
-    2**16 floats (one block at the default window); row ``half`` is the
-    symmetric window convolved over the interior, and the right edge is the
-    left edge of the reversed series.
+    ``1/half``; a window of at most ``poly_order + 1`` points interpolates,
+    so the point keeps its sample.  Otherwise the design, zero-padded to
+    ``window_points`` rows, is ``Q R`` with zero rows of ``Q`` on the
+    padding, and the first row of ``R^-1 Q^T`` weighs the first
+    ``window_points`` samples.  One ``np.linalg.qr`` and one
+    ``np.linalg.inv`` factor each block of about 2**16 floats of stacked
+    designs; row ``half`` is convolved over the interior, and the right edge
+    is the left edge of the reversed series.
     """
+    return _savgol(samples("series", np.atleast_1d(series)), window_points, poly_order)
+
+
+def _savgol(y, window_points, poly_order):
     window_points = integer("window_points", window_points, 3)
     if window_points % 2 == 0:
         raise ValueError(f"window_points must be odd, got {window_points}")
-    y = samples("series", np.atleast_1d(series), window_points)
-    n = y.size
+    n = length("series", y.size, window_points)
     poly_order = integer("poly_order", poly_order, 1, window_points - 1)
-
     half = window_points // 2
     head, tail = y[:window_points], y[::-1][:window_points]
     powers = np.arange(poly_order + 1)
     rows_per_block = max(1, _SG_BLOCK // (window_points * powers.size))
+    # rows before `fitted` interpolate; past half, so does the symmetric one
+    fitted = min(max(poly_order - half + 1, 0), half + 1)
+    kernel = np.eye(1, window_points, half)[0]
     out = np.empty(n)
-    for start in range(0, half + 1, rows_per_block):
+    out[:fitted], out[n - fitted :] = y[:fitted], y[n - fitted :]
+    for start in range(fitted, half + 1, rows_per_block):
         stop = min(start + rows_per_block, half + 1)
         offsets = np.arange(window_points) - np.arange(start, stop)[:, None]
         # abscissae scaled to [-1, 1] keep wide windows well conditioned
         design = np.where((offsets <= half)[..., None], (offsets[..., None] / half) ** powers, 0.0)
-        weights = np.linalg.pinv(design)[:, 0]
+        q, r = np.linalg.qr(design)
+        weights = (q @ np.linalg.inv(r)[:, 0, :, None])[..., 0]
+        kernel = weights[-1]
         # row half lands on the first and last interior points, which the
         # convolution below overwrites
         out[start:stop] = weights @ head
         out[n - stop : n - start] = (weights @ tail)[::-1]
-    out[half : n - half] = np.convolve(y, weights[-1][::-1], mode="valid")
+    out[half : n - half] = np.convolve(y, kernel[::-1], mode="valid")
     return out
 
 
 def frequency_from_phase(phase, dt: float) -> np.ndarray:
     """Detuning in Hz from a phase record sampled every ``dt`` seconds.
 
-    Uses second-order central differences with second-order one-sided
-    stencils at both ends (the behavior of ``np.gradient``).
+    Second-order central differences, second-order one-sided at both ends:
+    ``np.gradient(phase, dt, edge_order=2)``'s stencils, bit for bit.
     """
-    phase = samples("phase", np.atleast_1d(phase), 3)
+    return _frequency(samples("phase", np.atleast_1d(phase), 3), dt)
+
+
+def _frequency(phase, dt):
     dt = positive("dt", dt)
-    return np.gradient(phase, dt, edge_order=2) / (2.0 * np.pi)
+    out = np.empty(phase.size)
+    out[1:-1] = (phase[2:] - phase[:-2]) / (2.0 * dt)
+    out[0] = -1.5 / dt * phase[0] + 2.0 / dt * phase[1] - 0.5 / dt * phase[2]
+    out[-1] = 0.5 / dt * phase[-3] - 2.0 / dt * phase[-2] + 1.5 / dt * phase[-1]
+    return out / (2.0 * np.pi)
 
 
 def frequency_to_flux(freq_shift_hz, device: CouplerDevice, phi_idle: float):
@@ -134,8 +161,12 @@ def frequency_to_flux(freq_shift_hz, device: CouplerDevice, phi_idle: float):
     and detuning, rather than clipped, because a clipped sample would hand a
     corrupted record to the transient fit.
     """
+    phi = _to_flux(finite("freq_shift_hz", np.atleast_1d(freq_shift_hz)), device, phi_idle)
+    return float(phi[0]) if np.ndim(freq_shift_hz) == 0 else phi
+
+
+def _to_flux(shifts, device: CouplerDevice, phi_idle):
     phi_idle = finite("phi_idle", phi_idle)
-    shifts = finite("freq_shift_hz", np.atleast_1d(freq_shift_hz))
     if device.g == 0.0:
         raise ValueError("g must be positive to invert the flux branch, got 0.0")
     half = math.floor(phi_idle * 2.0)
@@ -144,8 +175,8 @@ def frequency_to_flux(freq_shift_hz, device: CouplerDevice, phi_idle: float):
     idle, f_lo, f_hi = dressed_qubit_frequency(np.array([phi_idle, lo_edge, hi_edge]), device).tolist()
     target = idle + 2.0 * np.pi * shifts
     f_min, f_max = min(f_lo, f_hi), max(f_lo, f_hi)
-    # the branch never reaches omega_q itself, which has no finite omega_c
-    outside = np.flatnonzero((target < f_min) | (target > f_max) | (target == device.omega_q))
+    # omega_q has no finite omega_c, and a nan detuning (a subnormal dt's) is outside too
+    outside = np.flatnonzero(~((target >= f_min) & (target <= f_max)) | (target == device.omega_q))
     if outside.size:
         i = int(outside[0])
         raise ValueError(
@@ -157,8 +188,7 @@ def frequency_to_flux(freq_shift_hz, device: CouplerDevice, phi_idle: float):
     arc = np.arccos(np.clip((omega_c / device.omega_max) ** 2, 0.0, 1.0)) / np.pi
     # the flux map peaks at integer flux: it rises out of hi_edge on an odd
     # half-period and out of lo_edge on an even one
-    phi = lo_edge + arc if half % 2 == 0 else hi_edge - arc
-    return float(phi[0]) if np.ndim(freq_shift_hz) == 0 else phi
+    return lo_edge + arc if half % 2 == 0 else hi_edge - arc
 
 
 @dataclass(frozen=True)
@@ -184,47 +214,46 @@ def fit_transient(flux, delays, tau_pulse: float) -> TransientFit:
     """Fit ``A * (-exp(-d/tau) + exp(-(d+tau_pulse)/tau)) + B`` to a flux record.
 
     Variable projection (Golub & Pereyra 1973): A and B are linear, so each
-    tau gets them from a closed-form weighted least-squares solve, leaving a
-    one-dimensional problem in ``u = log(tau/span)`` over the range ``tau``
-    in ``[span/1000, 1000*span]``.  The template is one exponential plus an
-    offset, ``B + C * exp(-d/tau)``, and such a record obeys ``y = alpha +
-    beta * S + gamma * x`` with ``x = (d - d0)/span``, ``S`` the running
-    trapezoid integral of ``y`` over ``x`` and ``beta = -span/tau``
-    (Jacquelin 2009).  One least-squares solve on ``[1, S, x]`` thus starts
-    the search at ``u0 = log(-1/beta)``.  From there a safeguarded root
-    search (Brent 1973) over the whole range solves ``g(u) = r . P(dmodel/du)
+    tau gets them in closed form, leaving a one-dimensional problem in
+    ``u = log(tau/span)`` over ``tau`` in ``[span/1000, 1000*span]``.  A
+    record ``B + C * exp(-d/tau)`` obeys ``y = alpha + beta * S + gamma * x``
+    with ``x = (d - d0)/span``, ``S`` the running trapezoid integral of
+    ``y`` over ``x`` and ``beta = -span/tau`` (Jacquelin 2009).  Gram-Schmidt
+    on ``[1, S, x]`` gives ``beta``'s least-squares value in closed form and
+    starts the search at ``u0 = log(-1/beta)``; when ``beta`` is not
+    negative and finite, or ``u0`` is outside the range, there is no start,
+    and the fit evaluates ``u = 0`` once and reports it as not interior.
+
+    A safeguarded root search (Brent 1973) solves ``g(u) = r . P(dmodel/du)
     = 0``, ``r`` the weighted residual at the optimal A and B and ``P`` the
-    projection off ``[w * shape, w]``: by the envelope theorem ``g`` is half
-    the derivative of the cost.  The first step is Gauss-Newton,
-    ``-g/|P J|**2``, later ones are secants on ``g``; a step that leaves the
-    bracket or fails to halve is replaced by bisection, and the sign of
-    ``g`` shrinks the bracket.  The search stops after a step below 1e-10
-    or once the bracket is below 1e-9, and the last point evaluated gives
-    tau, A, B and the diagnostics.  When ``beta`` is not negative and
-    finite, or ``u0`` is outside the range, there is no start: the fit
-    evaluates ``u = 0`` once and reports the result as not interior.
+    projection off ``[w * shape, w]``; by the envelope theorem ``g`` is half
+    the cost's derivative.  Gauss-Newton, ``-g/|P J|**2``, takes the first
+    step and secants on ``g`` the later ones; a step that leaves the bracket
+    or fails to halve becomes bisection, and the sign of ``g`` shrinks the
+    bracket.  It stops after a step below 1e-10 or a bracket below 1e-9, and
+    its last point gives tau, A, B and the diagnostics.  Each evaluation
+    regresses ``[w * (y - ybar), w * (dshape/du - mean)]`` on ``w * shape``
+    projected off ``w`` in one matrix product: the first slope is A, the
+    second residual row ``-P(dshape/du)``, and the cost, ``g`` and ``|P
+    J|**2`` come from the 2x2 Gram matrix of the residual rows, which are
+    formed directly to keep full precision near an exact fit.
 
-    Each evaluation of the root search projects ``w * shape`` off ``w``
-    once and regresses the two rows ``[w * (y - ybar), w * (dshape/du -
-    mean)]`` on it with one matrix product: the first slope is A and the
-    second residual row is ``-P(dshape/du)``.  The cost, ``g`` and ``|P
-    J|**2`` are read from the 2x2 Gram matrix of the residual rows, which
-    are formed directly rather than from normal-equation sums, so their
-    norms keep full precision near an exact fit.
-
-    The cost is ``sum((w * (model - y))**2)``; the weights are uniform
-    except the two endpoints at half weight.  ``interior`` is true when
-    there is a start and the search ends inside the range, more than its
-    1e-9 bracket tolerance from either end, and ``iterations`` counts the
-    root search's evaluations.  ``tau_stderr`` is ``sqrt(cost/(n-3) *
-    [(J^T W^2 J)^-1]_tau,tau)`` with ``J = [shape, 1, A * dshape/dtau]``.
-    ``converged`` needs ``interior``, finite A, B and tau, and
-    ``tau_stderr`` at most 10% of tau.  A fit that does not converge
-    reports the point where its search stopped, which on an aliased record
-    may be a local minimum.
+    The cost is ``sum((w * (model - y))**2)``, the weights uniform but half
+    at both ends.  ``interior``: there is a start and the search ends more
+    than 1e-9 inside the range.  ``iterations`` counts the evaluations.
+    ``tau_stderr`` is ``sqrt(cost/(n-3) * [(J^T W^2 J)^-1]_tau,tau)`` with
+    ``J = [shape, 1, A * dshape/dtau]``.  ``converged`` needs ``interior``,
+    finite A, B and tau, and ``tau_stderr`` at most 10% of tau; a fit that
+    does not converge reports where its search stopped, on an aliased record
+    perhaps a local minimum.
     """
-    y = samples("flux", np.atleast_1d(flux), 8)
+    y = samples("flux", np.atleast_1d(flux))
     d = samples("delays", np.atleast_1d(delays), size=y.size, increasing=True)
+    return _fit(y, d, tau_pulse)
+
+
+def _fit(y, d, tau_pulse) -> TransientFit:
+    length("flux", y.size, 8)
     tau_pulse = positive("tau_pulse", tau_pulse)
     w = np.ones(y.size)
     w[0] = w[-1] = 0.5
@@ -249,9 +278,13 @@ def fit_transient(flux, delays, tau_pulse: float) -> TransientFit:
     with np.errstate(all="ignore"):
         v = stack[0] = centred(y)
         # the start u0 = log(-1/beta), beta from the fit of y on [1, S, x]
+        # by Gram-Schmidt: y's coefficient on centred S less its projection on x
         x = (d - d[0]) / span
         s = np.concatenate(([0.0], np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x))))
-        beta = np.linalg.lstsq(np.column_stack((np.ones(y.size), s, x)), y, rcond=None)[0][1]
+        x -= x.mean()
+        s -= s.mean()
+        s -= (s @ x / (x @ x)) * x
+        beta = (s @ y) / (s @ s)
         u = float(np.log(-1.0 / beta))
         start = edge_lo < u < edge_hi
         # without a start the bracket collapses on u = 0, which stops the
@@ -276,10 +309,7 @@ def fit_transient(flux, delays, tau_pulse: float) -> TransientFit:
             g = -amp * gram[0, 1]
             jj = amp * amp * gram[1, 1]
             # g < 0: the cost still falls at u, so the minimum lies above it
-            if g < 0.0:
-                lo = u
-            else:
-                hi = u
+            lo, hi = (u, hi) if g < 0.0 else (lo, u)
             if abs(step) < 1e-10 or hi - lo < 1e-9:
                 break
             # Gauss-Newton first, then secants on g
@@ -304,44 +334,44 @@ def fit_transient(flux, delays, tau_pulse: float) -> TransientFit:
 
 @dataclass(frozen=True)
 class PipelineResult:
-    """Stage outputs of the full extraction chain."""
+    """Stage outputs of the extraction chain, and each stage's ``(name, seconds, output shape)``."""
 
     phase: np.ndarray
     frequency_shift_hz: np.ndarray
     flux: np.ndarray
     fit: TransientFit
     acquired_phase: float
+    stages: tuple
 
 
 def run_pipeline(
-    x,
-    y,
-    dt: float,
-    device: CouplerDevice,
-    phi_idle: float,
-    tau_pulse: float,
-    window_points: int = 11,
-    poly_order: int = 3,
+    x, y, dt: float, device: CouplerDevice, phi_idle: float, tau_pulse: float, window_points: int = 11, poly_order: int = 3
 ) -> PipelineResult:
     """Run unwrap -> smooth -> differentiate -> flux inversion -> template fit.
 
     ``x`` and ``y`` are Ramsey quadratures on a uniform delay grid starting
     at zero with spacing ``dt``.  The acquired phase is the final smoothed
-    phase minus the mean of the first three samples.  Stage failures are
-    re-raised with the stage name prefixed.
+    phase minus the mean of the first three samples.  Each input is checked
+    once, in the stage that uses it, and a failure is re-raised with the
+    stage name prefixed; of the arrays built here only the delay grid, which
+    a ``dt`` near the largest float overflows, is checked.
     """
-    raw_phase = _run_stage("unwrap", lambda: unwrap_phase(x, y))
-    phase = _run_stage("smooth", lambda: savgol_smooth(raw_phase, window_points, poly_order))
-    freq = _run_stage("frequency", lambda: frequency_from_phase(phase, dt))
-    flux = _run_stage("flux-inversion", lambda: frequency_to_flux(freq, device, phi_idle))
+    stages = []
+    raw_phase = _run_stage(stages, "unwrap", lambda: _unwrap(*_quadratures(x, y)))
+    phase = _run_stage(stages, "smooth", lambda: _savgol(raw_phase, window_points, poly_order))
+    freq = _run_stage(stages, "frequency", lambda: _frequency(phase, dt))
+    flux = _run_stage(stages, "flux-inversion", lambda: _to_flux(freq, device, phi_idle))
     delays = np.arange(phase.size) * dt
-    fit = _run_stage("fit", lambda: fit_transient(flux, delays, tau_pulse))
+    fit = _run_stage(stages, "fit", lambda: _fit(flux, finite("delays", delays), tau_pulse))
     acquired = float(phase[-1] - np.mean(phase[:3]))
-    return PipelineResult(phase, freq, flux, fit, acquired)
+    return PipelineResult(phase, freq, flux, fit, acquired, tuple(stages))
 
 
-def _run_stage(name: str, thunk):
+def _run_stage(stages: list, name: str, thunk):
+    start = time.perf_counter()
     try:
-        return thunk()
+        out = thunk()
     except ValueError as exc:
         raise ValueError(f"{name} stage: {exc}") from exc
+    stages.append((name, time.perf_counter() - start, getattr(out, "shape", ())))
+    return out

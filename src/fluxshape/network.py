@@ -126,9 +126,18 @@ def _abcd(element: WiringElement, f: np.ndarray) -> TwoPort:
     if kind == "series_resistor":
         return TwoPort(one, p["r_ohms"] * one, zero, one)
     if kind == "series_capacitor":
-        return TwoPort(one, 1.0 / (1j * w * p["c_farads"]), zero, one)
+        # a w*C that overflows is a short: 1/(j*inf) is 0 ohms
+        with np.errstate(over="ignore"):
+            return TwoPort(one, 1.0 / (1j * w * p["c_farads"]), zero, one)
     if kind == "series_inductor":
-        return TwoPort(one, 1j * w * p["l_henries"], zero, one)
+        with np.errstate(over="ignore"):
+            b = 1j * w * p["l_henries"]
+        # a w*L that overflows leaves no finite matrix
+        bad = np.flatnonzero(~np.isfinite(b))
+        if bad.size:
+            at = f.flat[bad[0]].item()
+            raise ValueError(f"series_inductor.l_henries {p['l_henries']!r} makes the reactance infinite at {at!r} Hz")
+        return TwoPort(one, b, zero, one)
     if kind == "attenuator":
         z0 = p["z0_ohms"]
         # at 0 dB, k = 1 gives the identity bit for bit

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -21,6 +22,7 @@ from fluxshape import (
     square_transient_waveform,
     unwrap_phase,
 )
+import fluxshape._checks
 from fluxshape.extraction import _ROOT_STEPS
 
 from conftest import GHZ, MHZ, reference_device
@@ -99,18 +101,19 @@ def test_savgol_wide_window_reproduces_its_polynomial():
     assert np.max(np.abs(savgol_smooth(y, 101, 6) - y)) <= 1e-12 * np.max(np.abs(y))
 
 
-def test_savgol_default_window_makes_one_pinv_call(monkeypatch):
-    shapes = []
-    pinv = np.linalg.pinv
-
-    def counting_pinv(a, *args, **kwargs):
-        shapes.append(a.shape)
-        return pinv(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "pinv", counting_pinv)
-    savgol_smooth(np.random.default_rng(5).normal(size=241), 11, 3)
-    # the six stacked left windows, the last one the symmetric window
-    assert shapes == [(6, 11, 4)]
+@pytest.mark.parametrize("window, order", [(11, 10), (7, 6), (5, 4), (11, 7)])
+def test_savgol_interpolated_rows_keep_their_sample(window, order):
+    # a clipped window of at most order + 1 points is interpolated, which pinv
+    # reached through its rank-deficient branch: the weight is the unit vector
+    # on the point's own sample; at order window - 1 that takes every row
+    y = np.random.default_rng(9).normal(0.0, 3.0, 41)
+    got = savgol_smooth(y, window, order)
+    interpolated = min(order - window // 2 + 1, window // 2 + 1)
+    assert np.array_equal(got[:interpolated], y[:interpolated])
+    assert np.array_equal(got[y.size - interpolated :], y[y.size - interpolated :])
+    assert np.max(np.abs(got - _per_point_savgol(y, window, order))) <= 1e-12 * np.max(np.abs(y))
+    if order == window - 1:
+        assert np.array_equal(got, y)
 
 
 def test_savgol_wide_window_memory_is_bounded():
@@ -171,6 +174,15 @@ def test_frequency_from_phase_constant_tone():
     t = np.arange(64) * dt
     freq = frequency_from_phase(2.0 * np.pi * 1.25e4 * t, dt)
     assert_allclose(freq, 1.25e4, rtol=1e-12)
+
+
+@pytest.mark.parametrize("n", [3, 4, 241, 961])
+def test_frequency_from_phase_is_np_gradient_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    phase = np.cumsum(rng.normal(0.0, 0.3, n))
+    for dt in (0.25e-6, 0.0625e-6, 1.0 / 3.0):
+        ref = np.gradient(phase, dt, edge_order=2) / (2.0 * np.pi)
+        assert np.array_equal(frequency_from_phase(phase, dt), ref), (n, dt)
 
 
 def test_frequency_from_phase_validation():
@@ -370,6 +382,41 @@ def test_run_pipeline_stage_error_prefixes(device):
         run_pipeline(x, y, 0.25e-6, device, device.phi_idle, 8e-6, window_points=4)
     with pytest.raises(ValueError, match="unwrap stage"):
         run_pipeline(np.zeros(241), np.zeros(241), 0.25e-6, device, device.phi_idle, 8e-6)
+
+
+@pytest.mark.parametrize("n", [241, 961])
+def test_run_pipeline_checks_each_input_once_and_makes_no_svd(device, monkeypatch, n):
+    dt = 60e-6 / (n - 1)
+    x, y, _ = _square_quadratures(device, 5e-4, 13e-6, dt, n, t2=75e-6, readout_noise_sigma=0.05, rng_seed=1)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("run_pipeline called an SVD")
+
+    for name in ("svd", "pinv", "lstsq"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    calls = []
+    check = fluxshape._checks.samples
+
+    def counting_samples(name, *args, **kwargs):
+        calls.append(name)
+        return check(name, *args, **kwargs)
+
+    # every module that imported the check by name
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("fluxshape") and getattr(module, "samples", None) is check:
+            monkeypatch.setattr(module, "samples", counting_samples)
+    result = run_pipeline(x, y, dt, device, device.phi_idle, 8e-6)
+    assert result.fit.converged
+    assert calls == ["x", "y"]
+
+
+def test_run_pipeline_records_each_stage(device):
+    x, y, _ = _square_quadratures(device, 5e-4, 13e-6, 0.25e-6, 241, t2=75e-6, readout_noise_sigma=0.05, rng_seed=1)
+    stages = run_pipeline(x, y, 0.25e-6, device, device.phi_idle, 8e-6).stages
+    names = [name for name, _, _ in stages]
+    assert names == ["unwrap", "smooth", "frequency", "flux-inversion", "fit"]
+    assert [shape for _, _, shape in stages] == [(241,)] * 4 + [()]
+    assert all(isinstance(seconds, float) and seconds >= 0.0 for _, seconds, _ in stages)
 
 
 @pytest.mark.parametrize("quadrature, bad", [("x", math.nan), ("y", -math.inf)])

@@ -113,6 +113,26 @@ def test_cascade_composition():
         cascade([], f)
 
 
+def test_cascade_takes_an_overflowing_capacitance_as_a_short():
+    # w*C overflows to inf at 1 GHz, and 1/(j*inf) is a legitimate 0 ohms;
+    # RuntimeWarnings fail the suite, so this also checks that none is raised
+    net = cascade([WiringElement.series_capacitor(1e300), WiringElement.series_resistor(50.0)], [1e4, 1e9])
+    assert np.array_equal(net.b.real, [50.0, 50.0]) and net.b.imag[1] == 0.0
+    assert np.all(np.isfinite([net.a, net.b, net.c, net.d]))
+
+
+def test_cascade_refuses_an_overflowing_inductance():
+    # w*L overflows at 1 GHz; the product with the resistor used to warn and
+    # return nan + inf*j entries
+    message = r"^series_inductor.l_henries 1e\+300 makes the reactance infinite at 1000000000.0 Hz$"
+    for chain in ([WiringElement.series_inductor(1e300)],
+                  [WiringElement.series_inductor(1e300), WiringElement.series_resistor(50.0)]):
+        with pytest.raises(ValueError, match=message):
+            cascade(chain, [1e4, 1e9])
+        with pytest.raises(ValueError, match=message):
+            sweep_input_impedance(chain, 50.0, [1e4, 1e9])
+
+
 def test_input_impedance_basic():
     ident = TwoPort(1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j)
     assert input_impedance(ident, 37.0 + 5.0j) == 37.0 + 5.0j
