@@ -5,7 +5,7 @@ The pipeline mirrors the experimental analysis chain:
 1. :func:`unwrap_phase` turns (X, Y) quadratures into a continuous phase.
 2. :func:`savgol_smooth` suppresses readout noise with a local polynomial
    (Savitzky-Golay) filter whose edge windows are truncated one-sided fits,
-   its weights taken from QR factors.
+   its weights summed over Gram polynomials.
 3. :func:`frequency_from_phase` differentiates the phase (second-order
    central differences, one-sided at the ends) to get the detuning in Hz.
 4. :func:`frequency_to_flux` inverts the dressed-frequency map in closed
@@ -47,8 +47,8 @@ _QUADRATURE_FLOOR = 1e-12
 # bound on the evaluations of the root search in fit_transient; from the
 # whole range, bisection alone reaches the 1e-9 stop in 34
 _ROOT_STEPS = 64
-# floats in one block of stacked Savitzky-Golay edge designs, so that a wide
-# window's edge fits take a few MB, not one (half x window x order) stack
+# floats in one block of stacked Savitzky-Golay edge polynomials, so that a
+# wide window's edge rows take a few MB, not one (half x order x window) stack
 _SG_BLOCK = 2**16
 
 
@@ -86,14 +86,14 @@ def savgol_smooth(series, window_points: int, poly_order: int) -> np.ndarray:
     window is clipped at the boundary and the polynomial is refit one-sided,
     so no points are discarded and no data is mirrored or extrapolated in.
 
-    Point ``i <= half`` from the left fits offsets ``-i..half``, scaled by
-    ``1/half``; a window of at most ``poly_order + 1`` points interpolates,
-    so the point keeps its sample.  Otherwise the design, zero-padded to
-    ``window_points`` rows, is ``Q R`` with zero rows of ``Q`` on the
-    padding, and the first row of ``R^-1 Q^T`` weighs the first
-    ``window_points`` samples.  One ``np.linalg.qr`` and one
-    ``np.linalg.inv`` factor each block of about 2**16 floats of stacked
-    designs; row ``half`` is convolved over the interior, and the right edge
+    Point ``i <= half`` from the left fits the ``m = i + half + 1`` points
+    ``j = 0..m-1``; a window of at most ``poly_order + 1`` points
+    interpolates, so the point keeps its sample.  Otherwise point ``j``
+    weighs ``sum_k q_k(j) q_k(i)`` over the window's Gram polynomials (Gram
+    1883) normalized on its points, built without a factorization by the
+    Stieltjes procedure: ``q_{k+1}`` is ``xi * q_k`` less its projections on
+    ``q_0..q_k``, normalized.  Rows are built in blocks of about 2**16
+    floats; row ``half`` is convolved over the interior, and the right edge
     is the left edge of the reversed series.
     """
     return _savgol(samples("series", np.atleast_1d(series)), window_points, poly_order)
@@ -105,27 +105,33 @@ def _savgol(y, window_points, poly_order):
         raise ValueError(f"window_points must be odd, got {window_points}")
     n = length("series", y.size, window_points)
     poly_order = integer("poly_order", poly_order, 1, window_points - 1)
+    if poly_order == window_points - 1:
+        return y.copy()  # every window interpolates
     half = window_points // 2
-    head, tail = y[:window_points], y[::-1][:window_points]
-    powers = np.arange(poly_order + 1)
-    rows_per_block = max(1, _SG_BLOCK // (window_points * powers.size))
-    # rows before `fitted` interpolate; past half, so does the symmetric one
-    fitted = min(max(poly_order - half + 1, 0), half + 1)
-    kernel = np.eye(1, window_points, half)[0]
+    rows_per_block = max(1, _SG_BLOCK // (window_points * (poly_order + 1)))
+    fitted = max(poly_order - half + 1, 0)  # the rows before it interpolate
     out = np.empty(n)
     out[:fitted], out[n - fitted :] = y[:fitted], y[n - fitted :]
+    j = np.arange(window_points)
     for start in range(fitted, half + 1, rows_per_block):
-        stop = min(start + rows_per_block, half + 1)
-        offsets = np.arange(window_points) - np.arange(start, stop)[:, None]
-        # abscissae scaled to [-1, 1] keep wide windows well conditioned
-        design = np.where((offsets <= half)[..., None], (offsets[..., None] / half) ** powers, 0.0)
-        q, r = np.linalg.qr(design)
-        weights = (q @ np.linalg.inv(r)[:, 0, :, None])[..., 0]
+        i = np.arange(start, min(start + rows_per_block, half + 1))
+        m1 = (i + float(half))[:, None]  # m - 1
+        xi = (j - 0.5 * m1) / m1
+        # q[r, k] is q_k of row r, 0 past the row's window as q_0 is; Gram's
+        # three-term recurrence skips the projections on q_0..q_k-2, but its
+        # rounding grows at the window's ends once k passes about sqrt(2m)
+        q = np.empty((i.size, poly_order + 1, window_points))
+        np.divide(j <= m1, np.sqrt(m1 + 1.0), out=q[:, 0])
+        for k in range(1, poly_order + 1):
+            v = xi * q[:, k - 1]
+            v -= ((v[:, None] @ q[:, :k].swapaxes(1, 2)) @ q[:, :k])[:, 0]
+            np.divide(v, np.sqrt(v[:, None] @ v[..., None])[:, 0], out=q[:, k])
+        weights = (q[np.arange(i.size), :, i][:, None] @ q)[:, 0]
         kernel = weights[-1]
         # row half lands on the first and last interior points, which the
         # convolution below overwrites
-        out[start:stop] = weights @ head
-        out[n - stop : n - start] = (weights @ tail)[::-1]
+        out[start : start + i.size] = weights @ y[:window_points]
+        out[n - start - i.size : n - start] = (weights @ y[::-1][:window_points])[::-1]
     out[half : n - half] = np.convolve(y, kernel[::-1], mode="valid")
     return out
 
@@ -142,10 +148,11 @@ def frequency_from_phase(phase, dt: float) -> np.ndarray:
 def _frequency(phase, dt):
     dt = positive("dt", dt)
     out = np.empty(phase.size)
-    out[1:-1] = (phase[2:] - phase[:-2]) / (2.0 * dt)
-    out[0] = -1.5 / dt * phase[0] + 2.0 / dt * phase[1] - 0.5 / dt * phase[2]
-    out[-1] = 0.5 / dt * phase[-3] - 2.0 / dt * phase[-2] + 1.5 / dt * phase[-1]
-    return out / (2.0 * np.pi)
+    with np.errstate(over="ignore", invalid="ignore"):  # a subnormal dt gives inf and nan, which _to_flux refuses
+        out[1:-1] = (phase[2:] - phase[:-2]) / (2.0 * dt)
+        out[0] = -1.5 / dt * phase[0] + 2.0 / dt * phase[1] - 0.5 / dt * phase[2]
+        out[-1] = 0.5 / dt * phase[-3] - 2.0 / dt * phase[-2] + 1.5 / dt * phase[-1]
+        return out / (2.0 * np.pi)
 
 
 def frequency_to_flux(freq_shift_hz, device: CouplerDevice, phi_idle: float):
@@ -231,11 +238,13 @@ def fit_transient(flux, delays, tau_pulse: float) -> TransientFit:
     step and secants on ``g`` the later ones; a step that leaves the bracket
     or fails to halve becomes bisection, and the sign of ``g`` shrinks the
     bracket.  It stops after a step below 1e-10 or a bracket below 1e-9, and
-    its last point gives tau, A, B and the diagnostics.  Each evaluation
-    regresses ``[w * (y - ybar), w * (dshape/du - mean)]`` on ``w * shape``
-    projected off ``w`` in one matrix product: the first slope is A, the
-    second residual row ``-P(dshape/du)``, and the cost, ``g`` and ``|P
-    J|**2`` come from the 2x2 Gram matrix of the residual rows, which are
+    its last point gives tau, A, B and the diagnostics.  With ``e1 =
+    exp(-d/tau)`` and ``c = exp(-tau_pulse/tau)``, shape is ``(c-1) * e1``
+    and dshape/du ``(c-1)/tau * e1 * (d + c*tau_pulse/(c-1))``, whose second
+    term is in the span of ``e1``: so each evaluation takes one exponential,
+    regresses the weighted, centred data and ``e1 * d`` on ``e1`` in one
+    matrix product and puts the constant factors back into A, ``g`` and
+    ``|P J|**2``, which come from the 2x2 Gram matrix of the residual rows,
     formed directly to keep full precision near an exact fit.
 
     The cost is ``sum((w * (model - y))**2)``, the weights uniform but half
@@ -253,36 +262,30 @@ def fit_transient(flux, delays, tau_pulse: float) -> TransientFit:
 
 
 def _fit(y, d, tau_pulse) -> TransientFit:
-    length("flux", y.size, 8)
+    n = length("flux", y.size, 8)
     tau_pulse = positive("tau_pulse", tau_pulse)
-    w = np.ones(y.size)
-    w[0] = w[-1] = 0.5
-
     offset0 = float(y[-1])
-    if float(np.max(np.abs(y - offset0))) == 0.0:
+    if (y == offset0).all():
         return TransientFit(0.0, offset0, float("nan"), 0.0, False)
 
-    w2 = w * w
-    ww = float(w2.sum())
-
-    def centred(z):
-        # w * (z - zbar), zbar the w**2-weighted mean of z
-        return w * (z - (z @ w2) / ww)
-
+    w = np.ones(n)
+    w[0] = w[-1] = 0.5
+    wn = w * w / float(w @ w)  # z @ wn is z's w**2-weighted mean
     span = float(d[-1] - d[0])
-    neg_d, d_late = -d, d + tau_pulse
-    # the root search's rows: the centred data, then the centred dshape/du
-    stack = np.empty((2, y.size))
+    # e1 * d and e1 = exp(-d/tau); then the root search's rows: the data,
+    # e1 * d and e1, each less its weighted mean and times w
+    raw, rows = np.empty((2, n)), np.empty((3, n))
     # the range is on log(tau/span), so it never depends on the data
     edge_lo, edge_hi = math.log(1e-3), math.log(1e3)
     with np.errstate(all="ignore"):
-        v = stack[0] = centred(y)
+        ybar = float(y @ wn)
+        rows[0] = w * (y - ybar)
         # the start u0 = log(-1/beta), beta from the fit of y on [1, S, x]
         # by Gram-Schmidt: y's coefficient on centred S less its projection on x
         x = (d - d[0]) / span
         s = np.concatenate(([0.0], np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x))))
-        x -= x.mean()
-        s -= s.mean()
+        x -= x.sum() / n
+        s -= s.sum() / n
         s -= (s @ x / (x @ x)) * x
         beta = (s @ y) / (s @ s)
         u = float(np.log(-1.0 / beta))
@@ -293,21 +296,19 @@ def _fit(y, d, tau_pulse) -> TransientFit:
         step = math.inf  # no step taken yet
         for iterations in range(1, _ROOT_STEPS + 1):
             tau = span * math.exp(u)
-            e1 = np.exp(neg_d / tau)
-            e2 = e1 * math.exp(-tau_pulse / tau)
-            shape = e2 - e1
-            row = w * shape
-            row -= (row @ w / ww) * w
-            stack[1] = centred((e2 * d_late + e1 * neg_d) / tau)
-            # one regression of both rows on the projected shape: the data's
-            # slope is A, and the second residual row is -P(J)/A
-            slopes = stack @ row / (row @ row)
-            resid = np.multiply.outer(slopes, row)
-            resid -= stack
-            gram = resid @ resid.T
-            amp = slopes[0]
-            g = -amp * gram[0, 1]
-            jj = amp * amp * gram[1, 1]
+            np.exp(d / -tau, out=raw[1])
+            np.multiply(raw[1], d, out=raw[0])
+            means = raw @ wn
+            np.multiply(w, raw - means[:, None], out=rows[1:])
+            # on e1, the data's slope is (c - 1) A and e1 * d's residual row
+            # -P(dshape/du) tau/(c - 1), c = exp(-tau_pulse/tau)
+            dots = rows @ rows[2]
+            slopes = dots[:2] / dots[2]
+            resid = np.multiply.outer(slopes, rows[2])
+            resid -= rows[:2]
+            (cost, rj), (_, jr) = (resid @ resid.T).tolist()
+            a = slopes[0] / tau  # numpy, so a zero jj or g - g_last bisects, not raises
+            g, jj = -a * rj, a * a * jr
             # g < 0: the cost still falls at u, so the minimum lies above it
             lo, hi = (u, hi) if g < 0.0 else (lo, u)
             if abs(step) < 1e-10 or hi - lo < 1e-9:
@@ -318,17 +319,16 @@ def _fit(y, d, tau_pulse) -> TransientFit:
                 new = 0.5 * (lo + hi) - u
             u_last, g_last, step = u, g, new
             u = u + new
-
-        amp = float(amp)
-        off = float((y - amp * shape) @ w2 / ww)
-        cost = float(gram[0, 0])
+        amp = float(slopes[0] / math.expm1(-tau_pulse / tau))
+        off = ybar - float(slopes[0] * means[1])
+        # the residual row is w * (model - y), and w is 1/2 at both ends
+        residual_rms = math.sqrt((cost + 3.0 * (resid[0, 0] ** 2 + resid[0, -1] ** 2)) / n)
         # the tau entry of (J^T W^2 J)^-1 is tau**2 over |P J|**2, J the u column
-        tau_se = float(tau * np.sqrt(cost / (y.size - 3) / jj))
-        residual_rms = float(np.sqrt(np.mean((amp * shape + off - y) ** 2)))
+        tau_se = tau * math.sqrt(cost / (n - 3) / jj)
     # a search that ends within its 1e-9 bracket tolerance of an edge ran
     # into that edge rather than onto a minimum
     interior = bool(start and edge_lo + 1e-9 < u < edge_hi - 1e-9)
-    converged = bool(interior and np.all(np.isfinite([amp, off, tau])) and tau_se <= 0.1 * tau)
+    converged = interior and all(map(math.isfinite, (amp, off, tau))) and tau_se <= 0.1 * tau
     return TransientFit(amp, off, tau, residual_rms, converged, tau_se, cost, interior, iterations)
 
 

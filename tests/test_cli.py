@@ -1074,6 +1074,26 @@ def test_extract_refuses_a_trace_past_the_flux_branch(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_extract_refuses_a_subnormal_delay_step_in_one_line(tmp_path, capsys):
+    # delays 5e-323 s apart overflow the frequency stage's stencils to inf and
+    # nan; the flux inversion refuses the nan, and no RuntimeWarning, which
+    # would print a line of its own, comes first
+    delays = np.arange(20) * 5e-323
+    phase = 0.01 * np.arange(20)
+    trace = tmp_path / "trace.csv"
+    formats.write_csv(trace, ["tau_delay_s", "x_expect", "y_expect"], [delays, np.cos(phase), np.sin(phase)])
+    out = tmp_path / "out"
+    argv = ["extract", "--trace", str(trace), "--device", write_device(tmp_path),
+            "--tau-pulse-us", "8", "--fit-window-us", "60", "--out-dir", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(argv)
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2 and len(err) == 1, err
+    assert err[0].startswith("error: flux-inversion stage: sample 0 detunes nan Hz"), err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["respond", "ramsey-sim"])
 def test_subnormal_line_tau_runs_without_warnings(tmp_path, capsys, command):
     # c_farads 5e-324 makes tau subnormal, so t / tau overflows; the settling

@@ -1,6 +1,7 @@
 import math
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -71,7 +72,7 @@ def _per_point_savgol(y, window_points, poly_order):
     n = y.size
 
     def weights(offsets):
-        # the abscissae scaled by half, as in savgol_smooth
+        # the abscissae scaled by half keep the Vandermonde well conditioned
         return np.linalg.pinv(np.vander(offsets / half, poly_order + 1, increasing=True))[0]
 
     out = np.empty(n)
@@ -116,9 +117,37 @@ def test_savgol_interpolated_rows_keep_their_sample(window, order):
         assert np.array_equal(got, y)
 
 
+def _exact_savgol_row(m, i, poly_order):
+    """Weights of the degree-``poly_order`` least-squares fit to points 0..m-1, read at point i.
+
+    Exact rationals: Gauss-Jordan on the normal equations of the monomials
+    of ``j - i``, so that the fit's value at i is its constant coefficient.
+    """
+    offsets = [j - i for j in range(m)]
+    size = poly_order + 1
+    rows = [[Fraction(sum(o ** (a + b) for o in offsets)) for b in range(size)] + [Fraction(a == 0)] for a in range(size)]
+    for c in range(size):
+        pivot = [v / rows[c][c] for v in rows[c]]
+        rows = [pivot if r == c else [v - row[c] * p for v, p in zip(row, pivot)] for r, row in enumerate(rows)]
+    return np.array([float(sum(row[-1] * o**a for a, row in enumerate(rows))) for o in offsets])
+
+
+@pytest.mark.parametrize("window, order", [(51, 20), (101, 30)])
+def test_savgol_high_order_rows_match_exact_weights(window, order):
+    # monomial designs lose these rows to their conditioning: one QR of the
+    # scaled Vandermonde put row 0 off by 6.4e-2 at (51, 20) and by 2.1 at (101, 30)
+    y = np.random.default_rng(12).normal(0.0, 3.0, 3 * window)
+    got = savgol_smooth(y, window, order)
+    half = window // 2
+    for i in (0, half // 2, half):
+        weights = _exact_savgol_row(i + half + 1, i, order)
+        assert abs(got[i] - weights @ y[: i + half + 1]) <= 1e-12 * np.max(np.abs(y)), i
+        assert abs(got[-1 - i] - weights @ y[::-1][: i + half + 1]) <= 1e-12 * np.max(np.abs(y)), i
+
+
 def test_savgol_wide_window_memory_is_bounded():
-    # the edge designs are inverted in blocks; one (501, 1001, 4) stack of
-    # float64 alone would take 16 MB
+    # the edge rows' polynomials are built in blocks; one (501, 4, 1001)
+    # stack of float64 alone would take 16 MB
     y = np.random.default_rng(6).normal(size=1001)
     tracemalloc.start()
     try:
@@ -385,14 +414,14 @@ def test_run_pipeline_stage_error_prefixes(device):
 
 
 @pytest.mark.parametrize("n", [241, 961])
-def test_run_pipeline_checks_each_input_once_and_makes_no_svd(device, monkeypatch, n):
+def test_run_pipeline_checks_each_input_once_and_makes_no_linalg_call(device, monkeypatch, n):
     dt = 60e-6 / (n - 1)
     x, y, _ = _square_quadratures(device, 5e-4, 13e-6, dt, n, t2=75e-6, readout_noise_sigma=0.05, rng_seed=1)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("run_pipeline called an SVD")
+        raise AssertionError("run_pipeline called np.linalg")
 
-    for name in ("svd", "pinv", "lstsq"):
+    for name in ("qr", "inv", "solve", "cholesky", "svd", "pinv", "lstsq"):
         monkeypatch.setattr(np.linalg, name, refuse)
     calls = []
     check = fluxshape._checks.samples
