@@ -5,7 +5,9 @@ float array for an ndarray of one or more dimensions, and raise a one-line
 ValueError naming the field when the conversion fails or a value is out of
 range; for an array the line quotes the first offending entry and its index.
 Anything else goes through ``float``, so a list never passes for a scalar
-and a scalar never builds an array.  :func:`samples` is the check for a
+and a scalar never builds an array, and a numeric string passes.  A bool,
+Python or numpy, is refused as a value and as an entry: JSON's ``true`` is
+not the number 1.  :func:`samples` is the check for a
 sequence of samples: it converts any sequence to a finite 1-D float array and
 checks its length, and on request that it pairs with another array and that
 it strictly increases; :func:`length` and :func:`steps` are its length and
@@ -27,6 +29,8 @@ import numpy as np
 # it, and twice it, which overflows near 1e154, while no modelled line comes
 # within decades of it
 _OMEGA_TAU_MAX = 1e100
+
+_BOOLS = frozenset((bool, np.bool_))
 
 
 def finite(name: str, value):
@@ -53,10 +57,7 @@ def samples(name: str, value, min_size: int = 1, *, size: int | None = None, inc
     index.  A 0-d value is refused: a caller that takes a scalar as one
     sample passes ``np.atleast_1d(value)``.
     """
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must be finite, got {_shown(value)!r}") from None
+    arr = _floats(name, value, "finite")
     if arr.ndim != 1:
         raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
     length(name, arr.size, min_size)
@@ -133,6 +134,28 @@ def omega_tau_in_range(name: str, value):
     return value
 
 
+def _holds_bool(value) -> bool:
+    # a bool, Python or numpy, as the value or as an entry of an array or a
+    # list: JSON's true is not the number 1
+    if isinstance(value, np.ndarray):
+        kind = value.dtype.kind
+        return kind == "b" or (kind == "O" and not _BOOLS.isdisjoint(map(type, value.flat)))
+    if isinstance(value, (list, tuple)):
+        return not _BOOLS.isdisjoint(map(type, value))
+    return type(value) in _BOOLS
+
+
+def _floats(name: str, value, rule: str) -> np.ndarray:
+    # value as a float array, or a one-line ValueError naming the field when
+    # it holds a bool or an entry that is no number
+    try:
+        if _holds_bool(value):
+            raise TypeError
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be {rule}, got {_shown(value)!r}") from None
+
+
 def _shown(value):
     # tolist shows a numpy scalar or array as the plain value it holds
     return getattr(value, "tolist", lambda: value)()
@@ -145,13 +168,13 @@ def _check(name: str, value, rule: str, sign):
             x = float(value)
         except (TypeError, ValueError, OverflowError):
             x = math.nan
+        # a bool converts to 0.0 or 1.0, so only those are looked at again
+        if (x == 0.0 or x == 1.0) and _holds_bool(value):
+            x = math.nan
         if not _passes(x, sign):
             raise ValueError(f"{name} must be {rule}, got {_shown(value)!r}")
         return x
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must be {rule}, got {value.tolist()!r}") from None
+    arr = _floats(name, value, rule)
     # the extremes decide, one reduction each and no grid-sized mask; a nan
     # propagates through both and fails
     if arr.size and not (_passes(arr.min(), sign) and math.isfinite(arr.max())):

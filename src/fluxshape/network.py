@@ -1,10 +1,12 @@
-"""ABCD two-port model of the room-temperature-to-chip wiring chain.
+"""ABCD model of the room-temperature-to-chip wiring chain.
 
 Each wiring element (attenuator, bias-tee capacitor, wirebond inductor,
-lossless delay line, series resistor) maps to a 2x2 transmission (ABCD)
-matrix; a chain is the ordered matrix product from the source side toward
-the load.  The input impedance seen by the source into a terminated chain is
-``(A*Z_L + B) / (C*Z_L + D)``.
+lossless delay line, series resistor) has a 2x2 transmission (ABCD) matrix
+[[a, b], [c, d]].  :func:`sweep_input_impedance` computes a terminated
+chain's input impedance without forming the chain's matrix product: it
+carries the load's voltage and current, ``(v, i) = (Z_L, 1)``, back from the
+load end through each element, ``(v, i) <- (a*v + b*i, c*v + d*i)``, and
+returns ``v / i``, which is ``(A*Z_L + B) / (C*Z_L + D)`` of the product.
 
 At low frequency a typical flux-line chain looks like an effective series RC
 (the bias-tee capacitor in series with the attenuators' resistive ladder),
@@ -25,33 +27,12 @@ import numpy as np
 from fluxshape._checks import at_most, nonnegative, positive, samples
 
 __all__ = [
-    "TwoPort",
     "WiringElement",
     "RCFitResult",
-    "cascade",
-    "input_impedance",
     "sweep_input_impedance",
     "sweep_and_fit_rc",
     "default_flux_chain",
 ]
-
-
-@dataclass(frozen=True)
-class TwoPort:
-    """ABCD transmission matrix [[a, b], [c, d]]; b in ohms, c in siemens."""
-
-    a: complex
-    b: complex
-    c: complex
-    d: complex
-
-    def __matmul__(self, other: "TwoPort") -> "TwoPort":
-        return TwoPort(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
 
 
 # attenuations above this are refused: the attenuator's matrix squares
@@ -115,89 +96,73 @@ class WiringElement:
         return WiringElement("transmission_line", {"z0_ohms": z0, "delay_s": delay})
 
 
-def _abcd(element: WiringElement, f: np.ndarray) -> TwoPort:
-    # one element's ABCD matrix at a checked float array of frequencies in Hz
-    w = 2.0 * math.pi * f
-    # [()] turns a 0-d array into a scalar and leaves other arrays as they are
-    one = np.ones(f.shape, dtype=complex)[()]
-    zero = np.zeros(f.shape, dtype=complex)[()]
+def _abcd(element: WiringElement, f: np.ndarray, w: np.ndarray):
+    # one element's ABCD entries (a, b, c, d) at checked frequencies f in Hz
+    # and w = 2*pi*f; a resistor's and an attenuator's are floats, since they
+    # do not depend on frequency
     kind = element.kind
     p = element.params
     if kind == "series_resistor":
-        return TwoPort(one, p["r_ohms"] * one, zero, one)
+        return 1.0, p["r_ohms"], 0.0, 1.0
     if kind == "series_capacitor":
         # a w*C that overflows is a short: 1/(j*inf) is 0 ohms
-        with np.errstate(over="ignore"):
-            return TwoPort(one, 1.0 / (1j * w * p["c_farads"]), zero, one)
+        return 1.0, 1.0 / (1j * w * p["c_farads"]), 0.0, 1.0
     if kind == "series_inductor":
-        with np.errstate(over="ignore"):
-            b = 1j * w * p["l_henries"]
+        b = 1j * w * p["l_henries"]
         # a w*L that overflows leaves no finite matrix
         bad = np.flatnonzero(~np.isfinite(b))
         if bad.size:
-            at = f.flat[bad[0]].item()
-            raise ValueError(f"series_inductor.l_henries {p['l_henries']!r} makes the reactance infinite at {at!r} Hz")
-        return TwoPort(one, b, zero, one)
+            raise ValueError(
+                f"series_inductor.l_henries {p['l_henries']!r} makes the reactance infinite at {f[bad[0]].item()!r} Hz"
+            )
+        return 1.0, b, 0.0, 1.0
     if kind == "attenuator":
         z0 = p["z0_ohms"]
         # at 0 dB, k = 1 gives the identity bit for bit
         k = 10.0 ** (p["db"] / 20.0)
         r_series = z0 * (k * k - 1.0) / (2.0 * k)
         y_shunt = (k - 1.0) / (z0 * (k + 1.0))
-        a = (1.0 + r_series * y_shunt) * one
-        return TwoPort(a, r_series * one, y_shunt * (2.0 + r_series * y_shunt) * one, a)
+        a = 1.0 + r_series * y_shunt
+        return a, r_series, y_shunt * (2.0 + r_series * y_shunt), a
     # the transmission line: WiringElement admits no other kind
     theta = w * p["delay_s"]
     z0 = p["z0_ohms"]
-    cos = np.cos(theta) * one
+    cos = np.cos(theta)
     sin = np.sin(theta)
-    return TwoPort(cos, 1j * z0 * sin, 1j * sin / z0, cos)
+    return cos, 1j * z0 * sin, 1j * sin / z0, cos
 
 
-def cascade(elements, f) -> TwoPort:
-    """ABCD matrix of a chain, source side first, at a scalar or array ``f``; one element gives its own."""
+def sweep_input_impedance(elements, load: complex, f_grid) -> np.ndarray:
+    """Input impedance of a chain, source side first, terminated by ``load`` ohms, over a frequency grid (Hz).
+
+    ``load`` is a finite real or complex number.  The chain's ABCD product
+    is applied to ``[load; 1]`` from the right, one element at a time (see
+    the module docstring).  A frequency at which the chain is singular into
+    the load, or at which the impedance overflows, is refused with a
+    one-line ValueError.
+    """
+    f = positive("f_grid", samples("f_grid", f_grid))
     elements = list(elements)
     if not elements:
         raise ValueError("chain must contain at least one element")
-    # one check of the frequencies serves every element
-    f = np.asarray(f, dtype=float)
-    positive("frequency", f)
-    net = _abcd(elements[0], f)
-    for element in elements[1:]:
-        net = net @ _abcd(element, f)
-    return net
-
-
-def input_impedance(network: TwoPort, load: complex):
-    """Impedance seen into a two-port terminated by ``load`` ohms.
-
-    The entries of ``network`` may be scalars or arrays over frequency (as
-    :func:`cascade` returns them); the result has the same shape.
-    ``load`` is a finite real or complex number.
-    """
     try:
         finite_load = bool(np.isfinite(load))
     except (TypeError, ValueError):
         finite_load = False
     if not finite_load:
         raise ValueError(f"load must be a finite number, got {load!r}")
-    denom = network.c * load + network.d
-    if np.any(np.abs(denom) < 1e-15):
-        raise ValueError("network is singular into this load at a swept frequency")
-    return (network.a * load + network.b) / denom
-
-
-def sweep_input_impedance(elements, load: complex, f_grid) -> np.ndarray:
-    """Input impedance of a terminated chain over a frequency grid (Hz).
-
-    A frequency at which the chain's matrices overflow, and the impedance
-    is not finite, is refused with a one-line ValueError quoting the first.
-    """
-    f = positive("f_grid", samples("f_grid", f_grid))
+    w = 2.0 * math.pi * f
+    v = np.full(f.shape, load, dtype=complex)
+    i = np.ones(f.shape, dtype=complex)
     # an overflow (or a 1/(j w C) whose w C underflows) is refused below
     # rather than warned about on the way
     with np.errstate(all="ignore"):
-        z = input_impedance(cascade(elements, f), load)
+        for element in reversed(elements):
+            a, b, c, d = _abcd(element, f, w)
+            v, i = a * v + b * i, c * v + d * i
+        if np.any(np.abs(i) < 1e-15):
+            raise ValueError("network is singular into this load at a swept frequency")
+        z = v / i
     ok = np.isfinite(z)
     if not ok.all():
         raise ValueError(f"input impedance is not finite at f_grid {f[np.argmin(ok)].item()!r} Hz")
@@ -223,8 +188,9 @@ def sweep_and_fit_rc(elements, load: complex, f_grid, fit_band_hz: float = 1e6) 
     ``f <= fit_band_hz``.  ``fit_rms`` is the root-mean-square deviation of
     |Z_in| from the fitted form over the band, in ohms.
     """
+    # the sweep checks the grid first, so a fault in it is named f_grid
+    z = sweep_input_impedance(elements, load, f_grid)
     f = np.asarray(f_grid, dtype=float)
-    z = sweep_input_impedance(elements, load, f)
     band = f <= positive("fit_band_hz", fit_band_hz)
     if np.count_nonzero(band) < 3:
         raise ValueError("need at least three sweep points inside the fit band")

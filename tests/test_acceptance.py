@@ -15,7 +15,6 @@ from fluxshape import (
     RCLine,
     WiringElement,
     capacitor_voltage,
-    cascade,
     coupler_frequency,
     dressed_qubit_frequency,
     integrate_line_response,
@@ -304,7 +303,8 @@ def test_criterion_08_network_properties():
     spacings = np.diff(f[interior])
     spacing_err = float(np.max(np.abs(spacings - 1.0 / (2.0 * delay))) * 2.0 * delay)
 
-    reactance = abs(cascade([WiringElement.series_inductor(2e-9)], 20e6).b)
+    # shorted, the wirebond's input impedance is its reactance j*w*L
+    reactance = abs(sweep_input_impedance([WiringElement.series_inductor(2e-9)], 0.0, [20e6])[0])
     ok = r_err < 1e-9 and c_err < 1e-9
     ok &= spacings.size >= 3 and spacing_err < 0.02
     ok &= format(reactance, ".3g") == "0.251"

@@ -48,6 +48,27 @@ def test_scalar_rejections_name_the_field(value, shown):
         positive("tau_s", value)
 
 
+@pytest.mark.parametrize(
+    "check, value, shown",
+    [
+        (positive, True, "True"),
+        (finite, np.True_, "True"),
+        (nonnegative, np.asarray(False), "False"),
+        (positive, np.array([True, True]), "[True, True]"),
+        (finite, np.array([1.0, True], dtype=object), "[1.0, True]"),
+        (samples, [0.3, True], "[0.3, True]"),
+        (samples, (2.0, False), "(2.0, False)"),
+        (samples, np.array([False]), "[False]"),
+    ],
+)
+def test_bools_are_refused_as_numbers(check, value, shown):
+    # a JSON true would otherwise pass for 1.0; numeric strings still pass
+    rule = {positive: "positive and finite", nonnegative: "non-negative and finite"}.get(check, "finite")
+    with pytest.raises(ValueError, match="^" + re.escape(f"x must be {rule}, got {shown}") + "$"):
+        check("x", value)
+    assert samples("x", ["1.5", 2]).tolist() == [1.5, 2.0]
+
+
 def test_finite_allows_zero_and_negatives_but_not_nan():
     assert finite("x", 0.0) == 0.0
     assert finite("x", -1e300) == -1e300
@@ -137,7 +158,8 @@ def _outcome(check, *args):
 
 
 def test_array_checks_match_the_per_entry_mask():
-    # the extremes decide pass or fail; every return and every message is the mask's
+    # the extremes decide pass or fail; every return and every message of a
+    # numeric array is the mask's
     rng = np.random.default_rng(43)
     specials = np.array([math.nan, math.inf, -math.inf, -1.0, 0.0, -0.0, 5e-324])
     rules = [
@@ -156,7 +178,11 @@ def test_array_checks_match_the_per_entry_mask():
         elif kind == 2:
             values = np.nan_to_num(values) > 1.0
         for check, rule, sign in rules:
-            assert _outcome(check, "x", values) == _outcome(_masked_check, "x", values, rule, sign), (values, rule)
+            if kind == 2:
+                # a bool array is not numbers: it is refused whole, as a string array is
+                assert _outcome(check, "x", values) == f"x must be {rule}, got {values.tolist()!r}"
+            else:
+                assert _outcome(check, "x", values) == _outcome(_masked_check, "x", values, rule, sign), (values, rule)
 
 
 def test_samples_come_back_as_one_dimensional_float_arrays():

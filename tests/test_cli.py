@@ -531,6 +531,7 @@ _DEVICE_SQUARE_ARGS = [
         "load-nan", "device-string", "pulse-coefficient-string", "noise-sigma-negative", "chain-kind-list",
         "n-points-past-float", "n-periods-past-float", "n-periods-zero", "seed-negative", "seed-env-negative",
         "sg-window-even", "sg-window-two", "sg-order-zero", "sg-order-at-window",
+        "request-b1-bool", "line-r-bool", "pulse-coefficient-bool",
     ],
 )
 def test_cli_names_the_bad_field(tmp_path, capsys, monkeypatch, case):
@@ -541,6 +542,16 @@ def test_cli_names_the_bad_field(tmp_path, capsys, monkeypatch, case):
         argv, name = ["design", "--request", _write_json(tmp_path, "r.json", {**request, "tau_pulse_s": [1]})], "tau_pulse_s"
     elif case == "request-b1-dict":
         argv, name = ["design", "--request", _write_json(tmp_path, "r.json", {**request, "b1": {"a": 1}})], "b1"
+    elif case == "request-b1-bool":
+        # JSON's true is not the number 1
+        argv, name = ["design", "--request", _write_json(tmp_path, "r.json", {**request, "b1": True})], "b1"
+    elif case == "line-r-bool":
+        line = _write_json(tmp_path, "l.json", {"r_ohms": True, "c_farads": "2e-7"})
+        pulse = _write_json(tmp_path, "p.json", {"tau_pulse_s": 8e-6, "a": [0.0], "b": [1.0]})
+        argv, name = ["respond", "--pulse", pulse, "--line", line, "--dt-us", "1"], "r_ohms"
+    elif case == "pulse-coefficient-bool":
+        pulse = _write_json(tmp_path, "p.json", {"tau_pulse_s": 8e-6, "a": [0.3], "b": [True]})
+        argv, name = ["kexp", "--pulse", pulse, "--tau-us", "11.2"], "b"
     elif case == "chain-r-list":
         chain = _write_json(tmp_path, "c.json", [{"kind": "series_resistor", "r_ohms": [1]}])
         argv, name = ["impedance", "--chain", chain], "series_resistor.r_ohms"

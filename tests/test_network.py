@@ -1,6 +1,7 @@
 import cmath
 import functools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -9,46 +10,38 @@ from numpy.testing import assert_allclose
 
 from fluxshape import (
     RCFitResult,
-    TwoPort,
     WiringElement,
-    cascade,
     default_flux_chain,
-    input_impedance,
     sweep_and_fit_rc,
     sweep_input_impedance,
 )
 from fluxshape import network
 
 
-def test_twoport_matmul_matches_numpy():
-    rng = np.random.default_rng(41)
-    m1 = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    m2 = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    p1 = TwoPort(*m1.ravel())
-    p2 = TwoPort(*m2.ravel())
-    prod = p1 @ p2
-    ref = m1 @ m2
-    assert_allclose([prod.a, prod.b, prod.c, prod.d], ref.ravel(), rtol=1e-15)
-    ident = TwoPort(1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j)
-    assert (ident @ p1) == p1
+def _entries(element, f):
+    """One element's ABCD entries (a, b, c, d) at frequencies ``f``, as the sweep builds them."""
+    f = np.asarray(f, dtype=float)
+    return network._abcd(element, f, 2.0 * math.pi * f)
 
 
 def test_element_abcd_formulas():
-    f = 7e6
+    f = np.array([7e6])
     w = 2.0 * math.pi * f
-    r = cascade([WiringElement.series_resistor(47.0)], f)
-    assert (r.a, r.b, r.c, r.d) == (1.0, 47.0 + 0.0j, 0.0, 1.0)
-    c = cascade([WiringElement.series_capacitor(1e-7)], f)
-    assert_allclose(c.b, 1.0 / (1j * w * 1e-7), rtol=1e-15)
-    assert c.c == 0.0
-    l = cascade([WiringElement.series_inductor(2e-9)], f)
-    assert_allclose(l.b, 1j * w * 2e-9, rtol=1e-15)
-    line = cascade([WiringElement.transmission_line(50.0, 15e-9)], f)
+    # a resistor's entries are floats, whatever the grid
+    assert _entries(WiringElement.series_resistor(47.0), f) == (1.0, 47.0, 0.0, 1.0)
+    a, b, c, d = _entries(WiringElement.series_capacitor(1e-7), f)
+    assert_allclose(b, 1.0 / (1j * w * 1e-7), rtol=1e-15)
+    assert (a, c, d) == (1.0, 0.0, 1.0)
+    a, b, c, d = _entries(WiringElement.series_inductor(2e-9), f)
+    assert_allclose(b, 1j * w * 2e-9, rtol=1e-15)
+    assert (a, c, d) == (1.0, 0.0, 1.0)
+    a, b, c, d = _entries(WiringElement.transmission_line(50.0, 15e-9), f)
     theta = w * 15e-9
-    assert_allclose(line.a, math.cos(theta), rtol=1e-15)
-    assert_allclose(line.b, 1j * 50.0 * math.sin(theta), rtol=1e-15)
-    assert_allclose(line.c, 1j * math.sin(theta) / 50.0, rtol=1e-15)
-    assert cascade([WiringElement.attenuator(0.0)], f) == TwoPort(1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j)
+    assert_allclose(a, np.cos(theta), rtol=1e-15)
+    assert_allclose(b, 1j * 50.0 * np.sin(theta), rtol=1e-15)
+    assert_allclose(c, 1j * np.sin(theta) / 50.0, rtol=1e-15)
+    assert_allclose(d, np.cos(theta), rtol=1e-15)
+    assert _entries(WiringElement.attenuator(0.0), f) == (1.0, 0.0, 0.0, 1.0)
 
 
 def test_element_determinants_are_unity():
@@ -60,24 +53,26 @@ def test_element_determinants_are_unity():
         WiringElement.transmission_line(50.0, 15e-9),
     ]
     for element in elements:
-        net = cascade([element], 7e6)
-        assert cmath.isclose(net.a * net.d - net.b * net.c, 1.0, rel_tol=1e-12)
-    net = cascade(default_flux_chain(), 7e6)
-    assert cmath.isclose(net.a * net.d - net.b * net.c, 1.0, rel_tol=1e-9)
+        a, b, c, d = _entries(element, [7e6])
+        assert_allclose(a * d - b * c, 1.0, rtol=1e-12)
+    # so the chain's product, formed here from the same entries, has one too
+    matrices = [np.reshape([complex(np.ravel(x)[0]) for x in _entries(e, [7e6])], (2, 2)) for e in default_flux_chain()]
+    m = functools.reduce(np.matmul, matrices)
+    assert cmath.isclose(np.linalg.det(m), 1.0, rel_tol=1e-9)
 
 
 def test_element_abcd_rejects_bad_frequency():
     r = WiringElement.series_resistor(47.0)
-    for f in (0.0, -1e6, math.inf):
-        line = f"^frequency must be positive and finite, got {f!r}$"
+    # samples refuses a non-finite entry before positive sees the grid
+    for f, rule in ((0.0, "positive and finite"), (-1e6, "positive and finite"), (math.inf, "finite")):
+        line = rf"^f_grid must be {rule}, got {re.escape(repr(f))} at index 1$"
         for chain in ([r], [r, r]):
             with pytest.raises(ValueError, match=line):
-                cascade(chain, f)
+                sweep_input_impedance(chain, 0.0, [1e6, f])
 
 
 def test_sweep_checks_the_frequencies_once_per_stage(monkeypatch):
-    # the sweep checks its grid, and cascade checks it once for the whole
-    # chain rather than once for each element
+    # the sweep checks its grid once for the whole chain, not once for each element
     chain = default_flux_chain()
     names = []
     check = network.positive
@@ -89,67 +84,69 @@ def test_sweep_checks_the_frequencies_once_per_stage(monkeypatch):
     monkeypatch.setattr(network, "positive", recording)
     sweep_input_impedance(chain, 0.0, np.geomspace(1e3, 1e9, 50))
     assert len(chain) == 7
-    assert names == ["f_grid", "frequency"]
+    assert names == ["f_grid"]
 
 
 def test_matched_attenuator_preserves_reference_impedance():
-    net = cascade([WiringElement.attenuator(3.0)], 20e6)
-    z = input_impedance(net, 50.0)
+    z = sweep_input_impedance([WiringElement.attenuator(3.0)], 50.0, [20e6])
     assert_allclose(z, 50.0, rtol=1e-9)
     # and in a cascade of several stages
-    net = cascade([WiringElement.attenuator(db) for db in (20.0, 3.0, 20.0)], 20e6)
-    assert_allclose(input_impedance(net, 50.0), 50.0, rtol=1e-9)
+    z = sweep_input_impedance([WiringElement.attenuator(db) for db in (20.0, 3.0, 20.0)], 50.0, [20e6])
+    assert_allclose(z, 50.0, rtol=1e-9)
 
 
 def test_cascade_composition():
-    f = 5e6
+    f = [5e6]
     r1 = WiringElement.series_resistor(20.0)
     r2 = WiringElement.series_resistor(30.0)
-    both = cascade([r1, r2], f)
-    assert both.b == 50.0 + 0.0j
-    single = cascade([r1], f)
-    assert single == TwoPort(1.0 + 0.0j, 20.0 + 0.0j, 0.0j, 1.0 + 0.0j)
-    with pytest.raises(ValueError):
-        cascade([], f)
+    assert sweep_input_impedance([r1, r2], 0.0, f).tolist() == [50.0 + 0.0j]
+    assert sweep_input_impedance([r1], 0.0, f).tolist() == [20.0 + 0.0j]
+    with pytest.raises(ValueError, match="^chain must contain at least one element$"):
+        sweep_input_impedance([], 0.0, f)
+
+
+def test_frequency_independent_chain_sweeps_to_the_grid_shape():
+    # a resistor's and an attenuator's entries are floats, yet the sweep
+    # returns one complex impedance per frequency
+    f = np.geomspace(1e3, 1e9, 5)
+    chain = [WiringElement.attenuator(3.0), WiringElement.series_resistor(20.0), WiringElement.attenuator(20.0)]
+    z = sweep_input_impedance(chain, 50.0, f)
+    assert z.shape == f.shape and z.dtype == complex
+    assert np.all(z == z[0])
+    assert_allclose(z, [_reference_impedance(chain, 50.0, fi) for fi in f], rtol=1e-12)
 
 
 def test_cascade_takes_an_overflowing_capacitance_as_a_short():
     # w*C overflows to inf at 1 GHz, and 1/(j*inf) is a legitimate 0 ohms;
     # RuntimeWarnings fail the suite, so this also checks that none is raised
-    net = cascade([WiringElement.series_capacitor(1e300), WiringElement.series_resistor(50.0)], [1e4, 1e9])
-    assert np.array_equal(net.b.real, [50.0, 50.0]) and net.b.imag[1] == 0.0
-    assert np.all(np.isfinite([net.a, net.b, net.c, net.d]))
+    chain = [WiringElement.series_capacitor(1e300), WiringElement.series_resistor(50.0)]
+    z = sweep_input_impedance(chain, 0.0, [1e4, 1e9])
+    assert np.array_equal(z.real, [50.0, 50.0]) and z.imag[1] == 0.0
 
 
 def test_cascade_refuses_an_overflowing_inductance():
-    # w*L overflows at 1 GHz; the product with the resistor used to warn and
-    # return nan + inf*j entries
+    # w*L overflows at 1 GHz; carried through the resistor it used to warn
+    # and give nan + inf*j
     message = r"^series_inductor.l_henries 1e\+300 makes the reactance infinite at 1000000000.0 Hz$"
     for chain in ([WiringElement.series_inductor(1e300)],
-                  [WiringElement.series_inductor(1e300), WiringElement.series_resistor(50.0)]):
-        with pytest.raises(ValueError, match=message):
-            cascade(chain, [1e4, 1e9])
+                  [WiringElement.series_inductor(1e300), WiringElement.series_resistor(50.0)],
+                  [WiringElement.series_resistor(50.0), WiringElement.series_inductor(1e300)]):
         with pytest.raises(ValueError, match=message):
             sweep_input_impedance(chain, 50.0, [1e4, 1e9])
 
 
 def test_input_impedance_basic():
-    ident = TwoPort(1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j)
-    assert input_impedance(ident, 37.0 + 5.0j) == 37.0 + 5.0j
-    f = 1e3
-    z_cap = input_impedance(cascade([WiringElement.series_capacitor(1e-7)], f), 0.0)
-    assert_allclose(abs(z_cap), 1.0 / (2.0 * math.pi * f * 1e-7), rtol=1e-12)
-    assert_allclose(abs(z_cap), 1591.5, rtol=1e-3)
+    f = np.array([1e3])
+    z_cap = sweep_input_impedance([WiringElement.series_capacitor(1e-7)], 0.0, f)
+    assert_allclose(np.abs(z_cap), 1.0 / (2.0 * math.pi * f * 1e-7), rtol=1e-12)
+    assert_allclose(np.abs(z_cap), 1591.5, rtol=1e-3)
 
 
 def test_input_impedance_singular_cases():
-    with pytest.raises(ValueError):
-        input_impedance(TwoPort(1.0, 50.0, 0.0, 0.0), 0.0)
     # a quarter-wave shorted line presents an open: no finite impedance
     f_quarter = 1.0 / (4.0 * 15e-9)
-    net = cascade([WiringElement.transmission_line(50.0, 15e-9)], f_quarter)
-    with pytest.raises(ValueError):
-        input_impedance(net, 0.0)
+    with pytest.raises(ValueError, match="^network is singular into this load at a swept frequency$"):
+        sweep_input_impedance([WiringElement.transmission_line(50.0, 15e-9)], 0.0, [f_quarter])
 
 
 def _reference_abcd(element, f):
@@ -204,21 +201,9 @@ def test_array_sweep_matches_per_frequency_reference():
         z = sweep_input_impedance(chain, load, f)
         assert z.shape == f.shape and z.dtype == complex
         assert_allclose(z, [_reference_impedance(chain, load, fi) for fi in f], rtol=1e-12)
-        net = cascade(chain, f)
-        assert_allclose(net.a * net.d - net.b * net.c, np.ones(f.shape), rtol=1e-9)
-        # a scalar frequency takes the same path (numpy's scalar and array
-        # arithmetic may round the last bit differently)
-        j = int(rng.integers(f.size))
-        assert_allclose(input_impedance(cascade(chain, f[j]), load), z[j], rtol=1e-14)
-
-
-def test_array_path_keeps_scalar_entries_for_scalar_frequency():
-    net = cascade(default_flux_chain(), 7e6)
-    assert all(np.ndim(entry) == 0 for entry in (net.a, net.b, net.c, net.d))
-    net = cascade(default_flux_chain(), np.array([1e3, 7e6]))
-    assert all(np.shape(entry) == (2,) for entry in (net.a, net.b, net.c, net.d))
-    with pytest.raises(ValueError):
-        cascade([WiringElement.series_resistor(47.0)], [1e6, 0.0])
+        for element in chain:
+            a, b, c, d = _entries(element, f)
+            assert_allclose(a * d - b * c, np.ones(f.shape), rtol=1e-9)
 
 
 def test_array_sweep_singular_load_raises():
@@ -237,6 +222,10 @@ def test_sweep_input_impedance_validation():
         sweep_input_impedance(chain, 0.0, [])
     with pytest.raises(ValueError):
         sweep_input_impedance(chain, 0.0, [[1e6]])
+    # the fit sweeps before it converts the grid, so both name the field
+    for sweep in (sweep_input_impedance, sweep_and_fit_rc):
+        with pytest.raises(ValueError, match=r"^f_grid must be finite, got \['x'\]$"):
+            sweep(default_flux_chain(), 0.0, ["x"])
 
 
 @pytest.mark.parametrize("load", [math.nan, math.inf, complex(0.0, math.nan), complex(-math.inf, 0.0), "50"])
@@ -338,11 +327,14 @@ def test_line_resonance_spacing():
 
 
 def test_wirebond_reactance_scale():
-    # a 2 nH wirebond at 20 MHz is a quarter-ohm detail on a 50 ohm chain
-    b = cascade([WiringElement.series_inductor(2e-9)], 20e6).b
-    assert format(abs(b), ".3g") == "0.251"
-    z_chain = input_impedance(cascade(default_flux_chain(), 20e6), 0.0)
-    assert abs(b) < 0.01 * abs(z_chain)
+    # a 2 nH wirebond at 20 MHz is a quarter-ohm detail on a 50 ohm chain;
+    # shorted, the inductor's input impedance is its b entry bit for bit
+    b = _entries(WiringElement.series_inductor(2e-9), [20e6])[1]
+    z = sweep_input_impedance([WiringElement.series_inductor(2e-9)], 0.0, [20e6])
+    assert z.tobytes() == b.tobytes()
+    assert format(abs(z[0]), ".3g") == "0.251"
+    z_chain = sweep_input_impedance(default_flux_chain(), 0.0, [20e6])[0]
+    assert abs(z[0]) < 0.01 * abs(z_chain)
 
 
 def test_wiring_element_validation():
@@ -369,11 +361,13 @@ def test_wiring_element_validation():
 
 
 def test_zero_db_attenuator_is_the_identity_bit_for_bit():
-    # the pi-network formula at k = 1, for scalar and array frequencies
+    # the pi-network formula at k = 1 gives the identity's entries as floats,
+    # and the sweep returns the load unchanged at every frequency
     f = np.geomspace(1e3, 1e9, 7)
-    for freq in (20e6, f):
-        for db in (0.0, -0.0):
-            got = cascade([WiringElement.attenuator(db)], freq)
-            for entry, want in zip((got.a, got.b, got.c, got.d), (1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j)):
-                assert np.shape(entry) == np.shape(freq)
-                assert np.asarray(entry).tobytes() == np.full(np.shape(freq), want).tobytes()
+    load = 37.0 + 5.0j
+    for db in (0.0, -0.0):
+        entries = _entries(WiringElement.attenuator(db), f)
+        assert all(type(x) is float for x in entries)
+        assert np.array(entries).tobytes() == np.array([1.0, 0.0, 0.0, 1.0]).tobytes()
+        z = sweep_input_impedance([WiringElement.attenuator(db)], load, f)
+        assert z.tobytes() == np.full(f.shape, load).tobytes()
