@@ -3,7 +3,8 @@
 :func:`finite`, :func:`positive` and :func:`nonnegative` return a float, or a
 float array for an ndarray of one or more dimensions, and raise a one-line
 ValueError naming the field when the conversion fails or a value is out of
-range; for an array the line quotes the first offending entry and its index.
+range; for an array, or a sequence that does not convert, the line quotes
+the first offending entry and its flat index.
 Anything else goes through ``float``, so a list never passes for a scalar
 and a scalar never builds an array, and a numeric string passes.  A bool,
 Python or numpy, is refused as a value and as an entry: JSON's ``true`` is
@@ -85,9 +86,9 @@ def steps(name: str, arr: np.ndarray) -> np.ndarray:
     second ``np.diff``.
     """
     h = np.diff(arr)
-    rising = h > 0.0
-    if not rising.all():
-        i = int(np.argmin(rising)) + 1
+    # the least step decides; the mask only words the refusal
+    if h.size and not np.minimum.reduce(h) > 0.0:
+        i = int(np.argmin(h > 0.0)) + 1
         raise ValueError(
             f"{name} must be strictly increasing, got {arr[i].item()!r} after {arr[i - 1].item()!r} at index {i}"
         )
@@ -152,8 +153,33 @@ def _floats(name: str, value, rule: str) -> np.ndarray:
         if _holds_bool(value):
             raise TypeError
         return np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        shown = _first_fault(value)
+    raise ValueError(f"{name} must be {rule}, got {shown}")
+
+
+def _first_fault(value) -> str:
+    # the first entry that is no finite number, and its flat index, so that a
+    # long sequence is not echoed whole; a scalar is quoted whole, and so is a
+    # sequence that numpy cannot lay out entry by entry
+    try:
+        entries = np.asarray(value, dtype=object)
     except (TypeError, ValueError):
-        raise ValueError(f"{name} must be {rule}, got {_shown(value)!r}") from None
+        entries = np.empty(())
+    for i, entry in enumerate(entries.flat if entries.ndim else ()):
+        if not math.isfinite(_number(entry)):
+            return f"{_shown(entry)!r} at index {i}"
+    return repr(_shown(value))
+
+
+def _number(value) -> float:
+    # value as a float, or nan when it is a bool or no number
+    try:
+        x = float(value)
+    except (TypeError, ValueError, OverflowError):
+        return math.nan
+    # a bool converts to 0.0 or 1.0, so only those are looked at again
+    return math.nan if (x == 0.0 or x == 1.0) and _holds_bool(value) else x
 
 
 def _shown(value):
@@ -164,20 +190,14 @@ def _shown(value):
 def _check(name: str, value, rule: str, sign):
     # sign compares an entry with zero (operator.gt or operator.ge), or is None
     if not (isinstance(value, np.ndarray) and value.ndim):
-        try:
-            x = float(value)
-        except (TypeError, ValueError, OverflowError):
-            x = math.nan
-        # a bool converts to 0.0 or 1.0, so only those are looked at again
-        if (x == 0.0 or x == 1.0) and _holds_bool(value):
-            x = math.nan
+        x = _number(value)
         if not _passes(x, sign):
             raise ValueError(f"{name} must be {rule}, got {_shown(value)!r}")
         return x
     arr = _floats(name, value, rule)
     # the extremes decide, one reduction each and no grid-sized mask; a nan
     # propagates through both and fails
-    if arr.size and not (_passes(arr.min(), sign) and math.isfinite(arr.max())):
+    if arr.size and not (_passes(np.minimum.reduce(arr, None), sign) and math.isfinite(np.maximum.reduce(arr, None))):
         # the mask names the first offending entry, which keeps the message on one line
         ok = np.isfinite(arr) if sign is None else np.isfinite(arr) & sign(arr, 0.0)
         i = int(np.flatnonzero(~ok)[0])

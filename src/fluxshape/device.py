@@ -28,13 +28,7 @@ import numpy as np
 
 from fluxshape._checks import at_most, finite, integer, nonnegative, positive, samples
 from fluxshape.pulse import HarmonicPulse
-from fluxshape.rcline import (
-    RCLine,
-    _decay,
-    _eval_waveform,
-    capacitor_voltage,
-    square_pulse_flux_transient,
-)
+from fluxshape.rcline import RCLine, _decay, _eval_waveform, _square_tail, capacitor_voltage
 
 __all__ = [
     "CouplerDevice",
@@ -88,10 +82,16 @@ def coupler_frequency(phi, device: CouplerDevice):
     flux map hold bit-for-bit whenever the shifted arguments are themselves
     representable.
     """
-    r = np.mod(np.abs(np.asarray(phi, dtype=float)), 1.0)
-    r = np.where(r > 0.5, 1.0 - r, r)
-    out = device.omega_max * np.sqrt(np.where(r == 0.5, 0.0, np.maximum(np.cos(np.pi * r), 0.0)))
-    return float(out) if out.ndim == 0 else out
+    # in place on a copy; fmod is np.mod for r >= 0, and faster
+    r = np.fmod(np.abs(np.array(phi, dtype=float, ndmin=1)), 1.0)
+    # 1 - r is exact for r >= 1/2, the only side the minimum takes it from
+    np.minimum(r, np.subtract(1.0, r), out=r)
+    half = r == 0.5
+    # cos(pi * r) > 0 for r < 1/2, so only half a flux quantum needs its zero
+    np.cos(np.multiply(r, np.pi, out=r), out=r)
+    r[half] = 0.0
+    np.multiply(np.sqrt(r, out=r), device.omega_max, out=r)
+    return float(r[0]) if np.ndim(phi) == 0 else r
 
 
 def dressed_qubit_frequency(phi, device: CouplerDevice):
@@ -101,15 +101,19 @@ def dressed_qubit_frequency(phi, device: CouplerDevice):
     excursion: the lower branch when omega_q <= omega_max, else the upper.
     For g = 0 the qubit decouples and the bare omega_q is returned.
     """
-    wc = np.asarray(coupler_frequency(phi, device), dtype=float)
+    out = coupler_frequency(np.atleast_1d(phi), device)  # a new array
     if device.g == 0.0:
-        out = np.full(wc.shape, device.omega_q)
+        out.fill(device.omega_q)
     else:
-        delta = device.omega_q - wc
-        bend = np.sqrt(0.25 * delta * delta + device.g * device.g)
-        branch = -1.0 if device.omega_q <= device.omega_max else 1.0
-        out = 0.5 * (device.omega_q + wc) + branch * bend
-    return float(out) if out.ndim == 0 else out
+        # 0.25 * delta * delta + g**2, in that order, under the square root
+        bend = np.subtract(device.omega_q, out)
+        bend *= 0.25 * bend
+        bend += device.g * device.g
+        out += device.omega_q
+        out *= 0.5
+        branch = np.subtract if device.omega_q <= device.omega_max else np.add
+        branch(out, np.sqrt(bend, out=bend), out=out)
+    return float(out[0]) if np.ndim(phi) == 0 else out
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,8 +135,10 @@ class RamseyConfig:
     def __post_init__(self):
         # a copy, so that the caller's array cannot change the frozen config
         grid = np.array(samples("delay_grid", self.delay_grid, 2, increasing=True))
-        # the grid increases, so its first entry is its least
-        nonnegative("delay_grid", grid[:1])
+        # the grid increases, so its first entry is its least; the array check
+        # only words the refusal
+        if grid.item(0) < 0.0:
+            nonnegative("delay_grid", grid[:1])
         grid.flags.writeable = False
         object.__setattr__(self, "tau_pulse", positive("tau_pulse", self.tau_pulse))
         object.__setattr__(self, "delay_grid", grid)
@@ -152,13 +158,19 @@ def ramsey_phase(device: CouplerDevice, flux_waveform, config: RamseyConfig) -> 
     point prepended.  A grid that starts at zero then opens with an empty
     segment, and the ``+ 0.0`` turns the -0.0 that it can sum to into 0.0.
     """
-    pts = np.concatenate([[0.0], config.delay_grid])
-    flux = _eval_waveform(flux_waveform, config.tau_pulse + pts)
+    t = np.empty(config.delay_grid.size + 1)
+    t[0], t[1:] = 0.0, config.delay_grid
+    phase = t[1:] - t[:-1]  # the trapezoid steps, then the segments
+    t += config.tau_pulse
     # the idle point rides along as the last entry of the one evaluation
-    freq = dressed_qubit_frequency(np.append(flux, device.phi_idle), device)
-    detuning = freq[:-1] - freq[-1]
-    segments = 0.5 * (detuning[1:] + detuning[:-1]) * np.diff(pts)
-    return np.cumsum(segments) + 0.0
+    flux = np.empty(t.size + 1)
+    flux[:-1], flux[-1] = _eval_waveform(flux_waveform, t), device.phi_idle
+    detuning = dressed_qubit_frequency(flux, device)
+    detuning[:-1] -= detuning[-1]
+    phase *= 0.5 * (detuning[1:-1] + detuning[:-2])
+    np.add.accumulate(phase, out=phase)  # np.cumsum, without its wrapper
+    phase += 0.0
+    return phase
 
 
 def simulate_ramsey(device: CouplerDevice, flux_waveform, config: RamseyConfig):
@@ -170,30 +182,37 @@ def simulate_ramsey(device: CouplerDevice, flux_waveform, config: RamseyConfig):
     so a fixed seed reproduces traces bit-for-bit.
     """
     phase = ramsey_phase(device, flux_waveform, config)
-    delays = config.delay_grid
-    env = np.exp(-delays / config.t2) if config.t2 is not None else np.ones(delays.shape)
-    x = env * np.cos(phase)
-    y = env * np.sin(phase)
+    xy = np.empty((2, phase.size))
+    np.cos(phase, out=xy[0])
+    np.sin(phase, out=xy[1])
+    if config.t2 is not None:
+        # -d/t2 is d/-t2 bit for bit
+        env = np.divide(config.delay_grid, -config.t2)
+        xy *= np.exp(env, out=env)
     sigma = config.readout_noise_sigma
     if sigma:
-        rng = np.random.default_rng(config.rng_seed)
-        x = x + rng.normal(0.0, sigma, delays.size)
-        y = y + rng.normal(0.0, sigma, delays.size)
-    return x, y
+        # one draw fills the X row, then the Y row
+        xy += np.random.default_rng(config.rng_seed).normal(0.0, sigma, xy.shape)
+    return xy[0], xy[1]
 
 
 def _pulse_then_tail(period: float, phi_idle: float, during, tail):
     """Flux ``phi_idle``, plus ``during(t)`` on [0, period) and ``tail(t - period)`` after; scalar or array in, same out."""
 
     def waveform(t):
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.full(t_arr.shape, phi_idle)
-        inside = (t_arr >= 0.0) & (t_arr < period)
-        if np.any(inside):
-            out[inside] += during(t_arr[inside])
-        after = t_arr >= period
-        if np.any(after):
-            out[after] += tail(t_arr[after] - period)
+        t = finite("t", np.asarray(t))
+        t_arr = np.atleast_1d(t)
+        if t_arr.size and np.minimum.reduce(t_arr, None) >= period:
+            # every time past the pulse, as each Ramsey delay is: no masks
+            out = tail(t_arr - period) + phi_idle
+        else:
+            out = np.full(t_arr.shape, phi_idle)
+            inside = (t_arr >= 0.0) & (t_arr < period)
+            if np.any(inside):
+                out[inside] += during(t_arr[inside])
+            after = t_arr >= period
+            if np.any(after):
+                out[after] += tail(t_arr[after] - period)
         return float(out[0]) if np.ndim(t) == 0 else out
 
     return waveform
@@ -231,5 +250,5 @@ def square_transient_waveform(amplitude: float, tau_pulse: float, tau: float, ph
     return _pulse_then_tail(
         tau_pulse, finite("phi_idle", phi_idle),
         lambda t: amplitude * np.exp(-t / tau),
-        lambda s: square_pulse_flux_transient(amplitude, tau_pulse, tau, s),
+        lambda s: _square_tail(amplitude, tau_pulse, tau, s),
     )

@@ -66,16 +66,18 @@ def unwrap_phase(x, y) -> np.ndarray:
 def _quadratures(x, y):
     x = samples("x", np.atleast_1d(x))
     y = samples("y", np.atleast_1d(y), size=x.size)
-    if np.any(x * x + y * y < _QUADRATURE_FLOOR):
+    if (x * x + y * y < _QUADRATURE_FLOOR).any():
         raise ValueError("quadrature magnitude too small to define a phase")
     return x, y
 
 
 def _unwrap(x, y):
-    raw = np.arctan2(y, x)
-    d = np.diff(raw)
-    d -= 2.0 * np.pi * np.round(d / (2.0 * np.pi))
-    return np.concatenate([[raw[0]], raw[0] + np.cumsum(d)])
+    out = np.arctan2(y, x)
+    d = out[1:] - out[:-1]
+    d -= 2.0 * np.pi * np.rint(d / (2.0 * np.pi))  # rint is np.round at zero decimals
+    np.add.accumulate(d, out=out[1:])
+    out[1:] += out[0]
+    return out
 
 
 def savgol_smooth(series, window_points: int, poly_order: int) -> np.ndarray:
@@ -191,11 +193,17 @@ def _to_flux(shifts, device: CouplerDevice, phi_idle):
             f"[{(f_min - idle) / (2.0 * np.pi):.6g}, {(f_max - idle) / (2.0 * np.pi):.6g}] Hz from the idle point"
         )
 
-    omega_c = target - device.g * device.g / (target - device.omega_q)
-    arc = np.arccos(np.clip((omega_c / device.omega_max) ** 2, 0.0, 1.0)) / np.pi
+    # omega_c = target - g**2/(target - omega_q), then the arc, in place; the
+    # square is never negative, so only its top needs clipping
+    arc = np.subtract(target, device.omega_q)
+    np.divide(device.g * device.g, arc, out=arc)
+    np.subtract(target, arc, out=arc)
+    arc /= device.omega_max
+    np.arccos(np.minimum(np.square(arc, out=arc), 1.0, out=arc), out=arc)
+    arc /= np.pi
     # the flux map peaks at integer flux: it rises out of hi_edge on an odd
     # half-period and out of lo_edge on an even one
-    return lo_edge + arc if half % 2 == 0 else hi_edge - arc
+    return np.add(lo_edge, arc, out=arc) if half % 2 == 0 else np.subtract(hi_edge, arc, out=arc)
 
 
 @dataclass(frozen=True)
@@ -363,7 +371,8 @@ def run_pipeline(
     flux = _run_stage(stages, "flux-inversion", lambda: _to_flux(freq, device, phi_idle))
     delays = np.arange(phase.size) * dt
     fit = _run_stage(stages, "fit", lambda: _fit(flux, finite("delays", delays), tau_pulse))
-    acquired = float(phase[-1] - np.mean(phase[:3]))
+    # np.mean's sum and division, without its wrapper
+    acquired = float(phase[-1] - np.add.reduce(phase[:3]) / 3)
     return PipelineResult(phase, freq, flux, fit, acquired, tuple(stages))
 
 

@@ -211,6 +211,16 @@ def square_pulse_flux_transient(amplitude, tau_pulse: float, tau: float, t_delay
     amplitude = finite("amplitude", amplitude)
     tau_pulse = positive("tau_pulse", tau_pulse)
     tau = positive("tau", tau)
-    td = nonnegative("t_delay", np.asarray(t_delay))
-    out = np.asarray(amplitude * (-np.exp(-td / tau) + np.exp(-(td + tau_pulse) / tau)))
+    out = _square_tail(amplitude, tau_pulse, tau, nonnegative("t_delay", np.asarray(t_delay)))
     return float(out) if out.ndim == 0 else out
+
+
+def _square_tail(amplitude: float, tau_pulse: float, tau: float, t_delay) -> np.ndarray:
+    """:func:`square_pulse_flux_transient` on checked values, in one array shaped like ``t_delay``."""
+    # -x/tau is x/-tau bit for bit, and -e1 + e2 is e2 - e1
+    out = np.add(t_delay, tau_pulse, out=np.empty(np.shape(t_delay)))
+    out /= -tau
+    np.exp(out, out=out)
+    out -= np.exp(np.divide(t_delay, -tau))
+    out *= amplitude
+    return out

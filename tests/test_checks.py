@@ -62,9 +62,13 @@ def test_scalar_rejections_name_the_field(value, shown):
     ],
 )
 def test_bools_are_refused_as_numbers(check, value, shown):
-    # a JSON true would otherwise pass for 1.0; numeric strings still pass
+    # a JSON true would otherwise pass for 1.0; numeric strings still pass.
+    # A scalar's message quotes it whole, a sequence's its first bool and that
+    # entry's index
+    first_bool = {"[True, True]": "True at index 0", "[1.0, True]": "True at index 1", "[0.3, True]": "True at index 1",
+                  "(2.0, False)": "False at index 1", "[False]": "False at index 0"}
     rule = {positive: "positive and finite", nonnegative: "non-negative and finite"}.get(check, "finite")
-    with pytest.raises(ValueError, match="^" + re.escape(f"x must be {rule}, got {shown}") + "$"):
+    with pytest.raises(ValueError, match="^" + re.escape(f"x must be {rule}, got {first_bool.get(shown, shown)}") + "$"):
         check("x", value)
     assert samples("x", ["1.5", 2]).tolist() == [1.5, 2.0]
 
@@ -93,10 +97,19 @@ def test_array_rejections_name_the_first_bad_entry_on_one_line():
         positive("f_hz", values)
     with pytest.raises(ValueError, match=r"^f_hz must be finite, got nan at index 5000$"):
         finite("f_hz", values)
-    with pytest.raises(ValueError, match=r"^a must be finite, got \['x'\]$"):
+    # an entry that is no number is quoted alone, at its flat index, however
+    # long the sequence
+    with pytest.raises(ValueError, match=r"^a must be finite, got 'x' at index 0$"):
         finite("a", np.asarray(["x"]))
-    with pytest.raises(ValueError, match=r"^a must be finite, got \[1.0, \[1\]\]$"):
+    with pytest.raises(ValueError, match=r"^a must be finite, got \[1\] at index 1$"):
         finite("a", np.asarray([1.0, [1]], dtype=object))
+    with pytest.raises(ValueError, match=r"^a must be finite, got 'x' at index 99999$"):
+        samples("a", [0.1] * 99_999 + ["x"])
+    with pytest.raises(ValueError, match=r"^a must be finite, got 'y' at index 4$"):
+        finite("a", np.array([["1.5", "2"], ["3", "4"], ["y", "z"]]))
+    # an integer no float can hold is refused, not an OverflowError
+    with pytest.raises(ValueError, match=r"^a must be finite, got 9{400} at index 1$"):
+        samples("a", [1.0, int("9" * 400)])
 
 
 def test_integers_come_back_as_ints():
@@ -179,8 +192,10 @@ def test_array_checks_match_the_per_entry_mask():
             values = np.nan_to_num(values) > 1.0
         for check, rule, sign in rules:
             if kind == 2:
-                # a bool array is not numbers: it is refused whole, as a string array is
-                assert _outcome(check, "x", values) == f"x must be {rule}, got {values.tolist()!r}"
+                # a bool array is not numbers: it is refused at its first
+                # entry, or whole when it has none
+                shown = f"{values.flat[0].item()!r} at index 0" if values.size else repr(values.tolist())
+                assert _outcome(check, "x", values) == f"x must be {rule}, got {shown}"
             else:
                 assert _outcome(check, "x", values) == _outcome(_masked_check, "x", values, rule, sign), (values, rule)
 
@@ -194,9 +209,9 @@ def test_samples_come_back_as_one_dimensional_float_arrays():
     # a 0-d value is not a sequence of samples
     with pytest.raises(ValueError, match=r"^t must be 1-D, got shape \(\)$"):
         samples("t", np.float64(1.0))
-    with pytest.raises(ValueError, match=r"^t must be finite, got \[1.0, \[1\]\]$"):
+    with pytest.raises(ValueError, match=r"^t must be finite, got \[1\] at index 1$"):
         samples("t", [1.0, [1]])
-    with pytest.raises(ValueError, match=r"^t must be finite, got \['x'\]$"):
+    with pytest.raises(ValueError, match=r"^t must be finite, got 'x' at index 0$"):
         samples("t", ["x"])
     # a decrease and a repeat are both refused, at the first fault
     with pytest.raises(ValueError, match=r"^t must be strictly increasing, got 0.5 after 1.0 at index 2$"):

@@ -531,7 +531,7 @@ _DEVICE_SQUARE_ARGS = [
         "load-nan", "device-string", "pulse-coefficient-string", "noise-sigma-negative", "chain-kind-list",
         "n-points-past-float", "n-periods-past-float", "n-periods-zero", "seed-negative", "seed-env-negative",
         "sg-window-even", "sg-window-two", "sg-order-zero", "sg-order-at-window",
-        "request-b1-bool", "line-r-bool", "pulse-coefficient-bool",
+        "request-b1-bool", "line-r-bool", "pulse-coefficient-bool", "pulse-coefficient-past-float",
     ],
 )
 def test_cli_names_the_bad_field(tmp_path, capsys, monkeypatch, case):
@@ -552,6 +552,10 @@ def test_cli_names_the_bad_field(tmp_path, capsys, monkeypatch, case):
     elif case == "pulse-coefficient-bool":
         pulse = _write_json(tmp_path, "p.json", {"tau_pulse_s": 8e-6, "a": [0.3], "b": [True]})
         argv, name = ["kexp", "--pulse", pulse, "--tau-us", "11.2"], "b"
+    elif case == "pulse-coefficient-past-float":
+        # an integer entry no float can hold used to end in an OverflowError traceback
+        pulse = _write_json(tmp_path, "p.json", {"tau_pulse_s": 8e-6, "a": [int("9" * 400)], "b": [1.0]})
+        argv, name = ["kexp", "--pulse", pulse, "--tau-us", "11.2"], "a"
     elif case == "chain-r-list":
         chain = _write_json(tmp_path, "c.json", [{"kind": "series_resistor", "r_ohms": [1]}])
         argv, name = ["impedance", "--chain", chain], "series_resistor.r_ohms"
@@ -597,6 +601,19 @@ def test_cli_names_the_bad_field(tmp_path, capsys, monkeypatch, case):
         pulse = _write_json(tmp_path, "p.json", {"tau_pulse_s": 8e-6, "a": ["x"], "b": [1.0]})
         argv, name = ["kexp", "--pulse", pulse, "--tau-us", "11.2"], "a"
     _assert_named_rejection(capsys, main([*argv, "--out-dir", str(out)]), out, name)
+
+
+def test_kexp_quotes_one_bad_coefficient_of_a_long_pulse_record(tmp_path, capsys):
+    # the refusal names the entry and its index instead of echoing all
+    # 100 000 coefficients (a 500 030-byte line before)
+    out = tmp_path / "out"
+    pulse = _write_json(tmp_path, "p.json", {"tau_pulse_s": 8e-6, "a": [0.1] * 99_999 + ["x"], "b": [0.0] * 100_000})
+    rc = main(["kexp", "--pulse", pulse, "--tau-us", "11.2", "--out-dir", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "error: a must be finite, got 'x' at index 99999\n"
+    assert err.count("\n") == 1 and len(err.encode()) < 200
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

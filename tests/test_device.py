@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from fluxshape import (
     CouplerDevice,
+    HarmonicPulse,
     RamseyConfig,
     coupler_frequency,
     dressed_qubit_frequency,
@@ -294,3 +295,166 @@ def test_pulse_flux_waveform_pieces(device):
     assert abs(left - right) < 1e-12
     arr = waveform(np.array([t_mid, t_after]))
     assert arr[0] == waveform(t_mid)
+
+
+@pytest.mark.parametrize("factory", ["square", "pulse"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_waveforms_refuse_a_time_that_is_not_finite(device, factory, bad):
+    # a non-finite time used to come back as the idle flux, or to be refused
+    # as t_delay, a field of the tail's own function
+    if factory == "square":
+        waveform = square_transient_waveform(5e-4, 8e-6, 13e-6, device.phi_idle)
+    else:
+        waveform = pulse_flux_waveform(HarmonicPulse(8e-6, a=(0.0,), b=(1.0,)), line_with_tau(11.2e-6), device)
+    with pytest.raises(ValueError, match=rf"^t must be finite, got {bad!r}$"):
+        waveform(bad)
+    with pytest.raises(ValueError, match=rf"^t must be finite, got {bad!r} at index 1$"):
+        waveform(np.array([1e-5, bad, 2e-5]))
+    # ramsey_phase evaluates the waveform at tau_pulse + delay, which overflows here
+    config = RamseyConfig(tau_pulse=1e308, delay_grid=[0.0, 1e308])
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match=r"^t must be finite, got inf$"):
+        ramsey_phase(device, waveform, config)
+
+
+# The allocating, masked forms that the in-place kernels of coupler_frequency,
+# dressed_qubit_frequency, the waveforms, ramsey_phase and simulate_ramsey
+# replaced: every output must match them bit for bit, signed zeros included
+
+
+def _reference_coupler_frequency(phi, device):
+    r = np.mod(np.abs(np.asarray(phi, dtype=float)), 1.0)
+    r = np.where(r > 0.5, 1.0 - r, r)
+    out = device.omega_max * np.sqrt(np.where(r == 0.5, 0.0, np.maximum(np.cos(np.pi * r), 0.0)))
+    return float(out) if out.ndim == 0 else out
+
+
+def _reference_dressed(phi, device):
+    wc = np.asarray(_reference_coupler_frequency(phi, device), dtype=float)
+    if device.g == 0.0:
+        out = np.full(wc.shape, device.omega_q)
+    else:
+        delta = device.omega_q - wc
+        bend = np.sqrt(0.25 * delta * delta + device.g * device.g)
+        branch = -1.0 if device.omega_q <= device.omega_max else 1.0
+        out = 0.5 * (device.omega_q + wc) + branch * bend
+    return float(out) if out.ndim == 0 else out
+
+
+def _reference_pulse_then_tail(period, phi_idle, during, tail):
+    def waveform(t):
+        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+        out = np.full(t_arr.shape, phi_idle)
+        inside = (t_arr >= 0.0) & (t_arr < period)
+        if np.any(inside):
+            out[inside] += during(t_arr[inside])
+        after = t_arr >= period
+        if np.any(after):
+            out[after] += tail(t_arr[after] - period)
+        return float(out[0]) if np.ndim(t) == 0 else out
+
+    return waveform
+
+
+def _reference_ramsey_phase(device, waveform, config):
+    pts = np.concatenate([[0.0], config.delay_grid])
+    flux = np.asarray(waveform(config.tau_pulse + pts), dtype=float)
+    freq = _reference_dressed(np.append(flux, device.phi_idle), device)
+    detuning = freq[:-1] - freq[-1]
+    return np.cumsum(0.5 * (detuning[1:] + detuning[:-1]) * np.diff(pts)) + 0.0
+
+
+def _reference_simulate_ramsey(device, waveform, config):
+    phase = _reference_ramsey_phase(device, waveform, config)
+    delays = config.delay_grid
+    env = np.exp(-delays / config.t2) if config.t2 is not None else np.ones(delays.shape)
+    x, y = env * np.cos(phase), env * np.sin(phase)
+    if config.readout_noise_sigma:
+        rng = np.random.default_rng(config.rng_seed)
+        x = x + rng.normal(0.0, config.readout_noise_sigma, delays.size)
+        y = y + rng.normal(0.0, config.readout_noise_sigma, delays.size)
+    return x, y
+
+
+def _assert_same_bits(got, want):
+    assert type(got) is type(want)
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _devices(device):
+    above = CouplerDevice(1.02 * device.omega_max, device.omega_max, device.g, device.flux_per_volt, device.phi_idle)
+    uncoupled = CouplerDevice(device.omega_q, device.omega_max, 0.0, device.flux_per_volt, device.phi_idle)
+    return device, above, uncoupled
+
+
+def test_flux_maps_match_their_reference_forms_bit_for_bit(device):
+    rng = np.random.default_rng(25)
+    # exact integers and half-integers of both signs, the values next to a
+    # half, negative flux and a random spread
+    special = [0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 1.5, -2.5, 3.0, 0.25, -0.75, device.phi_idle]
+    near_half = [np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0), np.nextafter(-0.5, 0.0), np.nextafter(1.5, 2.0)]
+    phi = np.concatenate([special, near_half, rng.uniform(-3.0, 3.0, 998), rng.uniform(-1e-3, 1e-3, 50)])
+    for dev in _devices(device):
+        for fn, ref in ((coupler_frequency, _reference_coupler_frequency), (dressed_qubit_frequency, _reference_dressed)):
+            _assert_same_bits(fn(phi, dev), ref(phi, dev))
+            _assert_same_bits(fn(phi.reshape(-1, 8), dev), ref(phi.reshape(-1, 8), dev))
+            for value in [*special, *near_half, np.float64(0.3), np.asarray(-0.2)]:
+                _assert_same_bits(fn(value, dev), ref(value, dev))
+            kept = phi.copy()
+            fn(phi, dev)
+            assert np.array_equal(phi, kept)  # the caller's array is left alone
+
+
+def test_waveforms_match_their_reference_forms_bit_for_bit(device):
+    rng = np.random.default_rng(26)
+    period = 8e-6
+    line = line_with_tau(11.2e-6)
+    pulse = solve_biharmonic(1.0, 2.0 * math.pi / period, 11.2e-6)
+    amp, tau = -5e-4, 13e-6
+    v_c_end = capacitor_voltage(pulse, line, period)
+    fpv = device.flux_per_volt
+    cases = [
+        (square_transient_waveform(amp, period, tau, device.phi_idle),
+         _reference_pulse_then_tail(
+             period, device.phi_idle, lambda t: amp * np.exp(-t / tau),
+             lambda s: amp * (-np.exp(-s / tau) + np.exp(-(s + period) / tau)))),
+        (pulse_flux_waveform(pulse, line, device),
+         _reference_pulse_then_tail(
+             period, device.phi_idle, lambda t: fpv * (pulse.evaluate(t) - capacitor_voltage(pulse, line, t)),
+             lambda s: -fpv * v_c_end * np.exp(-s / line.tau))),
+    ]
+    # before, during and after the pulse, the edges, and grids all past it
+    edges = np.array([-1e-6, -0.0, 0.0, 1e-12, period / 2, np.nextafter(period, 0.0), period, period + 1e-12])
+    grids = [
+        edges,
+        np.concatenate([edges, rng.uniform(-2e-6, 70e-6, 500)]),
+        period + np.arange(241) * 0.25e-6,
+        period + np.sort(rng.uniform(0.0, 60e-6, 97)),
+        np.array([period]),
+        np.array([]),
+    ]
+    for waveform, reference in cases:
+        for t in grids:
+            _assert_same_bits(waveform(t), reference(t))
+        for t in [*edges, 30e-6, np.float64(9e-6), np.asarray(2e-6)]:
+            _assert_same_bits(waveform(t), reference(t))
+
+
+def test_simulate_ramsey_matches_its_reference_form_bit_for_bit(device):
+    rng = np.random.default_rng(27)
+    waveforms = [
+        square_transient_waveform(5e-4, 8e-6, 13e-6, device.phi_idle),
+        square_transient_waveform(-5e-4, 8e-6, 5e-6, device.phi_idle),
+        pulse_flux_waveform(HarmonicPulse(8e-6, a=(0.0,), b=(1.0,)), line_with_tau(11.2e-6), device),
+        lambda t: np.full(np.shape(t), device.phi_idle),
+    ]
+    grids = [np.arange(241) * 0.25e-6, np.arange(961) * 0.0625e-6, np.sort(rng.uniform(0.0, 60e-6, 50)), [1e-6, 3e-6]]
+    for dev in _devices(device):
+        for waveform in waveforms:
+            for grid in grids:
+                for t2, sigma in ((None, None), (75e-6, None), (75e-6, 0.0), (None, 0.05), (75e-6, 0.05)):
+                    config = RamseyConfig(8e-6, grid, t2=t2, readout_noise_sigma=sigma, rng_seed=int(rng.integers(2**31)))
+                    _assert_same_bits(ramsey_phase(dev, waveform, config), _reference_ramsey_phase(dev, waveform, config))
+                    for got, want in zip(simulate_ramsey(dev, waveform, config), _reference_simulate_ramsey(dev, waveform, config)):
+                        _assert_same_bits(got, want)

@@ -224,7 +224,7 @@ def test_sweep_input_impedance_validation():
         sweep_input_impedance(chain, 0.0, [[1e6]])
     # the fit sweeps before it converts the grid, so both name the field
     for sweep in (sweep_input_impedance, sweep_and_fit_rc):
-        with pytest.raises(ValueError, match=r"^f_grid must be finite, got \['x'\]$"):
+        with pytest.raises(ValueError, match=r"^f_grid must be finite, got 'x' at index 0$"):
             sweep(default_flux_chain(), 0.0, ["x"])
 
 
