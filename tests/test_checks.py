@@ -264,6 +264,11 @@ _REFUSALS = [
         "t_grid must be strictly increasing, got 1e-07 after 1e-07 at index 2",
     ),
     (
+        "oracle-not-uniform",
+        lambda tmp: integrate_line_response(_STEP, _LINE, [0.0, 1e-7, 3e-7]),
+        "t_grid must be uniformly spaced, got steps from 1e-07 to 2e-07",
+    ),
+    (
         "square-transient-negative",
         lambda tmp: square_pulse_flux_transient(1.0, 8e-6, 1.3e-5, [0.0, -1e-6]),
         "t_delay must be non-negative and finite, got -1e-06 at index 1",
