@@ -22,6 +22,7 @@ forward model inverted by :mod:`fluxshape.extraction`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,7 +141,14 @@ class RamseyConfig:
         if grid.item(0) < 0.0:
             nonnegative("delay_grid", grid[:1])
         grid.flags.writeable = False
-        object.__setattr__(self, "tau_pulse", positive("tau_pulse", self.tau_pulse))
+        tau_pulse = positive("tau_pulse", self.tau_pulse)
+        # the waveform is read at tau_pulse + delay, and the last delay is the largest
+        if not math.isfinite(tau_pulse + grid.item(-1)):
+            raise ValueError(
+                f"delay_grid must keep tau_pulse + delay finite, got {grid.item(-1)!r} at index {grid.size - 1}"
+                f" with tau_pulse {tau_pulse!r}"
+            )
+        object.__setattr__(self, "tau_pulse", tau_pulse)
         object.__setattr__(self, "delay_grid", grid)
         object.__setattr__(self, "t2", None if self.t2 is None else positive("t2", self.t2))
         sigma = self.readout_noise_sigma

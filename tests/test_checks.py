@@ -292,6 +292,11 @@ _REFUSALS = [
     ),
     ("ramsey-nan", lambda tmp: RamseyConfig(8e-6, [0.0, math.nan]), "delay_grid must be finite, got nan at index 1"),
     (
+        "ramsey-overflowing-delay",
+        lambda tmp: RamseyConfig(1e308, [0.0, 1e308]),
+        "delay_grid must keep tau_pulse + delay finite, got 1e+308 at index 1 with tau_pulse 1e+308",
+    ),
+    (
         "ramsey-negative-sigma",
         lambda tmp: RamseyConfig(8e-6, [0.0, 1e-6], readout_noise_sigma=-0.1),
         "readout_noise_sigma must be non-negative and finite, got -0.1",

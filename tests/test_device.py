@@ -297,6 +297,9 @@ def test_pulse_flux_waveform_pieces(device):
     assert arr[0] == waveform(t_mid)
 
 
+_OVERFLOWING_DELAY = r"^delay_grid must keep tau_pulse \+ delay finite, got 1e\+308 at index \d+ with tau_pulse 1e\+308$"
+
+
 @pytest.mark.parametrize("factory", ["square", "pulse"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_waveforms_refuse_a_time_that_is_not_finite(device, factory, bad):
@@ -310,10 +313,29 @@ def test_waveforms_refuse_a_time_that_is_not_finite(device, factory, bad):
         waveform(bad)
     with pytest.raises(ValueError, match=rf"^t must be finite, got {bad!r} at index 1$"):
         waveform(np.array([1e-5, bad, 2e-5]))
-    # ramsey_phase evaluates the waveform at tau_pulse + delay, which overflows here
-    config = RamseyConfig(tau_pulse=1e308, delay_grid=[0.0, 1e308])
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match=r"^t must be finite, got inf$"):
-        ramsey_phase(device, waveform, config)
+    # ramsey_phase evaluates the waveform at tau_pulse + delay, which would
+    # overflow here: the config refuses the grid
+    with pytest.raises(ValueError, match=_OVERFLOWING_DELAY):
+        RamseyConfig(tau_pulse=1e308, delay_grid=[0.0, 1e308])
+
+
+def test_ramsey_refuses_an_overflowing_delay_before_any_waveform_call(device):
+    # tau_pulse + delay overflows from about index 800 on: the grid is refused
+    # at the boundary, so no waveform call is made, where the per-point
+    # fallback of the waveform evaluation used to make 800 of them first
+    calls = []
+    waveform = square_transient_waveform(5e-4, 8e-6, 13e-6, device.phi_idle)
+
+    def counting(t):
+        calls.append(np.size(t))
+        return waveform(t)
+
+    with pytest.raises(ValueError, match=_OVERFLOWING_DELAY):
+        ramsey_phase(device, counting, RamseyConfig(tau_pulse=1e308, delay_grid=np.linspace(0.0, 1e308, 1000)))
+    assert calls == []
+    # a grid whose last time stays finite is taken
+    config = RamseyConfig(tau_pulse=8e-6, delay_grid=[0.0, 1e308])
+    assert config.delay_grid[-1] == 1e308
 
 
 # The allocating, masked forms that the in-place kernels of coupler_frequency,

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from fluxshape import HarmonicPulse, transient_coefficient
-from fluxshape.pulse import _BLOCK, _fourier_sum
+from fluxshape.pulse import _BLOCK, _GRID_MIN, _ROW, _fourier_sum, _grid_sum
 
 
 def test_validation():
@@ -239,6 +239,106 @@ def test_fourier_sum_half_angle_agrees_with_cos_sin():
         c, s = rng.uniform(-1, 1, n_harm), rng.uniform(-1, 1, n_harm)
         bound = 8 * eps * np.sum(np.abs(c) + np.abs(s))
         assert np.max(np.abs(_fourier_sum(t, omega, c, s) - _cos_sin_fourier_sum(t, omega, c, s))) <= bound
+
+
+def _uniform_grid(kind, n_points, span):
+    """The uniform grids the package and its callers make, ``n_points`` long and about ``span`` wide."""
+    if kind == "linspace":
+        return np.linspace(0.0, span, n_points)
+    if kind == "linspace-offset":
+        return np.linspace(-0.3 * span, 0.7 * span, n_points)
+    if kind == "arange":
+        return np.arange(n_points) * (span / n_points)
+    if kind == "arange-offset":
+        return np.arange(n_points) * (span / n_points) - 0.25 * span
+    # the RK4 oracle's midpoints: the steps of a linspace grid, halved in
+    # place and added to the nodes they start from
+    nodes = np.linspace(0.0, span, n_points + 1)
+    mid = np.diff(nodes)
+    mid *= 0.5
+    mid += nodes[:-1]
+    return mid
+
+
+def _long_double_fourier_sum(t, omega, c, s):
+    """The explicit sum in ``np.longdouble`` at the float times ``t``, in slices that keep memory small."""
+    ld = np.longdouble
+    n = np.arange(1, c.size + 1).astype(ld)
+    out = np.empty(t.size, dtype=ld)
+    for start in range(0, t.size, 8192):
+        theta = np.multiply.outer(t[start : start + 8192].astype(ld), n) * ld(omega)
+        out[start : start + 8192] = (c.astype(ld) * np.cos(theta) + s.astype(ld) * np.sin(theta)).sum(axis=-1)
+    return out
+
+
+@pytest.mark.parametrize("n_points", [_GRID_MIN, _GRID_MIN + 1, 20 * _ROW - 1, 20 * _ROW, 20 * _ROW + 1, 200_001])
+@pytest.mark.parametrize("kind", ["linspace", "linspace-offset", "arange", "arange-offset", "midpoints"])
+def test_fourier_sum_matrix_path_matches_a_long_double_sum(kind, n_points):
+    # grids at the threshold, at the row edges and at 200 001 points take the
+    # matrix path on every whole row; the sum, the leftover's Horner points
+    # included, stays within 2 eps N (1 + max|w t|) sum(|c_n| + |s_n|) of a
+    # long-double sum at the grid's own float times, for N = 0, 1, 2, 9 and 16
+    if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
+        pytest.fail("np.longdouble has no extra precision on this platform, so it cannot serve as the reference")
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(n_points)
+    omega = 2.0 * math.pi / 8e-6
+    t = _uniform_grid(kind, n_points, float(rng.uniform(100.0, 2000.0)) / omega)
+    assert _grid_sum(t, 0.5 * omega, np.ones(1, dtype=complex), np.empty(t.size)) == n_points - n_points % _ROW
+    # every point up to about 16 000, else a stride through the grid; the last
+    # whole row and the leftover always
+    checked = np.union1d(np.arange(0, n_points, max(1, n_points // 16_384)), np.arange(n_points - 2 * _ROW, n_points))
+    for n_harm in (0, 1, 2, 9, 16):
+        c, s = rng.uniform(-1, 1, n_harm), rng.uniform(-1, 1, n_harm)
+        got = _fourier_sum(t, omega, c, s)
+        ref = _long_double_fourier_sum(t[checked], omega, c, s)
+        bound = 2.0 * eps * n_harm * (1.0 + np.max(np.abs(omega * t))) * np.sum(np.abs(c) + np.abs(s))
+        assert got.shape == t.shape
+        assert np.max(np.abs(got[checked] - ref), initial=0.0) <= bound, n_harm
+
+
+def _moved(t, index, ulps):
+    """``t`` with node ``index`` moved up by ``ulps`` ulp of the grid's larger end."""
+    t = t.copy()
+    t[index] += ulps * np.spacing(max(abs(t[0]), abs(t[-1])))
+    return t
+
+
+_GRID = np.linspace(-0.2e-4, 1.6e-4, 20 * _ROW + 7)
+_OMEGA = 2.0 * math.pi / 8e-6
+
+
+@pytest.mark.parametrize(
+    ("t", "omega"),
+    [
+        (_moved(_GRID, 10 * _ROW, 3), _OMEGA),  # the middle node, tested first
+        (_moved(_GRID, 3 * _ROW + 17, 3), _OMEGA),  # a node of a whole row
+        (_moved(_GRID, -3, -3), _OMEGA),  # a node of the leftover
+        (_GRID[: 20 * _ROW].reshape(20, _ROW), _OMEGA),  # 2-D
+        (np.asarray(_GRID[100]), _OMEGA),  # 0-d
+        (_GRID[: _GRID_MIN - 1], _OMEGA),  # a point short of the threshold
+        # a step that overflows, at phases that do not
+        ((np.arange(5000) - 2500) * 7e304, 1e-3),
+    ],
+    ids=["middle-node", "row-node", "leftover-node", "2-d", "0-d", "short", "overflowing-step"],
+)
+def test_fourier_sum_matrix_path_is_not_taken_off_a_uniform_1d_grid(t, omega):
+    # any input the matrix path cannot take is the Horner sum bit for bit
+    rng = np.random.default_rng(27)
+    for n_harm in (1, 2, 9):
+        c, s = rng.uniform(-1, 1, n_harm), rng.uniform(-1, 1, n_harm)
+        got = _fourier_sum(t, omega, c, s)
+        ref = np.asarray(_whole_array_fourier_sum(t, omega, c, s))
+        assert got.shape == t.shape
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+def test_fourier_sum_matrix_path_takes_a_grid_within_its_tolerance():
+    # a node moved by 1 ulp keeps the matrix path; by 3 ulp, the Horner path
+    d = np.array([0.3 - 1.0j, -0.2 + 0.5j])
+    for index in (10 * _ROW, 3 * _ROW + 17, -3):
+        assert _grid_sum(_moved(_GRID, index, 1), 0.5 * _OMEGA, d, np.empty(_GRID.size)) == 20 * _ROW
+        assert _grid_sum(_moved(_GRID, index, 3), 0.5 * _OMEGA, d, np.empty(_GRID.size)) == 0
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -500,9 +500,12 @@ def _traced_peak(fn):
 def test_long_grid_kernels_allocate_no_temporary_that_grows_with_the_grid():
     # peaks in grid-sized arrays at 200 001 points, whole-array kernels then
     # blocked ones: the Fourier sum 7 -> 1.3 (its result and the block
-    # buffers), closed forms 7 -> 2 (the result and the decaying tail, built
-    # in place), the oracle on pulse.evaluate 10 -> 5.1, then 3.3 with the
-    # midpoints in the steps' buffer and each buffer freed before the next
+    # buffers), then 1.09 on the matrix path (its result, which also holds
+    # the uniform-grid test, and row and column factors of a few kB), closed
+    # forms 7 -> 2 (the result and the decaying tail, built in place), the
+    # oracle on pulse.evaluate 10 -> 5.1, then 3.3 with the midpoints in the
+    # steps' buffer and each buffer freed before the next (3.27 on the
+    # matrix path)
     p = HarmonicPulse(8e-6, a0=0.1, a=(0.3, -0.2, 0.1), b=(1.0, 0.5, -0.3))
     line = line_with_tau(1.1e-5)
     t = np.linspace(0.0, 20 * p.tau_pulse, 200_001)
