@@ -27,6 +27,9 @@ paths.  A uniform 1-D grid of at least ``_GRID_MIN`` points (``np.linspace``,
 ``np.arange(n) * dt``, the RK4 oracle's midpoints) is one real matrix
 product of row and column factors; any other input (a scalar, a 2-D array, a
 short or non-uniform array) is summed by Horner's rule point by point.  The
+test for a uniform grid builds its ideal nodes ``T_r + k*step`` in the output
+buffer from one two-term matrix product and bounds their difference from the
+grid by its max and its min.  The
 two agree to the sum's rounding bound, not bit for bit, so only on the Horner
 path is a time's value the same in every array it is evaluated in.
 """
@@ -67,10 +70,14 @@ def _fourier_sum(t, omega: float, c: np.ndarray, s: np.ndarray) -> np.ndarray:
 
     * The matrix path takes a 1-D ``t`` of at least ``_GRID_MIN`` points
       whose every node lies within ``_GRID_ULP`` ulp of max(|t0|, |tn|) of
-      ``t0 + j*step``, ``step = (tn - t0)/(len(t) - 1)``; the test runs in
-      the output buffer.  The grid is cut into rows of ``_ROW`` points: node
-      j = r*_ROW + k sits at the row start ``T_r`` plus ``k*step``, so
-      ``z^n = exp(i n w T_r) exp(i n w k step)``, and the sum over the whole
+      ``t0 + j*step``, ``step = (tn - t0)/(len(t) - 1)``.  The grid is cut
+      into rows of ``_ROW`` points: node j = r*_ROW + k sits at the row
+      start ``T_r`` plus ``k*step``.  The test runs in the output buffer:
+      the nodes of the whole rows are ``[T_r, 1] @ [1; k*step]``, one matrix
+      product with two terms, so each is the correctly rounded sum ``T_r +
+      k*step``; the grid is subtracted, and the max and the min of the
+      differences are held to the tolerance, which also refuses a nan.  As
+      ``z^n = exp(i n w T_r) exp(i n w k step)``, the sum over the whole
       rows is one real matrix product of (rows x 2N) row factors, the real
       and imaginary parts of ``(c_n - i s_n) exp(i n w T_r)``, with (2N x
       _ROW) column factors: one tangent per row and per column, the powers
@@ -141,11 +148,12 @@ def _grid_sum(t, half_omega: float, d, out) -> int:
     leftover = np.abs(starts[-1] - back[:rest] - t[rows * _ROW :])
     if not (middle <= tolerance and np.all(leftover <= tolerance)):
         return 0
-    grid = out[: rows * _ROW].reshape(rows, _ROW)
-    np.subtract(starts[:rows, None], back, out=grid)
+    # the whole rows' nodes [T_r, 1] @ [1; k*step]: both products are exact,
+    # so each node is the correctly rounded sum T_r + k*step; a nan fails the max
+    ends = np.column_stack((starts[:rows], np.ones(rows)))
+    grid = np.matmul(ends, np.stack((np.ones(_ROW), -back)), out=out[: rows * _ROW].reshape(rows, _ROW))
     grid -= t[: rows * _ROW].reshape(rows, _ROW)
-    np.abs(grid, out=grid)
-    if not np.max(grid) <= tolerance:
+    if not (np.max(grid) <= tolerance and np.min(grid) >= -tolerance):
         return 0
     # rows: (c_n - i s_n) exp(i n w T_r); columns: exp(-i n w k step), the
     # conjugate, so that the interleaved real and imaginary parts of the two

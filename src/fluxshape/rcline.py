@@ -79,6 +79,14 @@ def _decay(t, tau: float, scale: float) -> np.ndarray:
     return out
 
 
+def _add_decay(out, t, tau: float, scale: float) -> None:
+    """``out += scale * exp(-t/tau)``, the tail made by :func:`_decay` one block of ``_BLOCK`` points at a time."""
+    # x + (-y) is x - y bit for bit, so a caller subtracts with -scale
+    flat, out = np.ravel(t), out.reshape(-1)
+    for start in range(0, flat.size, _BLOCK):
+        out[start : start + _BLOCK] += _decay(flat[start : start + _BLOCK], tau, scale)
+
+
 def capacitor_voltage(pulse: HarmonicPulse, line: RCLine, t):
     """Closed-form capacitor voltage for zero pre-history, valid for t >= 0."""
     _, c, s = pulse._filtered_harmonics(line.tau)
@@ -87,7 +95,7 @@ def capacitor_voltage(pulse: HarmonicPulse, line: RCLine, t):
     # the periodic steady state (the t >> tau limit) less the decaying tail
     out = _fourier_sum(t, pulse.omega, c, s)
     out += pulse.a0
-    out -= _decay(t, line.tau, k)
+    _add_decay(out, t, line.tau, -k)
     return float(out) if out.ndim == 0 else out
 
 
@@ -99,7 +107,7 @@ def line_current(pulse: HarmonicPulse, line: RCLine, t):
     # derivative of the steady state: w * sum_n n*(s_n cos - c_n sin), w in C*w
     out = _fourier_sum(t, pulse.omega, n * s, -(n * c))
     out *= line.capacitance * pulse.omega
-    out += _decay(t, line.tau, k / line.resistance)
+    _add_decay(out, t, line.tau, k / line.resistance)
     return float(out) if out.ndim == 0 else out
 
 
@@ -175,7 +183,8 @@ def integrate_line_response(v_in, line: RCLine, t_grid):
     within = _lower_toeplitz(powers[:-1]).T
     across = _lower_toeplitz(np.append(0.0, row_powers[:-1]))
     forced, scratch = np.empty((2, rows, _CHUNK))
-    v = np.zeros(t.size)
+    # whole rows: the last block writes its padding steps past the grid's end
+    v = np.zeros(-(-n // _CHUNK) * _CHUNK + 1)
     for start in range(0, n, _BLOCK):
         stop = min(start + _BLOCK, n)
         m = stop - start
@@ -191,10 +200,13 @@ def integrate_line_response(v_in, line: RCLine, t_grid):
         np.matmul(forced, within, out=scratch)
         starts = across @ scratch[:, -1]
         starts += row_powers[:rows] * v[start]
-        scratch += np.multiply(starts[:, None], powers[1:], out=forced)
-        v[start + 1 : stop + 1] = scratch.reshape(-1)[:m]
+        np.multiply(starts[:, None], powers[1:], out=forced)
+        np.add(scratch, forced, out=v[start + 1 : start + 1 + forced.size].reshape(rows, _CHUNK))
     del fm
-    i = (f - v) / line.resistance
+    v = v[: t.size]
+    # a fresh array: f may be the caller's own, such as t_grid for lambda s: s
+    i = np.subtract(f, v)
+    i /= line.resistance
     return v, i
 
 

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from fluxshape import HarmonicPulse, transient_coefficient
+from fluxshape import pulse as pulse_module
 from fluxshape.pulse import _BLOCK, _GRID_MIN, _ROW, _fourier_sum, _grid_sum
 
 
@@ -339,6 +340,67 @@ def test_fourier_sum_matrix_path_takes_a_grid_within_its_tolerance():
     for index in (10 * _ROW, 3 * _ROW + 17, -3):
         assert _grid_sum(_moved(_GRID, index, 1), 0.5 * _OMEGA, d, np.empty(_GRID.size)) == 20 * _ROW
         assert _grid_sum(_moved(_GRID, index, 3), 0.5 * _OMEGA, d, np.empty(_GRID.size)) == 0
+
+
+def _broadcast_grid_sum(t, half_omega, d, out):
+    """The matrix path with its whole-row node test in the broadcast form ``|T_r - (-k*step) - t| <= tol``."""
+    rows, rest = divmod(t.size, _ROW)
+    first, last = float(t[0]), float(t[-1])
+    step = (last - first) / (t.size - 1)
+    if not math.isfinite(step):
+        return 0
+    angles = np.empty(rows + (rest > 0) + _ROW)
+    starts, back = angles[:-_ROW], angles[-_ROW:]
+    np.multiply(np.arange(0, t.size, _ROW), step, out=starts)
+    starts += first
+    np.multiply(np.arange(0, -_ROW, -1), step, out=back)
+    tolerance = pulse_module._GRID_ULP * np.spacing(max(abs(first), abs(last)))
+    middle = abs(starts[rows // 2] - t[rows // 2 * _ROW])
+    leftover = np.abs(starts[-1] - back[:rest] - t[rows * _ROW :])
+    if not (middle <= tolerance and np.all(leftover <= tolerance)):
+        return 0
+    grid = out[: rows * _ROW].reshape(rows, _ROW)
+    np.subtract(starts[:rows, None], back, out=grid)
+    grid -= t[: rows * _ROW].reshape(rows, _ROW)
+    np.abs(grid, out=grid)
+    if not np.max(grid) <= tolerance:
+        return 0
+    powers = pulse_module._powers(angles, half_omega, d.size)
+    left = np.multiply(powers[:rows], d, out=powers[:rows])
+    np.matmul(left.view(float), powers[-_ROW:].view(float).T, out=grid)
+    return grid.size
+
+
+def _node_test_grids():
+    """``(id, t)``: uniform grids of each kind and size, then grids with one node nudged or made nan."""
+    rng = np.random.default_rng(28)
+    omega = 2.0 * math.pi / 8e-6
+    for kind in ("linspace", "linspace-offset", "arange-offset", "midpoints"):
+        for n_points in (_GRID_MIN, _GRID_MIN + 1, 20 * _ROW - 1, 20 * _ROW + 1, 200_001):
+            for draw in range(3):
+                yield f"{kind}-{n_points}-{draw}", _uniform_grid(kind, n_points, float(rng.uniform(100.0, 2000.0)) / omega)
+    base = np.linspace(-0.2e-4, 1.6e-4, 20 * _ROW + 7)
+    places = {"row-edge": 7 * _ROW, "row-end": 7 * _ROW - 1, "middle": 10 * _ROW, "leftover": -3}
+    for place, index in places.items():
+        for ulps in (-3, -2, -1, 1, 2, 3):
+            yield f"{place}{ulps:+d}ulp", _moved(base, index, ulps)
+        nan = base.copy()
+        nan[index] = math.nan
+        yield f"{place}-nan", nan
+
+
+@pytest.mark.parametrize(("name", "t"), list(_node_test_grids()), ids=lambda v: v if isinstance(v, str) else "")
+def test_grid_sum_node_test_decides_as_the_broadcast_form(name, t):
+    # the nodes from one two-term matrix product and a max/min bound take
+    # and refuse the same grids as their broadcast from the row starts and a
+    # bound on |.|, and the sum keeps every bit
+    rng = np.random.default_rng(len(name))
+    d = rng.uniform(-1, 1, 3) + 1j * rng.uniform(-1, 1, 3)
+    half_omega = math.pi / 8e-6
+    got, ref = np.empty(t.size), np.empty(t.size)
+    done = _grid_sum(t, half_omega, d, got)
+    assert done == _broadcast_grid_sum(t, half_omega, d, ref)
+    assert np.array_equal(got[:done].view(np.int64), ref[:done].view(np.int64))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -501,19 +501,102 @@ def test_long_grid_kernels_allocate_no_temporary_that_grows_with_the_grid():
     # peaks in grid-sized arrays at 200 001 points, whole-array kernels then
     # blocked ones: the Fourier sum 7 -> 1.3 (its result and the block
     # buffers), then 1.09 on the matrix path (its result, which also holds
-    # the uniform-grid test, and row and column factors of a few kB), closed
-    # forms 7 -> 2 (the result and the decaying tail, built in place), the
-    # oracle on pulse.evaluate 10 -> 5.1, then 3.3 with the midpoints in the
-    # steps' buffer and each buffer freed before the next (3.27 on the
-    # matrix path)
+    # the uniform-grid test, and row and column factors of a few kB), 1.07
+    # with the nodes from one matrix product, closed forms 7 -> 2 (the result
+    # and the decaying tail, built in place), then 1.07 with the tail added
+    # into the result block by block, the oracle on pulse.evaluate 10 -> 5.1,
+    # then 3.3 with the midpoints in the steps' buffer and each buffer freed
+    # before the next (3.27 on the matrix path)
     p = HarmonicPulse(8e-6, a0=0.1, a=(0.3, -0.2, 0.1), b=(1.0, 0.5, -0.3))
     line = line_with_tau(1.1e-5)
     t = np.linspace(0.0, 20 * p.tau_pulse, 200_001)
     a, b = np.asarray(p.a), np.asarray(p.b)
     assert _traced_peak(lambda: pulse_module._fourier_sum(t, p.omega, a, b)) <= 1.5 * t.nbytes
-    assert _traced_peak(lambda: capacitor_voltage(p, line, t)) <= 2.5 * t.nbytes
-    assert _traced_peak(lambda: line_current(p, line, t)) <= 2.5 * t.nbytes
+    assert _traced_peak(lambda: capacitor_voltage(p, line, t)) <= 1.2 * t.nbytes
+    assert _traced_peak(lambda: line_current(p, line, t)) <= 1.2 * t.nbytes
     assert _traced_peak(lambda: integrate_line_response(p.evaluate, line, t)) <= 3.6 * t.nbytes
+
+
+def _whole_array_capacitor_voltage(pulse, line, t):
+    """:func:`capacitor_voltage` with its tail built in one grid-sized array and subtracted."""
+    _, c, s = pulse._filtered_harmonics(line.tau)
+    k = pulse.a0 + float(np.sum(c))
+    t = np.asarray(t, dtype=float)
+    out = pulse_module._fourier_sum(t, pulse.omega, c, s)
+    out += pulse.a0
+    out -= rcline._decay(t, line.tau, k)
+    return float(out) if out.ndim == 0 else out
+
+
+def _whole_array_line_current(pulse, line, t):
+    """:func:`line_current` with its tail built in one grid-sized array and added."""
+    n, c, s = pulse._filtered_harmonics(line.tau)
+    k = pulse.a0 + float(np.sum(c))
+    t = np.asarray(t, dtype=float)
+    out = pulse_module._fourier_sum(t, pulse.omega, n * s, -(n * c))
+    out *= line.capacitance * pulse.omega
+    out += rcline._decay(t, line.tau, k / line.resistance)
+    return float(out) if out.ndim == 0 else out
+
+
+_TAIL_PULSES = {
+    "k-positive": HarmonicPulse(8e-6, a0=0.7, a=(0.3, -0.2, 0.1), b=(1.0, 0.5, -0.3)),
+    "k-negative": HarmonicPulse(8e-6, a0=-0.7, a=(0.3, -0.2, 0.1), b=(1.0, 0.5, -0.3)),
+    "k-zero": HarmonicPulse(8e-6, a0=-0.0, a=(-0.0,), b=(0.0,)),
+}
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (_BLOCK - 1,), (_BLOCK,), (_BLOCK + 1,), (200_001,), (3, _BLOCK - 5), "transposed"], ids=str)
+def test_closed_form_tails_match_a_whole_array_decay(shape):
+    # the tail added into the result block by block against the tail built
+    # whole and subtracted (capacitor voltage) or added (current): a float
+    # for a 0-d time, the shape of t otherwise, and every bit, for k of
+    # either sign and zero; then the tail kernel itself for scales of +-0.0,
+    # which no pulse gives as k, on results that hold zeros of either sign
+    line = line_with_tau(1.1e-5)
+    rng = np.random.default_rng(len(str(shape)))
+    if shape == "transposed":
+        t = rng.uniform(0.0, 1e-4, (_BLOCK + 3, 3)).T
+    else:
+        t = rng.uniform(0.0, 1e-4, shape)
+        t = float(t) if shape == () else t
+    signs = []
+    for pulse in _TAIL_PULSES.values():
+        signs.append(np.sign(transient_coefficient(pulse, line.tau)))
+        for closed_form, reference in ((capacitor_voltage, _whole_array_capacitor_voltage), (line_current, _whole_array_line_current)):
+            got, ref = closed_form(pulse, line, t), reference(pulse, line, t)
+            assert type(got) is float if shape == () else got.shape == np.shape(t)
+            assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(ref).view(np.int64)), closed_form.__name__
+    assert signs == [1.0, -1.0, 0.0]
+    base = rng.choice([0.0, -0.0, 0.25, -0.25], np.shape(t))
+    for scale in (0.57, -0.83, 0.0, -0.0):
+        for sign in (1.0, -1.0):
+            got = base.copy()
+            rcline._add_decay(got, t, line.tau, sign * scale)
+            ref = base + rcline._decay(t, line.tau, scale) if sign > 0 else base - rcline._decay(t, line.tau, scale)
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64)), (scale, sign)
+
+
+def test_ode_oracle_never_writes_into_the_callers_arrays():
+    # the current gets its own array although the oracle's node values are
+    # whatever the waveform returned: for the identity that is t_grid itself,
+    # and it may be a view of the array it was given
+    line = line_with_tau(1.1e-5)
+    t = np.linspace(0.0, 2e-4, 2 * _BLOCK + 65)
+    saved = t.copy()
+    returned = []
+
+    def view_of_argument(s):
+        returned.append(s[::1])
+        return returned[-1]
+
+    for waveform in (lambda s: s, view_of_argument):
+        v, i = integrate_line_response(waveform, line, t)
+        assert np.array_equal(t.view(np.int64), saved.view(np.int64))
+        for array in (t, *returned):
+            assert not np.shares_memory(i, array)
+            assert not np.shares_memory(v, array)
+    assert returned
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
