@@ -1,7 +1,8 @@
 """The one boundary check for numeric inputs.
 
-:func:`finite`, :func:`positive` and :func:`nonnegative` return a float, or a
-float array for an ndarray of one or more dimensions, and raise a one-line
+:func:`finite`, :func:`positive`, :func:`nonnegative` and :func:`at_least`
+return a float, or a float array for an ndarray of one or more dimensions,
+and raise a one-line
 ValueError naming the field when the conversion fails or a value is out of
 range; for an array, or a sequence that does not convert, the line quotes
 the first offending entry and its flat index.
@@ -47,6 +48,11 @@ def positive(name: str, value):
 def nonnegative(name: str, value):
     """``value`` as a float or float array, every entry non-negative and finite."""
     return _check(name, value, "non-negative and finite", operator.ge)
+
+
+def at_least(name: str, value, low: float):
+    """``value`` as a float or float array, every entry at least ``low`` and finite."""
+    return _check(name, value, f"at least {low!r} and finite", operator.ge, low)
 
 
 def samples(name: str, value, min_size: int = 1, *, size: int | None = None, increasing: bool = False) -> np.ndarray:
@@ -187,23 +193,23 @@ def _shown(value):
     return getattr(value, "tolist", lambda: value)()
 
 
-def _check(name: str, value, rule: str, sign):
-    # sign compares an entry with zero (operator.gt or operator.ge), or is None
+def _check(name: str, value, rule: str, sign, low: float = 0.0):
+    # sign compares an entry with low (operator.gt or operator.ge), or is None
     if not (isinstance(value, np.ndarray) and value.ndim):
         x = _number(value)
-        if not _passes(x, sign):
+        if not _passes(x, sign, low):
             raise ValueError(f"{name} must be {rule}, got {_shown(value)!r}")
         return x
     arr = _floats(name, value, rule)
     # the extremes decide, one reduction each and no grid-sized mask; a nan
     # propagates through both and fails
-    if arr.size and not (_passes(np.minimum.reduce(arr, None), sign) and math.isfinite(np.maximum.reduce(arr, None))):
+    if arr.size and not (_passes(np.minimum.reduce(arr, None), sign, low) and math.isfinite(np.maximum.reduce(arr, None))):
         # the mask names the first offending entry, which keeps the message on one line
-        ok = np.isfinite(arr) if sign is None else np.isfinite(arr) & sign(arr, 0.0)
+        ok = np.isfinite(arr) if sign is None else np.isfinite(arr) & sign(arr, low)
         i = int(np.flatnonzero(~ok)[0])
         raise ValueError(f"{name} must be {rule}, got {arr.flat[i].item()!r} at index {i}")
     return arr
 
 
-def _passes(x, sign) -> bool:
-    return math.isfinite(x) and (sign is None or sign(x, 0.0))
+def _passes(x, sign, low: float) -> bool:
+    return math.isfinite(x) and (sign is None or sign(x, low))

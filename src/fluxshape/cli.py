@@ -87,6 +87,11 @@ def _require(value, flag: str):
     return value
 
 
+def _seconds(flag: str, us) -> float:
+    """The microsecond flag ``flag`` in seconds, positive before and after the scaling; a refusal names the flag."""
+    return positive(f"{flag} * 1e-6", positive(flag, us) * 1e-6)
+
+
 def _at_most(cap: int, size, flags: str, unit: str) -> None:
     """Refuse a grid of ``size`` points above ``cap`` before it is built.
 
@@ -107,14 +112,16 @@ def _cmd_design(args) -> _Run:
         # an explicit flag wins over the request file; errors name the one used
         return flag if getattr(args, flag[2:].replace("-", "_")) is not None else key
 
-    def field(flag, key, check, scale=1.0, default=None):
+    def field(flag, key, check, default=None, flag_check=None):
+        # flag_check, when given, checks the flag's value in place of check
         if source(flag, key) == flag:
-            return check(flag, getattr(args, flag[2:].replace("-", "_"))) * scale
+            return (flag_check or check)(flag, getattr(args, flag[2:].replace("-", "_")))
         return check(key, request[key] if key in request else _require(default, flag))
 
     family = _require(args.family or request.get("family"), "--family")
-    tau_pulse_s = field("--tau-pulse-us", "tau_pulse_s", positive, 1e-6)
-    tau_assumed_s = field("--tau-assumed-us", "tau_assumed_s", positive, 1e-6)
+    # the microsecond flags come back in seconds, the unit of their keys
+    tau_pulse_s = field("--tau-pulse-us", "tau_pulse_s", positive, flag_check=_seconds)
+    tau_assumed_s = field("--tau-assumed-us", "tau_assumed_s", positive, flag_check=_seconds)
     omega = 2.0 * math.pi / tau_pulse_s
     # the library's argument names, each with the flag or key it came from
     sources = {"tau_assumed": source("--tau-assumed-us", "tau_assumed_s"), "b1": source("--b1", "b1"),
@@ -153,7 +160,7 @@ def _cmd_respond(args) -> _Run:
     pulse = formats.pulse_from_dict(formats.load_json(args.pulse))
     line = formats.rcline_from_dict(formats.load_json(args.line))
     omega_tau_in_range("r_ohms * c_farads", pulse.omega * line.tau)
-    dt = positive("--dt-us", args.dt_us) * 1e-6
+    dt = _seconds("--dt-us", args.dt_us)
     if dt > pulse.tau_pulse / 4.0:
         # the test HarmonicPulse.sample makes, worded in the flag's microseconds
         raise ValueError(
@@ -172,7 +179,7 @@ def _cmd_respond(args) -> _Run:
 
 def _cmd_kexp(args) -> _Run:
     pulse = formats.pulse_from_dict(formats.load_json(args.pulse))
-    tau = positive("--tau-us", args.tau_us) * 1e-6
+    tau = _seconds("--tau-us", args.tau_us)
     omega_tau_in_range("--tau-us", pulse.omega * tau)
     value = transient_coefficient(pulse, tau)
     print(formats.format_float(value))
@@ -188,8 +195,9 @@ def _cmd_sweep(args) -> _Run:
     if explicit:
         omega_tau = omega_tau_in_range("--omega-tau", positive("--omega-tau", np.asarray(args.omega_tau)))
         m = positive("--m", np.asarray(args.m))
-        # the design's omega*tau is the grid's omega*tau times m
-        omega_tau_in_range("--m", np.max(omega_tau) * m)
+        # the design's omega*tau is the grid's omega*tau times m; an overflow is refused as inf
+        with np.errstate(over="ignore"):
+            omega_tau_in_range("--m", np.max(omega_tau) * m)
     else:
         omega_tau, m = default_sweep_axes()
     grid = sweep_transient_coefficient(args.b1, omega_tau, m)
@@ -221,12 +229,12 @@ def _delay_count(delay_max_us: float, delay_step_us: float) -> int:
 
 def _cmd_ramsey_sim(args) -> _Run:
     device = formats.device_from_dict(formats.load_json(args.device))
-    tau_pulse = positive("--tau-pulse-us", args.tau_pulse_us) * 1e-6
+    tau_pulse = _seconds("--tau-pulse-us", args.tau_pulse_us)
     inputs = [args.device]
 
     if args.waveform == "square":
         amp = _require(args.square_amp_phi0, "--square-amp-phi0")
-        line_tau = positive("--line-tau-us", _require(args.line_tau_us, "--line-tau-us")) * 1e-6
+        line_tau = _seconds("--line-tau-us", _require(args.line_tau_us, "--line-tau-us"))
         waveform = square_transient_waveform(amp, tau_pulse, line_tau, device.phi_idle)
     else:  # "pulse", the one other choice argparse admits
         pulse_path = _require(args.pulse, "--pulse")
@@ -241,14 +249,14 @@ def _cmd_ramsey_sim(args) -> _Run:
         waveform = pulse_flux_waveform(pulse, line, device)
         inputs.extend([pulse_path, line_path])
 
-    delays = np.arange(_delay_count(args.delay_max_us, args.delay_step_us)) * (args.delay_step_us * 1e-6)
+    delays = np.arange(_delay_count(args.delay_max_us, args.delay_step_us)) * _seconds("--delay-step-us", args.delay_step_us)
     if args.noise_sigma is not None:
         nonnegative("--noise-sigma", args.noise_sigma)
     seed = _resolve_seed(args.seed)
     config = RamseyConfig(
         tau_pulse=tau_pulse,
         delay_grid=delays,
-        t2=positive("--t2-us", args.t2_us) * 1e-6 if args.t2_us is not None else None,
+        t2=_seconds("--t2-us", args.t2_us) if args.t2_us is not None else None,
         readout_noise_sigma=args.noise_sigma,
         rng_seed=seed,
     )
@@ -261,7 +269,7 @@ def _cmd_ramsey_sim(args) -> _Run:
             "tau_pulse_s": tau_pulse,
             "delay_max_s": args.delay_max_us * 1e-6,
             "delay_step_s": args.delay_step_us * 1e-6,
-            "t2_s": args.t2_us * 1e-6 if args.t2_us is not None else None,
+            "t2_s": config.t2,
             "noise_sigma": args.noise_sigma,
         },
         rng_seed=seed,
@@ -292,7 +300,7 @@ def _cmd_extract(args) -> _Run:
             f"--fit-window-us keeps only {int(np.count_nonzero(keep))} samples; "
             f"need at least {max(8, sg_window)}"
         )
-    tau_pulse = positive("--tau-pulse-us", args.tau_pulse_us) * 1e-6
+    tau_pulse = _seconds("--tau-pulse-us", args.tau_pulse_us)
     result = run_pipeline(
         x[keep],
         y[keep],

@@ -17,7 +17,11 @@ is the time integral of the frequency detuning from the idle point, so a
 slowly settling flux tail shows up as a decaying frequency transient in the
 phase record.  :func:`simulate_ramsey` produces the two quadratures of that
 experiment, optionally with T2 decay and seeded readout noise, and is the
-forward model inverted by :mod:`fluxshape.extraction`.
+forward model inverted by :mod:`fluxshape.extraction`.  It reads the flux
+waveform at tau_pulse plus each delay only, so the two waveform factories,
+:func:`square_transient_waveform` and :func:`pulse_flux_waveform`, define
+the flux from the pulse end on and refuse an earlier time; one short of
+the pulse end by a relative 1e-12 or less reads the pulse end.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fluxshape._checks import at_most, finite, integer, nonnegative, positive, samples
+from fluxshape._checks import at_least, at_most, finite, integer, nonnegative, positive, samples
 from fluxshape.pulse import HarmonicPulse
 from fluxshape.rcline import RCLine, _decay, _eval_waveform, _square_tail, capacitor_voltage
 
@@ -36,7 +40,6 @@ __all__ = [
     "RamseyConfig",
     "coupler_frequency",
     "dressed_qubit_frequency",
-    "ramsey_phase",
     "simulate_ramsey",
     "pulse_flux_waveform",
     "square_transient_waveform",
@@ -157,7 +160,7 @@ class RamseyConfig:
         object.__setattr__(self, "rng_seed", integer("rng_seed", self.rng_seed, 0, np.inf))
 
 
-def ramsey_phase(device: CouplerDevice, flux_waveform, config: RamseyConfig) -> np.ndarray:
+def _ramsey_phase(device: CouplerDevice, flux_waveform, config: RamseyConfig) -> np.ndarray:
     """Accumulated Ramsey phase at each delay in ``config.delay_grid``.
 
     phase(d) = integral over s in [0, d] of
@@ -189,7 +192,7 @@ def simulate_ramsey(device: CouplerDevice, flux_waveform, config: RamseyConfig):
     added per point from ``default_rng(rng_seed)``, X quadrature drawn first,
     so a fixed seed reproduces traces bit-for-bit.
     """
-    phase = ramsey_phase(device, flux_waveform, config)
+    phase = _ramsey_phase(device, flux_waveform, config)
     xy = np.empty((2, phase.size))
     np.cos(phase, out=xy[0])
     np.sin(phase, out=xy[1])
@@ -204,59 +207,52 @@ def simulate_ramsey(device: CouplerDevice, flux_waveform, config: RamseyConfig):
     return xy[0], xy[1]
 
 
-def _pulse_then_tail(period: float, phi_idle: float, during, tail):
-    """Flux ``phi_idle``, plus ``during(t)`` on [0, period) and ``tail(t - period)`` after; scalar or array in, same out."""
+def _pulse_then_tail(period: float, phi_idle: float, tail):
+    """Flux ``tail(t - period) + phi_idle`` for ``t >= period``; scalar or array in, same out.
+
+    A time short of ``period`` by a relative 1e-12 or less reads the pulse
+    end: a config's tau_pulse T and a pulse designed at 2*pi/T, whose
+    period 2*pi/(2*pi/T) can round an ulp above T, then still pair.
+    """
 
     def waveform(t):
         t = finite("t", np.asarray(t))
         t_arr = np.atleast_1d(t)
-        if t_arr.size and np.minimum.reduce(t_arr, None) >= period:
-            # every time past the pulse, as each Ramsey delay is: no masks
-            out = tail(t_arr - period) + phi_idle
-        else:
-            out = np.full(t_arr.shape, phi_idle)
-            inside = (t_arr >= 0.0) & (t_arr < period)
-            if np.any(inside):
-                out[inside] += during(t_arr[inside])
-            after = t_arr >= period
-            if np.any(after):
-                out[after] += tail(t_arr[after] - period)
+        # the least time decides; the check only words the refusal
+        if t_arr.size and not np.minimum.reduce(t_arr, None) >= period:
+            at_least("t", t, period * (1.0 - 1e-12))
+            t_arr = np.maximum(t_arr, period)
+        out = tail(t_arr - period) + phi_idle
         return float(out[0]) if np.ndim(t) == 0 else out
 
     return waveform
 
 
 def pulse_flux_waveform(pulse: HarmonicPulse, line: RCLine, device: CouplerDevice):
-    """Coupler flux versus time for one period of ``pulse`` through ``line``.
+    """Coupler flux versus time after one period of ``pulse`` through ``line``.
 
     The source plays exactly one period and then holds zero volts.  The
     delivered flux is ``flux_per_volt`` times the voltage across the line
     resistance, so during the pulse it is V_in - V_c and afterwards the
-    capacitor discharges through the source, leaving
-    ``-flux_per_volt * V_c(tau_pulse) * exp(-(t - tau_pulse)/tau)``.
-    Before t = 0 the device sits at the idle flux.
+    capacitor discharges through the source, leaving ``phi_idle -
+    flux_per_volt * V_c(tau_pulse) * exp(-(t - tau_pulse)/tau)``.  The
+    waveform takes ``t >= tau_pulse``, where the Ramsey delays read it, and
+    refuses an earlier time, bar one within a relative 1e-12 of the end.
     """
-    v_c_end = capacitor_voltage(pulse, line, pulse.tau_pulse)
-    fpv = device.flux_per_volt
-    return _pulse_then_tail(
-        pulse.tau_pulse, device.phi_idle,
-        lambda t: fpv * (pulse.evaluate(t) - capacitor_voltage(pulse, line, t)),
-        lambda s: _decay(s, line.tau, -fpv * v_c_end),
-    )
+    scale = -device.flux_per_volt * capacitor_voltage(pulse, line, pulse.tau_pulse)
+    return _pulse_then_tail(pulse.tau_pulse, device.phi_idle, lambda s: _decay(s, line.tau, scale))
 
 
 def square_transient_waveform(amplitude: float, tau_pulse: float, tau: float, phi_idle: float):
-    """Coupler flux for a commanded square flux pulse on a line with constant tau.
+    """Coupler flux after a commanded square flux pulse on a line with constant tau.
 
     The line passes only the high-frequency content, so the delivered flux
     decays as ``amplitude * exp(-t/tau)`` during the pulse and undershoots by
-    the standard square-pulse transient after it.
+    the standard square-pulse transient after it.  The waveform takes ``t >=
+    tau_pulse``, where the Ramsey delays read it, and refuses an earlier time,
+    bar one within a relative 1e-12 of the end.
     """
     tau_pulse = positive("tau_pulse", tau_pulse)
     tau = positive("tau", tau)
     amplitude = finite("amplitude", amplitude)
-    return _pulse_then_tail(
-        tau_pulse, finite("phi_idle", phi_idle),
-        lambda t: amplitude * np.exp(-t / tau),
-        lambda s: _square_tail(amplitude, tau_pulse, tau, s),
-    )
+    return _pulse_then_tail(tau_pulse, finite("phi_idle", phi_idle), lambda s: _square_tail(amplitude, tau_pulse, tau, s))

@@ -1,24 +1,27 @@
 """Recover the line time constant from simulated Ramsey quadratures.
 
-The pipeline mirrors the experimental analysis chain:
+:func:`run_pipeline` is the entry point.  It mirrors the experimental
+analysis chain, one private kernel per stage, each stage named as in
+:attr:`PipelineResult.stages`:
 
-1. :func:`unwrap_phase` turns (X, Y) quadratures into a continuous phase.
-2. :func:`savgol_smooth` suppresses readout noise with a local polynomial
-   (Savitzky-Golay) filter whose edge windows are truncated one-sided fits,
-   its weights summed over Gram polynomials.
-3. :func:`frequency_from_phase` differentiates the phase (second-order
-   central differences, one-sided at the ends) to get the detuning in Hz.
-4. :func:`frequency_to_flux` inverts the dressed-frequency map in closed
-   form on the monotone flux branch containing the idle point.
-5. :func:`fit_transient` fits the square-pulse transient template
+1. ``unwrap`` (:func:`_unwrap`) turns (X, Y) quadratures into a continuous
+   phase.
+2. ``smooth`` (:func:`_savgol`) suppresses readout noise with a local
+   polynomial (Savitzky-Golay) filter whose edge windows are truncated
+   one-sided fits, its weights summed over Gram polynomials.
+3. ``frequency`` (:func:`_frequency`) differentiates the phase
+   (second-order central differences, one-sided at the ends) to get the
+   detuning in Hz.
+4. ``flux-inversion`` (:func:`_to_flux`) inverts the dressed-frequency map
+   in closed form on the monotone flux branch containing the idle point.
+5. ``fit`` (:func:`_fit`) fits the square-pulse transient template
    ``A * (-exp(-d/tau) + exp(-(d+tau_pulse)/tau)) + B`` by variable
    projection: A and B solved in closed form, and log tau found as a root
    of the cost's derivative, started from a closed-form estimate.
 
-Each public stage checks its arrays, then runs a private kernel that checks
-its scalars.  :func:`run_pipeline` checks each input once, runs the kernels
-on the arrays it builds, and reports the fitted time constant, the acquired
-phase and one ``(name, seconds, shape)`` record per stage.
+Each input is checked once, by the stage that uses it, and the pipeline
+reports the fitted time constant, the acquired phase and one ``(name,
+seconds, shape)`` record per stage.
 """
 
 from __future__ import annotations
@@ -35,16 +38,11 @@ from fluxshape.device import CouplerDevice, dressed_qubit_frequency
 __all__ = [
     "TransientFit",
     "PipelineResult",
-    "unwrap_phase",
-    "savgol_smooth",
-    "frequency_from_phase",
-    "frequency_to_flux",
-    "fit_transient",
     "run_pipeline",
 ]
 
 _QUADRATURE_FLOOR = 1e-12
-# bound on the evaluations of the root search in fit_transient; from the
+# bound on the evaluations of the root search in _fit; from the
 # whole range, bisection alone reaches the 1e-9 stop in 34
 _ROOT_STEPS = 64
 # floats in one block of stacked Savitzky-Golay edge polynomials, so that a
@@ -52,26 +50,19 @@ _ROOT_STEPS = 64
 _SG_BLOCK = 2**16
 
 
-def unwrap_phase(x, y) -> np.ndarray:
+def _unwrap(x, y):
     """Continuous phase from quadratures, first point kept at its raw value.
 
     Successive differences are folded into (-pi, pi] before accumulating, so
     the result is free of 2*pi jumps as long as the underlying phase moves
-    less than pi per sample.  Raises when a quadrature is not finite or a
-    point has magnitude below 1e-6 (phase undefined there).
+    less than pi per sample.  Raises when a quadrature is not finite, when
+    the two differ in length, or when a point has magnitude below 1e-6
+    (phase undefined there).
     """
-    return _unwrap(*_quadratures(x, y))
-
-
-def _quadratures(x, y):
     x = samples("x", np.atleast_1d(x))
     y = samples("y", np.atleast_1d(y), size=x.size)
     if (x * x + y * y < _QUADRATURE_FLOOR).any():
         raise ValueError("quadrature magnitude too small to define a phase")
-    return x, y
-
-
-def _unwrap(x, y):
     out = np.arctan2(y, x)
     d = out[1:] - out[:-1]
     d -= 2.0 * np.pi * np.rint(d / (2.0 * np.pi))  # rint is np.round at zero decimals
@@ -80,8 +71,8 @@ def _unwrap(x, y):
     return out
 
 
-def savgol_smooth(series, window_points: int, poly_order: int) -> np.ndarray:
-    """Savitzky-Golay smoothing with truncated one-sided edge windows.
+def _savgol(y, window_points, poly_order):
+    """Savitzky-Golay smoothing of the unwrapped phase ``y``, with truncated one-sided edge windows.
 
     Interior points use the standard symmetric least-squares polynomial
     window (Savitzky & Golay 1964); within half a window of either end the
@@ -98,14 +89,10 @@ def savgol_smooth(series, window_points: int, poly_order: int) -> np.ndarray:
     floats; row ``half`` is convolved over the interior, and the right edge
     is the left edge of the reversed series.
     """
-    return _savgol(samples("series", np.atleast_1d(series)), window_points, poly_order)
-
-
-def _savgol(y, window_points, poly_order):
     window_points = integer("window_points", window_points, 3)
     if window_points % 2 == 0:
         raise ValueError(f"window_points must be odd, got {window_points}")
-    n = length("series", y.size, window_points)
+    n = length("phase", y.size, window_points)
     poly_order = integer("poly_order", poly_order, 1, window_points - 1)
     if poly_order == window_points - 1:
         return y.copy()  # every window interpolates
@@ -138,16 +125,12 @@ def _savgol(y, window_points, poly_order):
     return out
 
 
-def frequency_from_phase(phase, dt: float) -> np.ndarray:
-    """Detuning in Hz from a phase record sampled every ``dt`` seconds.
+def _frequency(phase, dt):
+    """Detuning in Hz from a phase record of at least three samples, sampled every ``dt`` seconds.
 
     Second-order central differences, second-order one-sided at both ends:
     ``np.gradient(phase, dt, edge_order=2)``'s stencils, bit for bit.
     """
-    return _frequency(samples("phase", np.atleast_1d(phase), 3), dt)
-
-
-def _frequency(phase, dt):
     dt = positive("dt", dt)
     out = np.empty(phase.size)
     with np.errstate(over="ignore", invalid="ignore"):  # a subnormal dt gives inf and nan, which _to_flux refuses
@@ -157,11 +140,11 @@ def _frequency(phase, dt):
         return out / (2.0 * np.pi)
 
 
-def frequency_to_flux(freq_shift_hz, device: CouplerDevice, phi_idle: float):
+def _to_flux(shifts, device: CouplerDevice, phi_idle):
     """Invert the dressed-frequency map around the idle flux, in closed form.
 
-    ``freq_shift_hz`` is the detuning from the dressed frequency at
-    ``phi_idle``.  The branch satisfies ``(omega - omega_q) * (omega -
+    ``shifts``, a 1-D float array, is the detuning in Hz from the dressed
+    frequency at ``phi_idle``.  The branch satisfies ``(omega - omega_q) * (omega -
     omega_c) = g**2``, which gives ``omega_c`` and then ``cos(pi * phi) =
     (omega_c / omega_max)**2`` on the half-period containing the idle point,
     where the map is monotone.  Raises for ``g = 0`` (the qubit does not
@@ -170,11 +153,6 @@ def frequency_to_flux(freq_shift_hz, device: CouplerDevice, phi_idle: float):
     and detuning, rather than clipped, because a clipped sample would hand a
     corrupted record to the transient fit.
     """
-    phi = _to_flux(finite("freq_shift_hz", np.atleast_1d(freq_shift_hz)), device, phi_idle)
-    return float(phi[0]) if np.ndim(freq_shift_hz) == 0 else phi
-
-
-def _to_flux(shifts, device: CouplerDevice, phi_idle):
     phi_idle = finite("phi_idle", phi_idle)
     if device.g == 0.0:
         raise ValueError("g must be positive to invert the flux branch, got 0.0")
@@ -210,7 +188,7 @@ def _to_flux(shifts, device: CouplerDevice, phi_idle):
 class TransientFit:
     """Result of fitting the square-pulse transient template.
 
-    The last four fields are the fit's diagnostics (see :func:`fit_transient`);
+    The last four fields are the fit's diagnostics (see :func:`_fit`);
     their defaults describe a flat record, which leaves nothing to fit.
     """
 
@@ -225,8 +203,11 @@ class TransientFit:
     iterations: int = 0
 
 
-def fit_transient(flux, delays, tau_pulse: float) -> TransientFit:
-    """Fit ``A * (-exp(-d/tau) + exp(-(d+tau_pulse)/tau)) + B`` to a flux record.
+def _fit(y, d, tau_pulse) -> TransientFit:
+    """Fit ``A * (-exp(-d/tau) + exp(-(d+tau_pulse)/tau)) + B`` to the flux record ``y`` at delays ``d``.
+
+    ``y`` and ``d`` are finite 1-D float arrays of one length, ``d`` strictly
+    increasing; the record needs at least 8 samples.
 
     Variable projection (Golub & Pereyra 1973): A and B are linear, so each
     tau gets them in closed form, leaving a one-dimensional problem in
@@ -264,12 +245,6 @@ def fit_transient(flux, delays, tau_pulse: float) -> TransientFit:
     does not converge reports where its search stopped, on an aliased record
     perhaps a local minimum.
     """
-    y = samples("flux", np.atleast_1d(flux))
-    d = samples("delays", np.atleast_1d(delays), size=y.size, increasing=True)
-    return _fit(y, d, tau_pulse)
-
-
-def _fit(y, d, tau_pulse) -> TransientFit:
     n = length("flux", y.size, 8)
     tau_pulse = positive("tau_pulse", tau_pulse)
     offset0 = float(y[-1])
@@ -365,7 +340,7 @@ def run_pipeline(
     a ``dt`` near the largest float overflows, is checked.
     """
     stages = []
-    raw_phase = _run_stage(stages, "unwrap", lambda: _unwrap(*_quadratures(x, y)))
+    raw_phase = _run_stage(stages, "unwrap", lambda: _unwrap(x, y))
     phase = _run_stage(stages, "smooth", lambda: _savgol(raw_phase, window_points, poly_order))
     freq = _run_stage(stages, "frequency", lambda: _frequency(phase, dt))
     flux = _run_stage(stages, "flux-inversion", lambda: _to_flux(freq, device, phi_idle))

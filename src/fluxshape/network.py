@@ -151,12 +151,12 @@ def sweep_input_impedance(elements, load: complex, f_grid) -> np.ndarray:
         finite_load = False
     if not finite_load:
         raise ValueError(f"load must be a finite number, got {load!r}")
-    w = 2.0 * math.pi * f
     v = np.full(f.shape, load, dtype=complex)
     i = np.ones(f.shape, dtype=complex)
     # an overflow (or a 1/(j w C) whose w C underflows) is refused below
     # rather than warned about on the way
     with np.errstate(all="ignore"):
+        w = 2.0 * math.pi * f
         for element in reversed(elements):
             a, b, c, d = _abcd(element, f, w)
             v, i = a * v + b * i, c * v + d * i

@@ -14,9 +14,14 @@ exactly when that coefficient vanishes.  Every closed form here reads the
 pulse's line-filtered spectrum, which :mod:`fluxshape.pulse` defines once.
 
 :func:`integrate_line_response` integrates the same equation on a uniform
-grid with fixed-step fourth-order Runge-Kutta, for any waveform callable.
-It shares no code with the closed forms, so agreement between the two is a
-meaningful check rather than a tautology.
+grid with fixed-step fourth-order Runge-Kutta, for any vectorized waveform
+callable.  It shares no code with the closed forms, so agreement between the
+two is a meaningful check rather than a tautology.
+
+The residual flux after a square pulse on a first-order high-pass line is
+the tail of :func:`fluxshape.device.square_transient_waveform` and the
+template of the extraction's transient fit; its one closed form here is
+private, and that waveform is its public path.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fluxshape._checks import finite, nonnegative, positive, samples, steps
+from fluxshape._checks import nonnegative, positive, samples, steps
 from fluxshape.pulse import _BLOCK, HarmonicPulse, _fourier_sum
 
 __all__ = [
@@ -34,7 +39,6 @@ __all__ = [
     "capacitor_voltage",
     "line_current",
     "integrate_line_response",
-    "square_pulse_flux_transient",
 ]
 
 # steps per row of the RK4 block scan; rows of 32 or 128 steps measured slower
@@ -112,14 +116,12 @@ def line_current(pulse: HarmonicPulse, line: RCLine, t):
 
 
 def _eval_waveform(fn, t: np.ndarray) -> np.ndarray:
-    """Evaluate a callable on a 1-D grid, tolerating scalar-only implementations; values must be finite."""
-    try:
-        out = np.asarray(fn(t), dtype=float)
-    except (TypeError, ValueError):
-        out = None
-    if out is None or out.shape != t.shape:
-        out = np.array([float(fn(x)) for x in t])
-    return finite("waveform", out)
+    """``fn(t)`` from one call on the 1-D grid ``t``.
+
+    The result must be a finite float array of ``t``'s length; a refusal
+    names ``waveform``.
+    """
+    return samples("waveform", np.asarray(fn(t), dtype=float), size=t.size)
 
 
 def _rk4_affine_coefficients(z):
@@ -144,7 +146,9 @@ def _lower_toeplitz(column: np.ndarray) -> np.ndarray:
 def integrate_line_response(v_in, line: RCLine, t_grid):
     """Integrate tau*dV_c/dt + V_c = V_in(t) from V_c = 0 with fixed-step classical RK4.
 
-    ``v_in`` maps time in seconds to volts (a vectorized or scalar callable).
+    ``v_in`` maps time in seconds to volts: a vectorized callable, called
+    once on the nodes and once on the midpoints, whose result must be a
+    finite array shaped like its argument.
     ``t_grid`` must be finite, strictly increasing and uniform, its steps
     spreading by at most 4 ulp of its largest magnitude (``np.linspace`` and
     ``np.arange(n) * dt`` grids spread by 2), none above tau/50 and, for an
@@ -210,29 +214,22 @@ def integrate_line_response(v_in, line: RCLine, t_grid):
     return v, i
 
 
-def square_pulse_flux_transient(amplitude, tau_pulse: float, tau: float, t_delay):
-    """Residual flux after a square pulse through a first-order high-pass line.
-
-    A square pulse of height ``amplitude`` and width ``tau_pulse`` leaves,
-    at time ``t_delay`` past its trailing edge,
-
-        amplitude * (-exp(-t_delay/tau) + exp(-(t_delay + tau_pulse)/tau))
-
-    which is the template fitted by the transient-extraction pipeline.
-    """
-    amplitude = finite("amplitude", amplitude)
-    tau_pulse = positive("tau_pulse", tau_pulse)
-    tau = positive("tau", tau)
-    out = _square_tail(amplitude, tau_pulse, tau, nonnegative("t_delay", np.asarray(t_delay)))
-    return float(out) if out.ndim == 0 else out
-
-
 def _square_tail(amplitude: float, tau_pulse: float, tau: float, t_delay) -> np.ndarray:
-    """:func:`square_pulse_flux_transient` on checked values, in one array shaped like ``t_delay``."""
-    # -x/tau is x/-tau bit for bit, and -e1 + e2 is e2 - e1
+    """Residual flux ``t_delay`` past the trailing edge of a square pulse through a first-order high-pass line.
+
+    A pulse of height ``amplitude`` and width ``tau_pulse`` leaves
+
+        amplitude * (-exp(-t_delay/tau) + exp(-(t_delay + tau_pulse)/tau)),
+
+    the template the transient fit of :mod:`fluxshape.extraction` fits;
+    here on checked values, in one array shaped like ``t_delay``.
+    """
+    # -x/tau is x/-tau bit for bit, and -e1 + e2 is e2 - e1; a subnormal tau
+    # overflows the exponents to -inf, where the tail rightly vanishes
     out = np.add(t_delay, tau_pulse, out=np.empty(np.shape(t_delay)))
-    out /= -tau
-    np.exp(out, out=out)
-    out -= np.exp(np.divide(t_delay, -tau))
+    with np.errstate(over="ignore"):
+        out /= -tau
+        np.exp(out, out=out)
+        out -= np.exp(np.divide(t_delay, -tau))
     out *= amplitude
     return out

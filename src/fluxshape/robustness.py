@@ -64,10 +64,13 @@ def sweep_transient_coefficient(b1: float, omega_tau_values, m_values) -> SweepG
     wt = positive("omega_tau_values", samples("omega_tau_values", omega_tau_values))
     x = omega_tau_in_range("omega_tau_values", wt[:, None])
     m = positive("m_values", samples("m_values", m_values))
-    b2 = _biharmonic_b2(b1, m * x, "m_values")
-    # harmonics first: b is (b1, b2) over the grid, and a sine design has no a_n
-    _, c, _ = _line_filter(0.0, np.array([np.full_like(b2, b1), b2]), x)
-    return SweepGrid(wt, m, c.sum(axis=0))
+    # a b1 near the largest float overflows b2 or the line filter: each is
+    # refused, with no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        b2 = _biharmonic_b2(b1, m * x, "m_values")
+        # harmonics first: b is (b1, b2) over the grid, and a sine design has no a_n
+        _, c, _ = _line_filter(0.0, np.array([np.full_like(b2, b1), b2]), x)
+        return SweepGrid(wt, m, finite("k_exp from b1", c.sum(axis=0)))
 
 
 def net_zero_metrics(pulse: HarmonicPulse, line: RCLine) -> dict:

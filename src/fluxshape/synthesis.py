@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from fluxshape._checks import finite, omega_tau_in_range, positive, samples
 from fluxshape.pulse import HarmonicPulse
 from fluxshape.rcline import transient_coefficient
@@ -51,7 +53,8 @@ def solve_biharmonic(b1: float, omega: float, tau_assumed: float) -> HarmonicPul
         raise ValueError(f"b1 must be finite and non-zero, got {b1!r}")
     omega = positive("omega", omega)
     tau_assumed = positive("tau_assumed", tau_assumed)
-    b2 = _biharmonic_b2(b1, omega * tau_assumed, "tau_assumed")
+    # a b1 near the largest float overflows b2, which is refused
+    b2 = finite("b2 from b1", _biharmonic_b2(b1, omega * tau_assumed, "tau_assumed"))
     return HarmonicPulse(tau_pulse=2.0 * math.pi / omega, a0=0.0, a=(0.0, 0.0), b=(b1, b2))
 
 
@@ -71,7 +74,9 @@ def solve_top_harmonic(a0: float, a, b, omega: float, tau_assumed: float):
     ``-w*tau`` times the current-endpoint sum.
 
     Raises ValueError when ``N*w*tau`` makes the top-harmonic sine term
-    numerically unable to influence the transient (degenerate design).
+    numerically unable to influence the transient (degenerate design), and
+    when the lower harmonics overflow the top harmonic's ``a_N`` or ``b_N``
+    or the current-endpoint residual.
     """
     omega = positive("omega", omega)
     tau_assumed = positive("tau_assumed", tau_assumed)
@@ -90,7 +95,11 @@ def solve_top_harmonic(a0: float, a, b, omega: float, tau_assumed: float):
 
     # the lower harmonics alone: their endpoint voltage and tail set the top harmonic's
     lower = HarmonicPulse(tau_pulse=2.0 * math.pi / omega, a0=a0, a=a_low, b=b_low)
-    a_top = -lower.condition_one_residual()
-    b_top = (a_top + transient_coefficient(lower, tau_assumed) * denom_top) / x_top
-    pulse = HarmonicPulse(lower.tau_pulse, a0, (*lower.a, a_top), (*lower.b, b_top))
-    return pulse, pulse.condition_three_residual(tau_assumed)
+    # lower harmonics near the largest float overflow the endpoint sum, the
+    # tail, the top harmonic or the current residual: each is refused, with
+    # no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        a_top = finite("a_N from a0 and a", -lower.condition_one_residual())
+        b_top = finite("b_N from a0, a and b", (a_top + transient_coefficient(lower, tau_assumed) * denom_top) / x_top)
+        pulse = HarmonicPulse(lower.tau_pulse, a0, (*lower.a, a_top), (*lower.b, b_top))
+        return pulse, finite("condition_three_residual from a0, a and b", pulse.condition_three_residual(tau_assumed))

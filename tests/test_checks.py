@@ -11,18 +11,15 @@ from fluxshape import (
     RamseyConfig,
     RCLine,
     WiringElement,
-    fit_transient,
-    frequency_from_phase,
     integrate_line_response,
-    savgol_smooth,
     solve_top_harmonic,
-    square_pulse_flux_transient,
+    square_transient_waveform,
     sweep_input_impedance,
     sweep_transient_coefficient,
-    unwrap_phase,
 )
 from fluxshape import formats
-from fluxshape._checks import finite, integer, nonnegative, positive, samples
+from fluxshape._checks import at_least, finite, integer, nonnegative, positive, samples
+from fluxshape.extraction import _fit, _savgol, _unwrap
 from fluxshape.cli import build_parser
 
 from conftest import DEVICE_RECORD
@@ -110,6 +107,18 @@ def test_array_rejections_name_the_first_bad_entry_on_one_line():
     # an integer no float can hold is refused, not an OverflowError
     with pytest.raises(ValueError, match=r"^a must be finite, got 9{400} at index 1$"):
         samples("a", [1.0, int("9" * 400)])
+
+
+def test_at_least_names_the_first_entry_below_its_bound():
+    assert at_least("t", 8e-6, 8e-6) == 8e-6
+    grid = np.array([9e-6, 8e-6])
+    assert at_least("t", grid, 8e-6) is grid
+    with pytest.raises(ValueError, match=r"^t must be at least 8e-06 and finite, got 7e-06$"):
+        at_least("t", 7e-6, 8e-6)
+    with pytest.raises(ValueError, match=r"^t must be at least 8e-06 and finite, got 7e-06 at index 1$"):
+        at_least("t", np.array([9e-6, 7e-6, math.nan]), 8e-6)
+    with pytest.raises(ValueError, match=r"^t must be at least 8e-06 and finite, got inf$"):
+        at_least("t", math.inf, 8e-6)
 
 
 def test_integers_come_back_as_ints():
@@ -237,25 +246,15 @@ _OMEGA = 2.0 * math.pi / 8e-6
 _LINE = RCLine(1.0, 1e-5)
 _STEP = lambda s: np.ones_like(s)
 
-# every entry point whose array arguments go through samples or nonnegative:
-# (id, call that must refuse, the whole message)
+# every entry point whose array arguments go through samples, nonnegative or
+# at_least, and the pipeline kernels' length checks: (id, call that must
+# refuse, the whole message)
 _REFUSALS = [
-    ("unwrap-2d", lambda tmp: unwrap_phase(_TWO_D, _TWO_D), "x must be 1-D, got shape (2, 3)"),
-    ("unwrap-unequal", lambda tmp: unwrap_phase([1.0, 1.0, 1.0], [0.0, 0.0]), "y must have length 3, got 2"),
-    ("unwrap-nan", lambda tmp: unwrap_phase([1.0, 1.0], [0.0, math.nan]), "y must be finite, got nan at index 1"),
-    ("savgol-2d", lambda tmp: savgol_smooth(np.ones((2, 11)), 11, 3), "series must be 1-D, got shape (2, 11)"),
-    ("savgol-few", lambda tmp: savgol_smooth(np.ones(9), 11, 3), "series must have length at least 11, got 9"),
-    ("frequency-few", lambda tmp: frequency_from_phase([0.0, 1.0], 1e-6), "phase must have length at least 3, got 2"),
-    ("frequency-2d", lambda tmp: frequency_from_phase(_TWO_D, 1e-6), "phase must be 1-D, got shape (2, 3)"),
-    ("fit-few", lambda tmp: fit_transient(np.ones(7), np.arange(7.0), 8e-6), "flux must have length at least 8, got 7"),
-    ("fit-unequal", lambda tmp: fit_transient(np.ones(8), np.arange(9.0), 8e-6), "delays must have length 8, got 9"),
-    (
-        "fit-not-increasing",
-        lambda tmp: fit_transient(np.ones(8), [0.0, 1.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0], 8e-6),
-        "delays must be strictly increasing, got 1.0 after 1.0 at index 2",
-    ),
-    ("fit-nan", lambda tmp: fit_transient(np.r_[np.ones(7), math.nan], np.arange(8.0), 8e-6),
-     "flux must be finite, got nan at index 7"),
+    ("unwrap-2d", lambda tmp: _unwrap(_TWO_D, _TWO_D), "x must be 1-D, got shape (2, 3)"),
+    ("unwrap-unequal", lambda tmp: _unwrap([1.0, 1.0, 1.0], [0.0, 0.0]), "y must have length 3, got 2"),
+    ("unwrap-nan", lambda tmp: _unwrap([1.0, 1.0], [0.0, math.nan]), "y must be finite, got nan at index 1"),
+    ("savgol-few", lambda tmp: _savgol(np.ones(9), 11, 3), "phase must have length at least 11, got 9"),
+    ("fit-few", lambda tmp: _fit(np.ones(7), np.arange(7.0), 8e-6), "flux must have length at least 8, got 7"),
     ("oracle-2d", lambda tmp: integrate_line_response(_STEP, _LINE, np.zeros((2, 2))), "t_grid must be 1-D, got shape (2, 2)"),
     ("oracle-few", lambda tmp: integrate_line_response(_STEP, _LINE, [0.0]), "t_grid must have length at least 2, got 1"),
     (
@@ -270,8 +269,8 @@ _REFUSALS = [
     ),
     (
         "square-transient-negative",
-        lambda tmp: square_pulse_flux_transient(1.0, 8e-6, 1.3e-5, [0.0, -1e-6]),
-        "t_delay must be non-negative and finite, got -1e-06 at index 1",
+        lambda tmp: square_transient_waveform(1.0, 8e-6, 1.3e-5, 0.0)(np.array([8e-6, 7e-6])),
+        "t must be at least 7.999999999992e-06 and finite, got 7e-06 at index 1",
     ),
     (
         "device-g-negative",

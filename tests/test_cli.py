@@ -8,11 +8,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from fluxshape import (
-    HarmonicPulse,
     capacitor_voltage,
     line_current,
     run_pipeline,
-    solve_biharmonic,
     sweep_transient_coefficient,
 )
 from fluxshape import cli, formats
@@ -401,6 +399,23 @@ def test_ramsey_pulse_waveform_and_period_check(tmp_path, capsys):
     ])
     assert rc == 2
     assert "period" in capsys.readouterr().err
+
+
+def test_ramsey_pulse_file_an_ulp_past_the_flag_period(tmp_path, capsys):
+    # 10 * 1e-6 rounds to 9.999999999999999e-06, an ulp short of the file's
+    # 1e-05: the two agree to 1e-12, the first delay reads the pulse end, and
+    # the report keeps the flag's period
+    pulse = _write_json(tmp_path, "pulse.json", {"tau_pulse_s": 1e-05, "a": [0.0], "b": [1.0]})
+    sim = tmp_path / "sim"
+    rc = main([
+        "ramsey-sim", "--device", write_device(tmp_path), "--waveform", "pulse", "--pulse", pulse,
+        "--line", write_line(tmp_path, TAU_ASSUMED_US * 1e-6), "--tau-pulse-us", "10",
+        "--delay-max-us", "40", "--delay-step-us", "0.5", "--out-dir", str(sim),
+    ])
+    assert rc == 0, capsys.readouterr().err
+    _, x, y = formats.read_csv_columns(str(sim / "trace.csv"), ["tau_delay_s", "x_expect", "y_expect"])
+    assert x.size == 81 and np.all(np.isfinite(x)) and np.all(np.isfinite(y))
+    assert formats.load_json(sim / "manifest.json")["parameters"]["tau_pulse_s"] == 10 * 1e-6
 
 
 def test_ramsey_missing_square_options(tmp_path, capsys):
@@ -1159,3 +1174,136 @@ def test_extract_refuses_a_detuning_at_the_bare_qubit_frequency(tmp_path, capsys
     assert len(err) == 1 and err[0].startswith("error: flux-inversion stage: sample 0 detunes 5000"), err
     assert "Hz, outside the flux branch's range" in err[0]
     assert not out.exists()
+
+
+# the flags of README's commands that take integers; every other flag whose
+# value is a number, or a list of numbers, takes floats
+_INTEGER_FLAGS = {"--n-periods", "--n-points", "--seed", "--sg-window", "--sg-order"}
+_FUZZ_VALUES = ["0", "-1", "5e-324", "1e-320", "1e-9", "1e300", "1.7e308"]
+
+
+def _readme_session(tmp_path):
+    """A fixed copy of README's 11 commands from Subcommands on, plus one, each without its --out-dir.
+
+    The copy does not follow later edits to README.  The added last command
+    runs the pulse waveform at 5.1 us, where the designed pulse's period
+    2*pi/(2*pi/T) rounds above the flag's T; every README command runs at
+    8 us, where the two are equal.  The designed pulses and the square trace
+    the later commands read are made first, on inputs in ``tmp_path``, and
+    the added command must run as given.
+    """
+    device, line = write_device(tmp_path), write_line(tmp_path, 11.2e-6)
+    chain = _write_json(tmp_path, "chain.json", [
+        {"kind": "series_capacitor", "c_farads": 2.2e-7}, {"kind": "attenuator", "db": 20.0, "z0_ohms": 50.0}])
+    pulse, trace = str(tmp_path / "design" / "pulse.json"), str(tmp_path / "sim" / "trace.csv")
+    pulse_51 = str(tmp_path / "design_51" / "pulse.json")
+    session = [
+        ["design", "--family", "biharmonic", "--b1", "1.0", "--tau-pulse-us", "8", "--tau-assumed-us", "11.2"],
+        ["design", "--family", "top-harmonic", "--a0", "0.0", "--a", "0.3", "--b", "1.0",
+         "--tau-pulse-us", "8", "--tau-assumed-us", "11.2"],
+        ["respond", "--pulse", pulse, "--line", line, "--dt-us", "0.05", "--n-periods", "3"],
+        ["kexp", "--pulse", pulse, "--tau-us", "11.2"],
+        ["sweep", "--b1", "1", "--grid", "default"],
+        ["sweep", "--b1", "1", "--omega-tau", "8.79", "--m", "0.01,1,100"],
+        ["ramsey-sim", "--device", device, "--waveform", "square", "--square-amp-phi0", "5e-4", "--line-tau-us", "13",
+         "--tau-pulse-us", "8", "--delay-max-us", "60", "--delay-step-us", "0.25", "--t2-us", "75",
+         "--noise-sigma", "0.05", "--seed", "1"],
+        ["ramsey-sim", "--device", device, "--waveform", "pulse", "--pulse", pulse, "--line", line,
+         "--tau-pulse-us", "8", "--delay-max-us", "60", "--delay-step-us", "0.25"],
+        ["extract", "--trace", trace, "--device", device, "--tau-pulse-us", "8", "--fit-window-us", "60"],
+        ["impedance", "--chain", "default", "--fit"],
+        ["impedance", "--chain", chain, "--f-start-hz", "1e4", "--f-stop-hz", "5e7", "--n-points", "400"],
+        ["ramsey-sim", "--device", device, "--waveform", "pulse", "--pulse", pulse_51, "--line", line,
+         "--tau-pulse-us", "5.1", "--delay-max-us", "60", "--delay-step-us", "0.25"],
+    ]
+    assert main([*session[0], "--out-dir", str(tmp_path / "design")]) == 0
+    assert main([*session[0][:-4], "--tau-pulse-us", "5.1", "--tau-assumed-us", "11.2",
+                 "--out-dir", str(tmp_path / "design_51")]) == 0
+    assert main([*session[6], "--out-dir", str(tmp_path / "sim")]) == 0
+    assert main([*session[-1], "--out-dir", str(tmp_path / "sim_51")]) == 0
+    return session
+
+
+def _is_number_list(text: str) -> bool:
+    try:
+        return all(math.isfinite(float(part)) for part in text.split(","))
+    except ValueError:
+        return False
+
+
+def _set_flags(argv, values):
+    """``argv`` with each flag in ``values`` written ``--flag=value``, so that argparse takes a negative value."""
+    out = []
+    for before, token in zip([None, *argv], argv):
+        if token in values:
+            out.append(f"{token}={values[token]}")
+        elif before not in values:
+            out.append(token)
+    return out
+
+
+def test_readme_commands_with_edge_numbers_exit_0_2_or_3(tmp_path, capsys):
+    # seeded argv fuzz: each float flag of README's commands set to each edge
+    # value in turn, then 120 runs with two of a command's float flags set at
+    # once; run in process, where a RuntimeWarning is an error, each run exits
+    # 0, 2 or 3 without raising, and an exit 2 writes one stderr line
+    session = _readme_session(tmp_path)
+    flags = [[flag for flag, value in zip(argv[1:-1], argv[2:]) if flag.startswith("--") and flag not in _INTEGER_FLAGS
+              and _is_number_list(value)] for argv in session]
+    runs = [(c, {flag: value}) for c, fuzzed in enumerate(flags) for flag in fuzzed for value in _FUZZ_VALUES]
+    rng = np.random.default_rng(2)
+    pairs = [c for c, fuzzed in enumerate(flags) if len(fuzzed) >= 2]
+    for c in rng.choice(pairs, 120):
+        runs.append((c, {str(flag): str(rng.choice(_FUZZ_VALUES)) for flag in rng.choice(flags[c], 2, replace=False)}))
+    assert len(runs) > 300
+    capsys.readouterr()
+    for k, (c, values) in enumerate(runs):
+        argv = _set_flags(session[c], values)
+        out = tmp_path / f"run{k}"
+        rc = main([*argv, "--out-dir", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        assert rc in (0, 2, 3), (argv, rc, err)
+        if rc == 2:
+            assert len(err) == 1 and err[0].startswith("error: "), (argv, err)
+            assert not out.exists()
+
+
+# edge values the fuzz above found: (index of the README command, the flags
+# set, the start of the one stderr line); each run used to end in a
+# traceback, to warn before its refusal, to name a library field rather than
+# the flag, or to write nan
+_EDGE_REFUSALS = [
+    (0, {"--tau-pulse-us": "1e-320"}, "--tau-pulse-us * 1e-6 must be positive and finite, got 0.0"),
+    (2, {"--dt-us": "1e-320"}, "--dt-us * 1e-6 must be positive and finite, got 0.0"),
+    (3, {"--tau-us": "1e-320"}, "--tau-us * 1e-6 must be positive and finite, got 0.0"),
+    (6, {"--tau-pulse-us": "1e-320"}, "--tau-pulse-us * 1e-6 must be positive and finite, got 0.0"),
+    (6, {"--line-tau-us": "1e-320"}, "--line-tau-us * 1e-6 must be positive and finite, got 0.0"),
+    (6, {"--t2-us": "1e-320"}, "--t2-us * 1e-6 must be positive and finite, got 0.0"),
+    (6, {"--delay-max-us": "1e-319", "--delay-step-us": "5e-324"},
+     "--delay-step-us * 1e-6 must be positive and finite, got 0.0"),
+    (8, {"--tau-pulse-us": "1e-320"}, "--tau-pulse-us * 1e-6 must be positive and finite, got 0.0"),
+    (0, {"--b1": "1.7e308"}, "b2 from b1 must be finite, got -inf"),
+    (1, {"--b": "1.7e308"}, "b_N from a0, a and b must be finite, got -inf"),
+    (4, {"--b1": "1.7e308"}, "k_exp from b1 must be finite, got inf at index 15"),
+    (5, {"--m": "1.7e308"}, "--m makes omega*tau inf, above the limit 1e+100"),
+    (10, {"--f-stop-hz": "1.7e308"}, "input impedance is not finite at f_grid 2.93"),
+]
+
+
+@pytest.mark.parametrize("command, values, message", _EDGE_REFUSALS)
+def test_readme_commands_refuse_edge_numbers_in_one_line(tmp_path, capsys, command, values, message):
+    argv = _set_flags(_readme_session(tmp_path)[command], values)
+    capsys.readouterr()
+    assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {message}"), err
+    assert not (tmp_path / "out").exists()
+
+
+def test_ramsey_sim_takes_a_tail_that_underflows_without_a_warning(tmp_path):
+    # a pulse 1e300 line time constants long leaves no tail: the exponents
+    # overflow to -inf, and the idle phase comes back with no warning
+    argv = _set_flags(_readme_session(tmp_path)[6], {"--line-tau-us": "1e-9", "--tau-pulse-us": "1e300"})
+    assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 0
+    _, x, y = formats.read_csv_columns(str(tmp_path / "out" / "trace.csv"), ["tau_delay_s", "x_expect", "y_expect"])
+    assert np.all(np.isfinite(x)) and np.all(np.isfinite(y))

@@ -11,23 +11,20 @@ from fluxshape import (
     coupler_frequency,
     dressed_qubit_frequency,
     pulse_flux_waveform,
-    ramsey_phase,
     simulate_ramsey,
     solve_biharmonic,
-    square_pulse_flux_transient,
     square_transient_waveform,
     capacitor_voltage,
 )
+from fluxshape.device import _ramsey_phase
+from fluxshape.rcline import _square_tail
 
 from conftest import (
     COUPLER_MAX_GHZ,
-    COUPLING_MHZ,
     GHZ,
-    IDLE_FLUX,
     MHZ,
     QUBIT_GHZ,
     line_with_tau,
-    reference_device,
 )
 
 
@@ -142,7 +139,7 @@ def test_dressed_continuous_across_resonance(device):
 
 
 def test_dressed_array_call_matches_scalar_calls(device):
-    # ramsey_phase and frequency_to_flux append the idle point or the branch
+    # _ramsey_phase and extraction._to_flux append the idle point or the branch
     # edges to one array call, so each entry must equal its scalar call; the
     # sizes cover the vector loops' tails
     rng = np.random.default_rng(15)
@@ -178,7 +175,7 @@ def test_ramsey_config_validation():
 
 def test_ramsey_phase_at_idle_is_zero(device):
     cfg = RamseyConfig(tau_pulse=8e-6, delay_grid=np.linspace(0.0, 60e-6, 25))
-    phase = ramsey_phase(device, lambda t: np.full(np.shape(t), device.phi_idle), cfg)
+    phase = _ramsey_phase(device, lambda t: np.full(np.shape(t), device.phi_idle), cfg)
     assert np.all(phase == 0.0)
 
 
@@ -187,7 +184,7 @@ def test_ramsey_phase_constant_detuning(device):
     delta = dressed_qubit_frequency(phi_held, device) - dressed_qubit_frequency(device.phi_idle, device)
     delays = np.array([0.0, 0.5e-6, 2e-6, 7e-6])
     cfg = RamseyConfig(tau_pulse=8e-6, delay_grid=delays)
-    phase = ramsey_phase(device, lambda t: np.full(np.shape(t), phi_held), cfg)
+    phase = _ramsey_phase(device, lambda t: np.full(np.shape(t), phi_held), cfg)
     assert_allclose(phase, delta * delays, rtol=1e-12)
 
 
@@ -198,8 +195,8 @@ def test_ramsey_phase_zero_delay_prepended(device):
     # segment sums to -0.0; the phase there must still be +0.0
     for amplitude in (5e-4, -5e-4):
         waveform = square_transient_waveform(amplitude, 8e-6, 13e-6, device.phi_idle)
-        p_full = ramsey_phase(device, waveform, with_zero)
-        p_trim = ramsey_phase(device, waveform, without_zero)
+        p_full = _ramsey_phase(device, waveform, with_zero)
+        p_trim = _ramsey_phase(device, waveform, without_zero)
         assert p_full[0] == 0.0 and not np.signbit(p_full[0])
         assert np.array_equal(p_full[1:], p_trim)
 
@@ -207,7 +204,7 @@ def test_ramsey_phase_zero_delay_prepended(device):
 def test_ramsey_phase_rejects_bad_waveform(device):
     cfg = RamseyConfig(tau_pulse=8e-6, delay_grid=[0.0, 1e-6])
     with pytest.raises(ValueError):
-        ramsey_phase(device, lambda t: np.full(np.shape(t), math.nan), cfg)
+        _ramsey_phase(device, lambda t: np.full(np.shape(t), math.nan), cfg)
 
 
 def test_simulate_ramsey_noiseless(device):
@@ -257,16 +254,14 @@ def test_ramsey_config_refuses_a_bad_seed_naming_it(seed, message):
 def test_square_transient_waveform_pieces():
     amp, width, tau, idle = 5e-4, 8e-6, 13e-6, -0.278
     waveform = square_transient_waveform(amp, width, tau, idle)
-    assert waveform(-1e-9) == idle
-    assert waveform(0.0) == idle + amp
-    t_mid = 3e-6
-    assert_allclose(waveform(t_mid), idle + amp * math.exp(-t_mid / tau), rtol=1e-15)
+    # the standard undershoot at the trailing edge, then its decay
+    assert_allclose(waveform(width), idle + amp * math.expm1(-width / tau), rtol=1e-15)
     t_after = 12e-6
-    expected = idle + square_pulse_flux_transient(amp, width, tau, t_after - width)
+    expected = idle + _square_tail(amp, width, tau, t_after - width)
     assert_allclose(waveform(t_after), expected, rtol=1e-15)
-    arr = waveform(np.array([-1e-9, 0.0, t_mid, t_after]))
-    assert arr.shape == (4,)
-    assert arr[2] == waveform(t_mid)
+    arr = waveform(np.array([width, 10e-6, t_after]))
+    assert arr.shape == (3,)
+    assert arr[2] == waveform(t_after)
     with pytest.raises(ValueError):
         square_transient_waveform(amp, -1e-6, tau, idle)
     with pytest.raises(ValueError):
@@ -279,22 +274,54 @@ def test_pulse_flux_waveform_pieces(device):
     line = line_with_tau(tau)
     pulse = solve_biharmonic(1.0, omega, tau)
     waveform = pulse_flux_waveform(pulse, line, device)
-    assert waveform(-1e-12) == device.phi_idle
-    t_mid = 2.5e-6
-    expected = device.phi_idle + device.flux_per_volt * (
-        pulse.evaluate(t_mid) - capacitor_voltage(pulse, line, t_mid)
-    )
-    assert_allclose(waveform(t_mid), expected, rtol=1e-15)
     t_after = 8e-6 + 4e-6
     v_end = capacitor_voltage(pulse, line, 8e-6)
     expected = device.phi_idle - device.flux_per_volt * v_end * math.exp(-4e-6 / tau)
     assert_allclose(waveform(t_after), expected, rtol=1e-12)
-    # designed pulse hands off continuously at the period edge
-    left = waveform(8e-6 * (1.0 - 1e-12))
-    right = waveform(8e-6)
-    assert abs(left - right) < 1e-12
-    arr = waveform(np.array([t_mid, t_after]))
-    assert arr[0] == waveform(t_mid)
+    assert waveform(8e-6) == device.phi_idle - device.flux_per_volt * v_end
+    # the designed pulse hands off continuously at the period edge: the
+    # delivered flux fpv * (V_in - V_c) just before it is the tail's start
+    fpv, t_left = device.flux_per_volt, 8e-6 * (1.0 - 1e-12)
+    left = fpv * (pulse.evaluate(t_left) - capacitor_voltage(pulse, line, t_left))
+    assert abs(left - -fpv * v_end) < 1e-12
+    arr = waveform(np.array([8e-6, t_after]))
+    assert arr[1] == waveform(t_after)
+
+
+@pytest.mark.parametrize("factory", ["square", "pulse"])
+def test_waveforms_refuse_a_time_before_the_pulse_end(device, factory):
+    # the waveforms are defined from the pulse end on, where every Ramsey
+    # delay reads them; the pulse end itself is taken
+    if factory == "square":
+        waveform = square_transient_waveform(5e-4, 8e-6, 13e-6, device.phi_idle)
+    else:
+        waveform = pulse_flux_waveform(HarmonicPulse(8e-6, a=(0.0,), b=(1.0,)), line_with_tau(11.2e-6), device)
+    # a time short of the end by a relative 1e-12 or less reads the end
+    low = 8e-6 * (1.0 - 1e-12)
+    assert waveform(low) == waveform(math.nextafter(8e-6, 0.0)) == waveform(8e-6)
+    assert np.array_equal(waveform(np.array([low, 9e-6])), waveform(np.array([8e-6, 9e-6])))
+    early = math.nextafter(low, 0.0)
+    with pytest.raises(ValueError, match=rf"^t must be at least {low!r} and finite, got {early!r}$"):
+        waveform(early)
+    with pytest.raises(ValueError, match=rf"^t must be at least {low!r} and finite, got 0.0 at index 1$"):
+        waveform(np.array([9e-6, 0.0, -1e-6]))
+    assert isinstance(waveform(8e-6), float)
+    assert waveform(np.array([8e-6, 9e-6])).shape == (2,)
+
+
+def test_simulate_ramsey_pairs_a_period_with_a_pulse_designed_at_it(device):
+    # 2*pi/(2*pi/T) rounds an ulp above T at T = 5.3 us, so the designed
+    # pulse ends just after the config's tau_pulse; the first delay reads the
+    # pulse end, and the trace is the one at the pulse's own period
+    period = 5.3e-6
+    pulse = solve_biharmonic(1.0, 2.0 * math.pi / period, 11.2e-6)
+    assert pulse.tau_pulse > period
+    waveform = pulse_flux_waveform(pulse, line_with_tau(11.2e-6), device)
+    delays = np.arange(241) * 0.25e-6
+    x, y = simulate_ramsey(device, waveform, RamseyConfig(tau_pulse=period, delay_grid=delays))
+    x_own, y_own = simulate_ramsey(device, waveform, RamseyConfig(tau_pulse=pulse.tau_pulse, delay_grid=delays))
+    assert_allclose(x, x_own, rtol=0.0, atol=1e-12)
+    assert_allclose(y, y_own, rtol=0.0, atol=1e-12)
 
 
 _OVERFLOWING_DELAY = r"^delay_grid must keep tau_pulse \+ delay finite, got 1e\+308 at index \d+ with tau_pulse 1e\+308$"
@@ -313,7 +340,7 @@ def test_waveforms_refuse_a_time_that_is_not_finite(device, factory, bad):
         waveform(bad)
     with pytest.raises(ValueError, match=rf"^t must be finite, got {bad!r} at index 1$"):
         waveform(np.array([1e-5, bad, 2e-5]))
-    # ramsey_phase evaluates the waveform at tau_pulse + delay, which would
+    # the simulator evaluates the waveform at tau_pulse + delay, which would
     # overflow here: the config refuses the grid
     with pytest.raises(ValueError, match=_OVERFLOWING_DELAY):
         RamseyConfig(tau_pulse=1e308, delay_grid=[0.0, 1e308])
@@ -331,7 +358,7 @@ def test_ramsey_refuses_an_overflowing_delay_before_any_waveform_call(device):
         return waveform(t)
 
     with pytest.raises(ValueError, match=_OVERFLOWING_DELAY):
-        ramsey_phase(device, counting, RamseyConfig(tau_pulse=1e308, delay_grid=np.linspace(0.0, 1e308, 1000)))
+        simulate_ramsey(device, counting, RamseyConfig(tau_pulse=1e308, delay_grid=np.linspace(0.0, 1e308, 1000)))
     assert calls == []
     # a grid whose last time stays finite is taken
     config = RamseyConfig(tau_pulse=8e-6, delay_grid=[0.0, 1e308])
@@ -339,7 +366,7 @@ def test_ramsey_refuses_an_overflowing_delay_before_any_waveform_call(device):
 
 
 # The allocating, masked forms that the in-place kernels of coupler_frequency,
-# dressed_qubit_frequency, the waveforms, ramsey_phase and simulate_ramsey
+# dressed_qubit_frequency, the waveforms, _ramsey_phase and simulate_ramsey
 # replaced: every output must match them bit for bit, signed zeros included
 
 
@@ -362,16 +389,9 @@ def _reference_dressed(phi, device):
     return float(out) if out.ndim == 0 else out
 
 
-def _reference_pulse_then_tail(period, phi_idle, during, tail):
+def _reference_tail_waveform(period, phi_idle, tail):
     def waveform(t):
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.full(t_arr.shape, phi_idle)
-        inside = (t_arr >= 0.0) & (t_arr < period)
-        if np.any(inside):
-            out[inside] += during(t_arr[inside])
-        after = t_arr >= period
-        if np.any(after):
-            out[after] += tail(t_arr[after] - period)
+        out = phi_idle + tail(np.atleast_1d(np.asarray(t, dtype=float)) - period)
         return float(out[0]) if np.ndim(t) == 0 else out
 
     return waveform
@@ -438,19 +458,15 @@ def test_waveforms_match_their_reference_forms_bit_for_bit(device):
     fpv = device.flux_per_volt
     cases = [
         (square_transient_waveform(amp, period, tau, device.phi_idle),
-         _reference_pulse_then_tail(
-             period, device.phi_idle, lambda t: amp * np.exp(-t / tau),
-             lambda s: amp * (-np.exp(-s / tau) + np.exp(-(s + period) / tau)))),
+         _reference_tail_waveform(period, device.phi_idle, lambda s: amp * (-np.exp(-s / tau) + np.exp(-(s + period) / tau)))),
         (pulse_flux_waveform(pulse, line, device),
-         _reference_pulse_then_tail(
-             period, device.phi_idle, lambda t: fpv * (pulse.evaluate(t) - capacitor_voltage(pulse, line, t)),
-             lambda s: -fpv * v_c_end * np.exp(-s / line.tau))),
+         _reference_tail_waveform(period, device.phi_idle, lambda s: -fpv * v_c_end * np.exp(-s / line.tau))),
     ]
-    # before, during and after the pulse, the edges, and grids all past it
-    edges = np.array([-1e-6, -0.0, 0.0, 1e-12, period / 2, np.nextafter(period, 0.0), period, period + 1e-12])
+    # the pulse end and the times just past it, and grids past it
+    edges = np.array([period, np.nextafter(period, 1.0), period + 1e-12, 20e-6])
     grids = [
         edges,
-        np.concatenate([edges, rng.uniform(-2e-6, 70e-6, 500)]),
+        np.concatenate([edges, rng.uniform(period, 70e-6, 500)]),
         period + np.arange(241) * 0.25e-6,
         period + np.sort(rng.uniform(0.0, 60e-6, 97)),
         np.array([period]),
@@ -459,7 +475,7 @@ def test_waveforms_match_their_reference_forms_bit_for_bit(device):
     for waveform, reference in cases:
         for t in grids:
             _assert_same_bits(waveform(t), reference(t))
-        for t in [*edges, 30e-6, np.float64(9e-6), np.asarray(2e-6)]:
+        for t in [*edges, 30e-6, np.float64(9e-6), np.asarray(12e-6)]:
             _assert_same_bits(waveform(t), reference(t))
 
 
@@ -477,6 +493,6 @@ def test_simulate_ramsey_matches_its_reference_form_bit_for_bit(device):
             for grid in grids:
                 for t2, sigma in ((None, None), (75e-6, None), (75e-6, 0.0), (None, 0.05), (75e-6, 0.05)):
                     config = RamseyConfig(8e-6, grid, t2=t2, readout_noise_sigma=sigma, rng_seed=int(rng.integers(2**31)))
-                    _assert_same_bits(ramsey_phase(dev, waveform, config), _reference_ramsey_phase(dev, waveform, config))
+                    _assert_same_bits(_ramsey_phase(dev, waveform, config), _reference_ramsey_phase(dev, waveform, config))
                     for got, want in zip(simulate_ramsey(dev, waveform, config), _reference_simulate_ramsey(dev, waveform, config)):
                         _assert_same_bits(got, want)

@@ -13,25 +13,20 @@ from fluxshape import (
     RamseyConfig,
     TransientFit,
     dressed_qubit_frequency,
-    fit_transient,
-    frequency_from_phase,
-    frequency_to_flux,
     run_pipeline,
-    savgol_smooth,
     simulate_ramsey,
-    square_pulse_flux_transient,
     square_transient_waveform,
-    unwrap_phase,
 )
 import fluxshape._checks
-from fluxshape.extraction import _ROOT_STEPS
+from fluxshape.extraction import _ROOT_STEPS, _fit, _frequency, _savgol, _to_flux, _unwrap
+from fluxshape.rcline import _square_tail
 
 from conftest import GHZ, MHZ, reference_device
 
 
 def test_unwrap_linear_ramp():
     true = 0.3 + np.linspace(0.0, 12.0, 200)
-    got = unwrap_phase(np.cos(true), np.sin(true))
+    got = _unwrap(np.cos(true), np.sin(true))
     assert_allclose(got, true, rtol=1e-12)
 
 
@@ -39,22 +34,22 @@ def test_unwrap_matches_numpy_unwrap():
     rng = np.random.default_rng(8)
     true = np.cumsum(rng.uniform(-2.5, 2.5, 300))
     x, y = np.cos(true), np.sin(true)
-    assert_allclose(unwrap_phase(x, y), np.unwrap(np.arctan2(y, x)), rtol=1e-12, atol=1e-12)
+    assert_allclose(_unwrap(x, y), np.unwrap(np.arctan2(y, x)), rtol=1e-12, atol=1e-12)
 
 
 def test_unwrap_validation():
     with pytest.raises(ValueError):
-        unwrap_phase([1.0, 0.0], [0.0, 0.0])
+        _unwrap([1.0, 0.0], [0.0, 0.0])
     with pytest.raises(ValueError):
-        unwrap_phase([1.0, 1.0], [0.0])
+        _unwrap([1.0, 1.0], [0.0])
     with pytest.raises(ValueError):
-        unwrap_phase([[1.0]], [[0.0]])
+        _unwrap([[1.0]], [[0.0]])
 
 
 def test_savgol_matches_scipy_interior():
     rng = np.random.default_rng(2)
     y = np.sin(np.linspace(0, 6, 100)) + rng.normal(0, 0.1, 100)
-    ours = savgol_smooth(y, 11, 3)
+    ours = _savgol(y, 11, 3)
     ref = scipy.signal.savgol_filter(y, 11, 3)
     assert_allclose(ours[5:-5], ref[5:-5], rtol=1e-12, atol=1e-12)
 
@@ -63,7 +58,7 @@ def test_savgol_reproduces_cubic_exactly():
     t = np.arange(40, dtype=float)
     y = 0.5 - 0.2 * t + 0.01 * t**2 - 3e-4 * t**3
     # a cubic is inside the model space of every window, edges included
-    assert_allclose(savgol_smooth(y, 11, 3), y, atol=1e-9)
+    assert_allclose(_savgol(y, 11, 3), y, atol=1e-9)
 
 
 def _per_point_savgol(y, window_points, poly_order):
@@ -90,7 +85,7 @@ def test_savgol_matches_the_per_point_loop():
         for order in range(1, min(window - 1, 5) + 1):
             for n in (window, window + 1, 241):
                 y = rng.normal(0.0, 3.0, n)
-                err = np.max(np.abs(savgol_smooth(y, window, order) - _per_point_savgol(y, window, order)))
+                err = np.max(np.abs(_savgol(y, window, order) - _per_point_savgol(y, window, order)))
                 assert err <= 1e-12 * np.max(np.abs(y)), (window, order, n, err)
 
 
@@ -99,7 +94,7 @@ def test_savgol_wide_window_reproduces_its_polynomial():
     # signal to the Vandermonde conditioning
     t = np.linspace(-1.0, 1.0, 241)
     y = np.polynomial.polynomial.polyval(t, [0.3, -1.0, 0.5, 2.0, -0.7, 0.1, 0.4])
-    assert np.max(np.abs(savgol_smooth(y, 101, 6) - y)) <= 1e-12 * np.max(np.abs(y))
+    assert np.max(np.abs(_savgol(y, 101, 6) - y)) <= 1e-12 * np.max(np.abs(y))
 
 
 @pytest.mark.parametrize("window, order", [(11, 10), (7, 6), (5, 4), (11, 7)])
@@ -108,7 +103,7 @@ def test_savgol_interpolated_rows_keep_their_sample(window, order):
     # reached through its rank-deficient branch: the weight is the unit vector
     # on the point's own sample; at order window - 1 that takes every row
     y = np.random.default_rng(9).normal(0.0, 3.0, 41)
-    got = savgol_smooth(y, window, order)
+    got = _savgol(y, window, order)
     interpolated = min(order - window // 2 + 1, window // 2 + 1)
     assert np.array_equal(got[:interpolated], y[:interpolated])
     assert np.array_equal(got[y.size - interpolated :], y[y.size - interpolated :])
@@ -137,7 +132,7 @@ def test_savgol_high_order_rows_match_exact_weights(window, order):
     # monomial designs lose these rows to their conditioning: one QR of the
     # scaled Vandermonde put row 0 off by 6.4e-2 at (51, 20) and by 2.1 at (101, 30)
     y = np.random.default_rng(12).normal(0.0, 3.0, 3 * window)
-    got = savgol_smooth(y, window, order)
+    got = _savgol(y, window, order)
     half = window // 2
     for i in (0, half // 2, half):
         weights = _exact_savgol_row(i + half + 1, i, order)
@@ -151,7 +146,7 @@ def test_savgol_wide_window_memory_is_bounded():
     y = np.random.default_rng(6).normal(size=1001)
     tracemalloc.start()
     try:
-        savgol_smooth(y, 1001, 3)
+        _savgol(y, 1001, 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -161,47 +156,41 @@ def test_savgol_wide_window_memory_is_bounded():
 def test_savgol_reduces_noise():
     rng = np.random.default_rng(3)
     y = rng.normal(0.0, 1.0, 500)
-    smooth = savgol_smooth(y, 11, 3)
+    smooth = _savgol(y, 11, 3)
     assert np.var(smooth[10:-10]) < 0.5 * np.var(y)
 
 
 def test_savgol_validation():
     y = np.zeros(20)
     with pytest.raises(ValueError):
-        savgol_smooth(y, 10, 3)
+        _savgol(y, 10, 3)
     with pytest.raises(ValueError):
-        savgol_smooth(y, 1, 0)
+        _savgol(y, 1, 0)
     with pytest.raises(ValueError):
-        savgol_smooth(y, 21, 3)
+        _savgol(y, 21, 3)
     with pytest.raises(ValueError):
-        savgol_smooth(y, 11, 11)
+        _savgol(y, 11, 11)
     with pytest.raises(ValueError):
-        savgol_smooth(y, 11, 0)
-    with pytest.raises(ValueError):
-        savgol_smooth(np.zeros((4, 5)), 3, 1)
+        _savgol(y, 11, 0)
     # sizes are never truncated: 11.9 is not 11
     with pytest.raises(ValueError, match="^window_points must be an integer, got 11.9$"):
-        savgol_smooth(y, 11.9, 3)
+        _savgol(y, 11.9, 3)
     with pytest.raises(ValueError, match="^poly_order must be an integer, got 3.7$"):
-        savgol_smooth(y, 11, 3.7)
-    for bad in (np.nan, np.inf, -np.inf):
-        y[3] = bad
-        with pytest.raises(ValueError, match=r"^series must be finite, got .* at index 3$"):
-            savgol_smooth(y, 5, 2)
+        _savgol(y, 11, 3.7)
 
 
 def test_frequency_from_phase_quadratic():
     dt = 0.25e-6
     t = np.arange(101) * dt
     phase = 0.4 + 2.0 * np.pi * (3e4 * t + 2e9 * t**2)
-    freq = frequency_from_phase(phase, dt)
+    freq = _frequency(phase, dt)
     assert_allclose(freq, 3e4 + 2.0 * 2e9 * t, rtol=1e-9)
 
 
 def test_frequency_from_phase_constant_tone():
     dt = 1e-6
     t = np.arange(64) * dt
-    freq = frequency_from_phase(2.0 * np.pi * 1.25e4 * t, dt)
+    freq = _frequency(2.0 * np.pi * 1.25e4 * t, dt)
     assert_allclose(freq, 1.25e4, rtol=1e-12)
 
 
@@ -211,39 +200,30 @@ def test_frequency_from_phase_is_np_gradient_bit_for_bit(n):
     phase = np.cumsum(rng.normal(0.0, 0.3, n))
     for dt in (0.25e-6, 0.0625e-6, 1.0 / 3.0):
         ref = np.gradient(phase, dt, edge_order=2) / (2.0 * np.pi)
-        assert np.array_equal(frequency_from_phase(phase, dt), ref), (n, dt)
+        assert np.array_equal(_frequency(phase, dt), ref), (n, dt)
 
 
 def test_frequency_from_phase_validation():
-    with pytest.raises(ValueError):
-        frequency_from_phase([0.0, 1.0], 1e-6)
-    with pytest.raises(ValueError):
-        frequency_from_phase([0.0, 1.0, 2.0], 0.0)
-    phase = np.linspace(0.0, 1.0, 10)
-    for bad in (np.nan, np.inf, -np.inf):
-        phase[3] = bad
-        with pytest.raises(ValueError, match=r"^phase must be finite, got .* at index 3$"):
-            frequency_from_phase(phase, 1e-6)
+    with pytest.raises(ValueError, match="^dt must be positive and finite, got 0.0$"):
+        _frequency(np.array([0.0, 1.0, 2.0]), 0.0)
 
 
 def test_frequency_to_flux_round_trip(device):
     phi = device.phi_idle + np.linspace(-0.05, 0.05, 21)
     f_idle = dressed_qubit_frequency(device.phi_idle, device)
     shift_hz = (dressed_qubit_frequency(phi, device) - f_idle) / (2.0 * np.pi)
-    recovered = frequency_to_flux(shift_hz, device, device.phi_idle)
+    recovered = _to_flux(shift_hz, device, device.phi_idle)
     assert_allclose(recovered, phi, atol=1e-9)
 
 
 def test_frequency_to_flux_scalar_and_errors(device):
-    out = frequency_to_flux(0.0, device, device.phi_idle)
-    assert isinstance(out, float)
-    assert abs(out - device.phi_idle) < 1e-9
-    with pytest.raises(ValueError):
-        frequency_to_flux(1e12, device, device.phi_idle)
-    with pytest.raises(ValueError):
-        frequency_to_flux(-1e13, device, device.phi_idle)
-    with pytest.raises(ValueError):
-        frequency_to_flux(math.nan, device, device.phi_idle)
+    # one sample at zero detuning is the idle point; a detuning off the
+    # branch, either way, or a nan is refused naming the sample
+    out = _to_flux(np.zeros(1), device, device.phi_idle)
+    assert out.shape == (1,) and abs(out[0] - device.phi_idle) < 1e-9
+    for shift in (1e12, -1e13, math.nan):
+        with pytest.raises(ValueError, match=rf"^sample 0 detunes {shift!r} Hz, outside the flux branch's range"):
+            _to_flux(np.array([shift]), device, device.phi_idle)
 
 
 def test_frequency_to_flux_closed_form_round_trip():
@@ -260,7 +240,7 @@ def test_frequency_to_flux_closed_form_round_trip():
         phi = np.clip(phi_idle + rng.uniform(-0.1, 0.1, 200), edge + 0.02, edge + 0.48)
         f_idle = dressed_qubit_frequency(phi_idle, device)
         shift_hz = (dressed_qubit_frequency(phi, device) - f_idle) / (2.0 * np.pi)
-        recovered = frequency_to_flux(shift_hz, device, phi_idle)
+        recovered = _to_flux(shift_hz, device, phi_idle)
         assert np.max(np.abs(recovered - phi)) <= 1e-12
 
 
@@ -269,14 +249,14 @@ def test_frequency_to_flux_rejects_zero_coupling():
     device = reference_device()
     uncoupled = CouplerDevice(device.omega_q, device.omega_max, 0.0, device.flux_per_volt, device.phi_idle)
     with pytest.raises(ValueError, match="^g must be positive"):
-        frequency_to_flux(np.zeros(5), uncoupled, uncoupled.phi_idle)
+        _to_flux(np.zeros(5), uncoupled, uncoupled.phi_idle)
 
 def test_fit_transient_exact_template():
     delays = np.arange(241) * 0.25e-6
     for tau in (1e-6, 5e-6, 13e-6, 40e-6, 100e-6):
         for offset in (0.0, 3e-4):
-            y = square_pulse_flux_transient(0.02, 8e-6, tau, delays) + offset
-            fit = fit_transient(y, delays, 8e-6)
+            y = _square_tail(0.02, 8e-6, tau, delays) + offset
+            fit = _fit(y, delays, 8e-6)
             assert fit.converged
             assert_allclose(fit.tau, tau, rtol=1e-6)
             assert_allclose(fit.amplitude, 0.02, rtol=1e-6)
@@ -286,7 +266,7 @@ def test_fit_transient_exact_template():
 
 def test_fit_transient_constant_input():
     delays = np.arange(20) * 1e-6
-    fit = fit_transient(np.full(20, 0.3), delays, 8e-6)
+    fit = _fit(np.full(20, 0.3), delays, 8e-6)
     assert fit == TransientFit(0.0, 0.3, fit.tau, 0.0, False)
     assert math.isnan(fit.tau)
 
@@ -294,9 +274,9 @@ def test_fit_transient_constant_input():
 def test_fit_transient_default_weights_halve_endpoints():
     delays = np.arange(100) * 0.5e-6
     rng = np.random.default_rng(12)
-    y = square_pulse_flux_transient(0.02, 8e-6, 13e-6, delays) + rng.normal(0, 2e-4, 100)
-    fit = fit_transient(y, delays, 8e-6)
-    model = square_pulse_flux_transient(fit.amplitude, 8e-6, fit.tau, delays) + fit.offset
+    y = _square_tail(0.02, 8e-6, 13e-6, delays) + rng.normal(0, 2e-4, 100)
+    fit = _fit(y, delays, 8e-6)
+    model = _square_tail(fit.amplitude, 8e-6, fit.tau, delays) + fit.offset
     w = np.ones(100)
     w[0] = w[-1] = 0.5
     # uniform weights would give a cost 0.2 % higher here
@@ -306,25 +286,21 @@ def test_fit_transient_default_weights_halve_endpoints():
 def test_fit_transient_validation():
     delays = np.arange(10) * 1e-6
     y = np.zeros(10)
-    with pytest.raises(ValueError):
-        fit_transient(y[:5], delays[:5], 8e-6)
-    with pytest.raises(ValueError):
-        fit_transient(y, delays[::-1], 8e-6)
-    with pytest.raises(ValueError):
-        fit_transient(y, delays[:-1], 8e-6)
-    with pytest.raises(ValueError):
-        fit_transient(y, delays, -1.0)
+    with pytest.raises(ValueError, match="^flux must have length at least 8, got 5$"):
+        _fit(y[:5], delays[:5], 8e-6)
+    with pytest.raises(ValueError, match=r"^tau_pulse must be positive and finite, got -1.0$"):
+        _fit(y, delays, -1.0)
 
 
 def test_fit_transient_noise_monte_carlo():
     # 2 percent additive noise leaves tau recoverable to 5 percent (95th pct)
     delays = np.arange(241) * 0.25e-6
     tau = 13e-6
-    clean = square_pulse_flux_transient(0.02, 8e-6, tau, delays)
+    clean = _square_tail(0.02, 8e-6, tau, delays)
     errors = []
     for seed in range(100):
         rng = np.random.default_rng(seed)
-        fit = fit_transient(clean + rng.normal(0.0, 0.02 * 0.02, delays.size), delays, 8e-6)
+        fit = _fit(clean + rng.normal(0.0, 0.02 * 0.02, delays.size), delays, 8e-6)
         assert fit.converged
         errors.append(abs(fit.tau - tau) / tau)
     assert np.percentile(errors, 95) < 0.05
@@ -335,7 +311,7 @@ def test_fit_transient_noise_only_not_converged():
     delays = np.arange(241) * 0.25e-6
     for seed in range(50):
         rng = np.random.default_rng(seed)
-        fit = fit_transient(0.3 + rng.normal(0.0, 1e-4, delays.size), delays, 8e-6)
+        fit = _fit(0.3 + rng.normal(0.0, 1e-4, delays.size), delays, 8e-6)
         assert not fit.converged
 
 
@@ -344,8 +320,8 @@ def test_fit_transient_tau_outside_bracket_not_converged(tau_over_span):
     # the search covers tau in [span/1000, 1000*span]; a noiseless record
     # whose tau lies outside has no start in range or runs into an edge
     delays = np.arange(241) * 0.25e-6
-    y = square_pulse_flux_transient(0.02, 8e-6, tau_over_span * delays[-1], delays)
-    assert not fit_transient(y, delays, 8e-6).converged
+    y = _square_tail(0.02, 8e-6, tau_over_span * delays[-1], delays)
+    assert not _fit(y, delays, 8e-6).converged
 
 
 @pytest.mark.parametrize("record", ["ramp", "growth", "noise"])
@@ -362,22 +338,22 @@ def test_fit_transient_without_a_start_makes_one_evaluation(device, record):
         zero = lambda t: np.full(np.shape(t), device.phi_idle)  # noqa: E731
         cfg = RamseyConfig(tau_pulse=8e-6, delay_grid=delays, t2=75e-6, readout_noise_sigma=0.05, rng_seed=0)
         flux = run_pipeline(*simulate_ramsey(device, zero, cfg), 0.25e-6, device, device.phi_idle, 8e-6).flux
-    fit = fit_transient(flux, delays, 8e-6)
+    fit = _fit(flux, delays, 8e-6)
     assert (fit.interior, fit.converged, fit.iterations) == (False, False, 1)
     assert fit.tau == delays[-1]
 
 
-def test_fit_transient_rejects_non_finite_input():
-    # a nan or inf in any input array is an error naming the field, never a
-    # fit that merely reports converged=False
-    delays = np.arange(241) * 0.25e-6
-    y = square_pulse_flux_transient(0.02, 8e-6, 13e-6, delays)
-    for field in ("flux", "delays"):
+def test_fit_transient_rejects_non_finite_input(device):
+    # a nan or inf in either quadrature is an error naming the stage and the
+    # field, never a fit that merely reports converged=False
+    x, y, _ = _square_quadratures(device, 5e-4, 13e-6, 0.25e-6, 241)
+    for field in ("x", "y"):
         for bad in (math.inf, math.nan):
-            args = {"flux": y.copy(), "delays": delays.copy()}
+            args = {"x": x.copy(), "y": y.copy()}
             args[field][-1] = bad
-            with pytest.raises(ValueError, match=f"^{field} must be finite, got {bad!r} at index 240$"):
-                fit_transient(args["flux"], args["delays"], 8e-6)
+            with pytest.raises(ValueError, match=f"^unwrap stage: {field} must be finite, got {bad!r} at index 240$"):
+                run_pipeline(args["x"], args["y"], 0.25e-6, device, device.phi_idle, 8e-6)
+
 
 def _square_quadratures(device, amplitude, tau, dt, n, **cfg_kwargs):
     delays = np.arange(n) * dt
@@ -474,7 +450,7 @@ def _fit_rows(rows, v, w):
 def _scan_fit(flux, delays, tau_pulse):
     """tau and converged by repeated 16-point scans of the cost down to a 1e-9 bracket.
 
-    The search ``fit_transient`` made before its root search: each scan over
+    The search ``_fit`` made before its root search: each scan over
     u = log(tau/span) keeps the two cells around its best point, the first
     scan alone decides whether the minimum is interior, and the standard
     error comes from a separate solve at the final tau.
@@ -585,7 +561,7 @@ def _assert_matches_the_scan_search(traces):
     """
     converged = 0
     for case, flux, delays in traces:
-        fit = fit_transient(flux, delays, 8e-6)
+        fit = _fit(flux, delays, 8e-6)
         ref_tau, ref_converged = _scan_fit(flux, delays, 8e-6)
         case = (*case, fit)
         assert fit.converged == ref_converged, case
@@ -623,13 +599,13 @@ def test_fit_transient_keeps_every_flag_on_aliased_traces(device):
 
 
 def _two_regression_fit(flux, delays, tau_pulse):
-    """``fit_transient`` with a root search that regresses each row on its own.
+    """``_fit`` with a root search that regresses each row on its own.
 
     The search as it was before its evaluation stacked the data and dshape/du
     on one projected shape: at every u, one ``_fit_rows`` call gives A and
     the residual, and a second regresses the centred dshape/du on the shape
     for -P(J)/A.  The closed-form start, steps and stopping rules are those
-    of ``fit_transient``.  Returns tau, its standard error, the cost,
+    of ``_fit``.  Returns tau, its standard error, the cost,
     ``converged`` and ``interior``.
     """
     y, d = flux, delays
@@ -687,7 +663,7 @@ def test_fit_transient_matches_the_two_regression_search(device):
     # moves tau by at most 1.2e-15, tau_stderr by 4.1e-12 and the cost by
     # 8.2e-12, relative
     for case, flux, delays in _workload_traces(device):
-        fit = fit_transient(flux, delays, 8e-6)
+        fit = _fit(flux, delays, 8e-6)
         tau, tau_se, cost, converged, interior = _two_regression_fit(flux, delays, 8e-6)
         case = (*case, fit)
         assert (fit.converged, fit.interior) == (converged, interior), case
@@ -703,8 +679,8 @@ def test_fit_transient_fields_are_plain_python_values(device):
     # the fields go straight into JSON reports, which refuse numpy scalars
     # such as np.bool_
     delays = np.arange(20) * 1e-6
-    flat = fit_transient(np.full(20, 0.3), delays, 8e-6)
-    fits = [flat, *(fit_transient(flux, d, 8e-6) for _, flux, d in _workload_traces(device))]
+    flat = _fit(np.full(20, 0.3), delays, 8e-6)
+    fits = [flat, *(_fit(flux, d, 8e-6) for _, flux, d in _workload_traces(device))]
     for fit in fits:
         types = {name: type(getattr(fit, name)) for name in TransientFit.__dataclass_fields__}
         assert types == {

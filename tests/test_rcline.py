@@ -12,7 +12,7 @@ from fluxshape import (
     integrate_line_response,
     line_current,
     solve_biharmonic,
-    square_pulse_flux_transient,
+    square_transient_waveform,
     transient_coefficient,
 )
 
@@ -164,12 +164,22 @@ def test_ode_oracle_grid_validation():
         integrate_line_response(lambda s: np.zeros_like(s), line, np.array([0.0]))
 
 
-def test_ode_oracle_scalar_only_waveform():
+def test_ode_oracle_calls_the_waveform_once_and_takes_no_scalar():
+    # a refusal from the waveform comes back from its one call, with no
+    # retry per grid point, and a waveform that is not vectorized is refused
     line = line_with_tau(1e-5)
     t = np.linspace(0.0, 1e-5, 101)
-    v_vec, _ = integrate_line_response(lambda s: np.ones_like(s), line, t)
-    v_scal, _ = integrate_line_response(lambda s: 1.0, line, t)
-    assert np.array_equal(v_vec, v_scal)
+    calls = []
+
+    def refusing(s):
+        calls.append(np.size(s))
+        raise ValueError("refused")
+
+    with pytest.raises(ValueError, match="^refused$"):
+        integrate_line_response(refusing, line, t)
+    assert calls == [101]
+    with pytest.raises(ValueError, match=r"^waveform must be 1-D, got shape \(\)$"):
+        integrate_line_response(lambda s: 1.0, line, t)
 
 
 def _three_call_rk4(v_in, line, t):
@@ -368,42 +378,35 @@ def test_square_pulse_droop_and_undershoot():
 
 def test_square_pulse_flux_transient_values():
     # residual right after an 8 us pulse on a 13 us line
-    val = square_pulse_flux_transient(1.0, 8e-6, 13e-6, 0.0)
+    val = rcline._square_tail(1.0, 8e-6, 13e-6, 0.0)
     assert_allclose(val, -1.0 + math.exp(-8.0 / 13.0), rtol=1e-12)
     assert_allclose(val, -0.45960, rtol=1e-4)
     # far delays decay to zero
-    assert square_pulse_flux_transient(1.0, 8e-6, 13e-6, 1.0) == 0.0
+    assert rcline._square_tail(1.0, 8e-6, 13e-6, 1.0) == 0.0
     # vanishing pulse width leaves nothing behind
-    assert abs(square_pulse_flux_transient(1.0, 1e-18, 13e-6, 5e-6)) < 1e-10
-    with pytest.raises(ValueError):
-        square_pulse_flux_transient(1.0, 0.0, 13e-6, 0.0)
-    with pytest.raises(ValueError):
-        square_pulse_flux_transient(1.0, 8e-6, 13e-6, -1e-6)
+    assert abs(rcline._square_tail(1.0, 1e-18, 13e-6, 5e-6)) < 1e-10
 
 
 @pytest.mark.parametrize("field", ["amplitude", "t_delay"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_square_pulse_flux_transient_refuses_a_non_finite_input(field, bad):
-    # a nan used to come back as the residual flux
-    args = {"amplitude": 1.0, "t_delay": np.array([0.0, 1e-6, 2e-6])}
-    args[field] = bad if field == "amplitude" else np.array([0.0, bad, 2e-6])
-    # t_delay must also be non-negative, and its one check says so
-    rule, at = ("finite", "") if field == "amplitude" else ("non-negative and finite", " at index 1")
-    with pytest.raises(ValueError, match=rf"^{field} must be {rule}, got {bad!r}{at}$"):
-        square_pulse_flux_transient(args["amplitude"], 8e-6, 13e-6, args["t_delay"])
+    # the square waveform is the transient's one public path: it refuses a
+    # non-finite amplitude, and a time t_delay past the pulse end that is not
+    # finite, each naming its field; a nan used to come back as the residual flux
+    if field == "amplitude":
+        with pytest.raises(ValueError, match=rf"^amplitude must be finite, got {bad!r}$"):
+            square_transient_waveform(bad, 8e-6, 13e-6, 0.0)
+    else:
+        waveform = square_transient_waveform(1.0, 8e-6, 13e-6, 0.0)
+        with pytest.raises(ValueError, match=rf"^t must be finite, got {bad!r} at index 1$"):
+            waveform(8e-6 + np.array([0.0, bad, 2e-6]))
 
 
-@pytest.mark.parametrize("vectorized", [True, False], ids=["vectorized", "scalar-only"])
-def test_ode_oracle_rejects_non_finite_waveform(vectorized):
+def test_ode_oracle_rejects_non_finite_waveform():
     line = line_with_tau(1e-5)
     t = np.linspace(0.0, 1e-5, 1001)
-    if vectorized:
-        v_in = lambda s: np.where(s > 5e-6, math.nan, 1.0)
-    else:
-        # the comparison fails on an array, so the oracle falls back to scalar calls
-        v_in = lambda s: math.nan if s > 5e-6 else 1.0
     with pytest.raises(ValueError, match=r"^waveform must be finite, got nan at index \d+$"):
-        integrate_line_response(v_in, line, t)
+        integrate_line_response(lambda s: np.where(s > 5e-6, math.nan, 1.0), line, t)
 
 
 def _explicit_sum(t, n, c, s, omega):
